@@ -1,6 +1,5 @@
 #include "common/alloc_count.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -17,17 +16,18 @@
 
 namespace {
 
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-std::atomic<std::uint64_t> g_bytes{0};
+// Each thread bumps only its own counters, so concurrent trial workers never
+// contend on a shared cache line. Constant-initialized and trivially
+// destructible: no TLS init guard runs inside operator new.
+thread_local mm::common::AllocCounts t_counts;
 
 #if !defined(MM_ALLOC_COUNT_DISABLED)
 inline void note_alloc(std::size_t size) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  ++t_counts.allocs;
+  t_counts.bytes += size;
 }
 
-inline void note_free() noexcept { g_frees.fetch_add(1, std::memory_order_relaxed); }
+inline void note_free() noexcept { ++t_counts.frees; }
 
 void* counted_alloc(std::size_t size) {
   note_alloc(size);
@@ -51,11 +51,7 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
 
 namespace mm::common {
 
-AllocCounts alloc_counts() noexcept {
-  return AllocCounts{g_allocs.load(std::memory_order_relaxed),
-                     g_frees.load(std::memory_order_relaxed),
-                     g_bytes.load(std::memory_order_relaxed)};
-}
+AllocCounts alloc_counts() noexcept { return t_counts; }
 
 bool alloc_counting_active() noexcept {
 #if defined(MM_ALLOC_COUNT_DISABLED)

@@ -1,13 +1,19 @@
-// Process-wide heap-allocation counting — the test hook behind the
+// Per-thread heap-allocation counting — the test hook behind the
 // simulator's "zero heap allocations per steady-state step" invariant.
 //
 // Linking this translation unit replaces the global operator new/delete with
-// thin wrappers that bump relaxed atomic counters before delegating to
-// malloc/free. The counters are process-wide and monotone; tests snapshot
+// thin wrappers that bump the calling thread's counters before delegating to
+// malloc/free. The counters are per thread and monotone; callers snapshot
 // them around a window (AllocCounts::operator-) and assert on the delta.
-// Overhead is one relaxed fetch_add per allocation, so the counters stay on
-// in every binary that references this header — which is what lets
-// bench_micro publish allocs_per_step/bytes_per_step in BENCH_runtime.json.
+// That delta covers only work done on the calling thread: a SimRuntime's
+// fibers run there, but allocations on other threads do not appear in it —
+// WorkerPool workers, the LP threads a partitioned run
+// (SimConfig::partitions > 1) spawns beside the caller's own LP, and the
+// thread backend's per-process threads. A free is charged to the thread that
+// frees. Overhead is two thread-local adds per allocation and no shared
+// cache line, so the counters stay on in every binary that references this
+// header — which is what lets bench_micro publish
+// allocs_per_step/bytes_per_step in BENCH_runtime.json.
 //
 // Under AddressSanitizer the replacement is compiled out (ASan owns operator
 // new for poisoning/quarantine); alloc_counting_active() reports false and
@@ -28,7 +34,7 @@ struct AllocCounts {
   }
 };
 
-/// Snapshot of the process-wide counters (monotone since process start).
+/// Snapshot of the calling thread's counters (monotone since thread start).
 [[nodiscard]] AllocCounts alloc_counts() noexcept;
 
 /// False when the counting operators are compiled out (sanitizer builds);

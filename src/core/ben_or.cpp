@@ -22,11 +22,10 @@ BenOrConsensus::BenOrConsensus(Config config, std::uint32_t initial_value)
 
 bool BenOrConsensus::check_decide(Env& env) {
   if (decision_.load(std::memory_order_acquire) >= 0) return true;
-  for (const Message* m : buffer_.matching(kMsgDecide, kDecideRound)) {
-    decide(env, static_cast<std::uint32_t>(m->value & 1), m->value >> 1);
-    return true;
-  }
-  return false;
+  const Message* m = buffer_.first_matching(kMsgDecide, kDecideRound);
+  if (m == nullptr) return false;
+  decide(env, static_cast<std::uint32_t>(m->value & 1), m->value >> 1);
+  return true;
 }
 
 void BenOrConsensus::decide(Env& env, std::uint32_t value, std::uint64_t round) {
@@ -44,19 +43,22 @@ std::optional<std::vector<std::optional<std::uint32_t>>> BenOrConsensus::await_q
   const std::size_t n = env.n();
   MM_ASSERT_MSG(config_.f < n, "crash bound must be below n");
   const std::size_t quorum = n - config_.f;
+  // Reused across passes so the spin loop stays off the heap (see HBO's
+  // await_majority).
+  std::vector<std::optional<std::uint32_t>> by_sender;
   for (;;) {
     buffer_.pump(env);
     if (check_decide(env)) return std::nullopt;
 
-    std::vector<std::optional<std::uint32_t>> by_sender(n);
+    by_sender.assign(n, std::nullopt);
     std::size_t senders = 0;
-    for (const Message* m : buffer_.matching(kind, round)) {
-      auto& slot = by_sender[m->from.index()];
+    buffer_.for_each_matching(kind, round, [&](const Message& m) {
+      auto& slot = by_sender[m.from.index()];
       if (!slot.has_value()) {
-        slot = static_cast<std::uint32_t>(m->value);
+        slot = static_cast<std::uint32_t>(m.value);
         ++senders;
       }
-    }
+    });
     if (senders >= quorum) return by_sender;
 
     if (env.stop_requested()) return std::nullopt;

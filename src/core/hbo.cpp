@@ -86,12 +86,11 @@ std::vector<RepTuple> HboConsensus::build_tuples_random(Env& env, std::uint64_t 
 
 bool HboConsensus::check_decide(Env& env) {
   if (decision_.load(std::memory_order_acquire) >= 0) return true;
-  for (const Message* m : buffer_.matching(kMsgDecide, decide_round())) {
-    // DECIDE payload: bit 0 = value, upper bits = round it was decided in.
-    decide(env, static_cast<std::uint32_t>(m->value & 1), m->value >> 1);
-    return true;
-  }
-  return false;
+  const Message* m = buffer_.first_matching(kMsgDecide, decide_round());
+  if (m == nullptr) return false;
+  // DECIDE payload: bit 0 = value, upper bits = round it was decided in.
+  decide(env, static_cast<std::uint32_t>(m->value & 1), m->value >> 1);
+  return true;
 }
 
 void HboConsensus::decide(Env& env, std::uint32_t value, std::uint64_t round) {
@@ -107,14 +106,17 @@ void HboConsensus::decide(Env& env, std::uint32_t value, std::uint64_t round) {
 std::optional<std::vector<std::optional<std::uint32_t>>> HboConsensus::await_majority(
     Env& env, std::uint32_t kind, std::uint64_t round) {
   const std::size_t n = env.n();
+  // Reused across passes: the spin loop below runs once per scheduler step
+  // while the majority is missing, and must not touch the heap.
+  std::vector<std::optional<std::uint32_t>> rep;
   for (;;) {
     buffer_.pump(env);
     if (check_decide(env)) return std::nullopt;
 
-    std::vector<std::optional<std::uint32_t>> rep(n);
+    rep.assign(n, std::nullopt);
     std::size_t represented = 0;
-    for (const Message* m : buffer_.matching(kind, msg_round(round))) {
-      for (const RepTuple& t : m->tuples) {
+    buffer_.for_each_matching(kind, msg_round(round), [&](const Message& m) {
+      for (const RepTuple& t : m.tuples) {
         MM_ASSERT(t.pid.index() < n);
         auto& slot = rep[t.pid.index()];
         if (!slot.has_value()) {
@@ -126,7 +128,7 @@ std::optional<std::vector<std::optional<std::uint32_t>>> HboConsensus::await_maj
           MM_ASSERT_MSG(*slot == t.value, "inconsistent representation tuple");
         }
       }
-    }
+    });
     if (2 * represented > n) return rep;
 
     if (env.stop_requested()) return std::nullopt;

@@ -163,9 +163,11 @@ ShrinkResult shrink_case(const ChaosCase& failing, std::size_t max_evals) {
   ddmin_rules(c, pr);
   // 3. Minimize the surviving rules.
   shrink_params(c, pr);
-  // 4. Minimize the choice prefix — meaningless for termination violations
-  //    (every budget "fails to decide" once the run cannot decide at all).
-  if (pr.want != Oracle::kTermination) shrink_budget(c, pr);
+  // 4. Minimize the choice prefix — meaningless for liveness violations: a
+  //    shorter budget reproduces "never decided" or "never stabilized"
+  //    trivially, down to a vacuous 1-step repro.
+  if (pr.want != Oracle::kTermination && pr.want != Oracle::kOmegaStabilizes)
+    shrink_budget(c, pr);
 
   res.minimized = std::move(c);
   res.violation = pr.last;

@@ -17,12 +17,11 @@ void MsgBuffer::pump(runtime::Env& env) {
   scratch_.clear();  // keeps capacity for the next drain
 }
 
-std::vector<const Message*> MsgBuffer::matching(std::uint32_t kind,
-                                                std::uint64_t round) const {
-  std::vector<const Message*> out;
-  for (const Message& m : msgs_)
-    if (m.kind == kind && m.round == round) out.push_back(&m);
-  return out;
+const Message* MsgBuffer::first_matching(std::uint32_t kind, std::uint64_t round) const {
+  const auto it = std::find_if(msgs_.begin(), msgs_.end(), [&](const Message& m) {
+    return m.kind == kind && m.round == round;
+  });
+  return it == msgs_.end() ? nullptr : &*it;
 }
 
 void MsgBuffer::gc_below(std::uint64_t round) {

@@ -26,10 +26,18 @@ class MsgBuffer {
   /// round-based algorithm).
   void pump(runtime::Env& env);
 
-  /// Pointers into the buffer for all messages with this (kind, round).
+  /// Call fn(const Message&) on every message with this (kind, round), in
+  /// arrival order. Allocation-free, so a receive rule can rescan the buffer
+  /// on every pass of its spin loop; fn must not ingest/pump/gc.
+  template <typename Fn>
+  void for_each_matching(std::uint32_t kind, std::uint64_t round, Fn&& fn) const {
+    for (const Message& m : msgs_)
+      if (m.kind == kind && m.round == round) fn(m);
+  }
+
+  /// The earliest-arrived message with this (kind, round), or null.
   /// Invalidated by ingest/pump/gc.
-  [[nodiscard]] std::vector<const Message*> matching(std::uint32_t kind,
-                                                     std::uint64_t round) const;
+  [[nodiscard]] const Message* first_matching(std::uint32_t kind, std::uint64_t round) const;
 
   /// Number of buffered messages (all kinds/rounds).
   [[nodiscard]] std::size_t size() const noexcept { return msgs_.size(); }

@@ -433,22 +433,43 @@ TEST(ChaosBridge, OutsideFragmentCasesAreRejectedWithReasons) {
 }
 
 TEST(ChaosShrink, TerminationViolationsSkipBudgetShrink) {
-  // Any budget "reproduces" a failure to decide, so budget-shrinking a
-  // termination violation would minimize to a vacuous near-zero-step repro;
-  // the shrinker must leave the budget alone for this oracle.
-  ChaosCase c = base_case(5, Topology::kEdgeless);
-  c.budget = 60'000;
+  // Any budget "reproduces" a liveness failure — never deciding, never
+  // settling on one leader — so budget-shrinking one would minimize to a
+  // vacuous near-zero-step repro; the shrinker must leave the budget alone
+  // for both liveness oracles.
+  ChaosCase consensus = base_case(5, Topology::kEdgeless);
+  consensus.budget = 60'000;
   for (std::uint32_t p = 0; p < 3; ++p) {
     FaultRule r;
     r.trigger = Trigger::kAtStep;
     r.count = 0;
     r.action = Action::kCrash;
     r.target = Pid{p};
-    c.rules.push_back(r);
+    consensus.rules.push_back(r);
   }
-  const ShrinkResult shrunk = shrink_case(c);
-  EXPECT_EQ(shrunk.budget_after, shrunk.budget_before)
-      << "termination violations must not budget-shrink (vacuous repro)";
+
+  // Ω with a budget below the stabilization horizon (10 agreeing checks
+  // 500 steps apart), so no run can stabilize, plus a crash of a
+  // non-timely process for the rule shrinker to remove.
+  ChaosCase omega;
+  omega.kind = CaseKind::kOmega;
+  omega.n = 4;
+  omega.budget = 4'000;
+  omega.oracles = {Oracle::kOmegaStabilizes};
+  FaultRule crash;
+  crash.trigger = Trigger::kAtStep;
+  crash.count = 1'000;
+  crash.action = Action::kCrash;
+  crash.target = Pid{1};
+  omega.rules.push_back(crash);
+
+  for (const ChaosCase& c : {consensus, omega}) {
+    SCOPED_TRACE(to_string(c.oracles.back()));
+    const ShrinkResult shrunk = shrink_case(c);
+    EXPECT_EQ(shrunk.violation.oracle, c.oracles.back());
+    EXPECT_EQ(shrunk.budget_after, shrunk.budget_before)
+        << "liveness violations must not budget-shrink (vacuous repro)";
+  }
 }
 
 }  // namespace

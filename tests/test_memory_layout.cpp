@@ -1,15 +1,22 @@
 // Tests for the allocation-light message path: TupleVec's inline/spill
 // boundary, the SlabPool recycling it, and — the invariant all of it exists
-// for — zero heap allocations per steady-state simulator step, measured with
-// the counting operator new in common/alloc_count.hpp.
+// for — zero heap allocations per steady-state simulator step (including the
+// consensus receive rules' spin loops), measured with the per-thread counting
+// operator new in common/alloc_count.hpp.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_count.hpp"
 #include "common/slab.hpp"
+#include "core/ben_or.hpp"
+#include "core/hbo.hpp"
 #include "graph/generators.hpp"
 #include "runtime/env.hpp"
 #include "runtime/message.hpp"
@@ -249,6 +256,113 @@ TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
 
   rt.request_stop();
   rt.run_until_all_done(100'000);
+}
+
+// The consensus receive rules rescan the buffer once per scheduler step
+// while they wait. n = 5 on the edgeless GSM with p0–p2 crashed at step 0:
+// each message represents only its sender, so the two survivors can never
+// gather HBO's majority (2 of 5 represented) or Ben-Or's quorum (2 of the
+// n − f = 4 senders), and spin in the rule until stopped.
+constexpr std::size_t kSpinN = 5;
+
+SimConfig await_spin_config(const graph::Graph& gsm) {
+  SimConfig cfg;
+  cfg.gsm = gsm;
+  cfg.seed = 2026;
+  cfg.crash_at.assign(kSpinN, std::nullopt);
+  for (std::size_t p = 0; p < 3; ++p) cfg.crash_at[p] = 0;
+  return cfg;
+}
+
+/// Allocations the calling thread makes while rt's survivors spin for
+/// 20,000 steps after 2,000 warm-up steps; stops the run afterwards.
+std::uint64_t await_spin_allocs(SimRuntime& rt) {
+  rt.run_steps(2'000);  // warmup: receive buffers, drain scratch, pending queues
+  const auto before = common::alloc_counts();
+  const Step ran = rt.run_steps(20'000);
+  const auto delta = common::alloc_counts() - before;
+  EXPECT_EQ(ran, 20'000u) << "the survivors stopped spinning";
+  EXPECT_EQ(delta.bytes, 0u);
+  rt.request_stop();
+  rt.run_until_all_done(100'000);
+  return delta.allocs;
+}
+
+TEST(AllocInvariant, HboAwaitMajoritySpinIsHeapFree) {
+  if (!common::alloc_counting_active())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+
+  const graph::Graph gsm = graph::edgeless(kSpinN);
+  SimRuntime rt{await_spin_config(gsm)};
+  std::vector<std::unique_ptr<core::HboConsensus>> procs;
+  for (std::uint32_t p = 0; p < kSpinN; ++p) {
+    core::HboConsensus::Config hc;
+    hc.gsm = &gsm;
+    procs.push_back(std::make_unique<core::HboConsensus>(hc, p % 2));
+    rt.add_process([alg = procs.back().get()](Env& env) { alg->run(env); });
+  }
+  EXPECT_EQ(await_spin_allocs(rt), 0u) << "await_majority allocated while spinning";
+  for (const auto& alg : procs) EXPECT_EQ(alg->decision(), -1);
+}
+
+TEST(AllocInvariant, BenOrAwaitQuorumSpinIsHeapFree) {
+  if (!common::alloc_counting_active())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+
+  const graph::Graph gsm = graph::edgeless(kSpinN);
+  SimRuntime rt{await_spin_config(gsm)};
+  std::vector<std::unique_ptr<core::BenOrConsensus>> procs;
+  for (std::uint32_t p = 0; p < kSpinN; ++p) {
+    core::BenOrConsensus::Config bc;
+    bc.f = 1;
+    procs.push_back(std::make_unique<core::BenOrConsensus>(bc, p % 2));
+    rt.add_process([alg = procs.back().get()](Env& env) { alg->run(env); });
+  }
+  EXPECT_EQ(await_spin_allocs(rt), 0u) << "await_quorum allocated while spinning";
+  for (const auto& alg : procs) EXPECT_EQ(alg->decision(), -1);
+}
+
+// The counters are per thread: a worker's allocations never show up in
+// another thread's delta, and the calling thread's own are counted exactly.
+// Explicit operator new/delete calls, unlike new-expressions, cannot be
+// elided by the optimizer.
+TEST(AllocInvariant, CountersArePerThread) {
+  if (!common::alloc_counting_active())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+
+  constexpr std::uint64_t kAllocs = 1'000;
+  constexpr std::size_t kBytes = 24;
+  // 0: worker waits, 1: worker allocates, 2: worker done. The worker is
+  // started before the window opens: spawning a std::thread allocates on the
+  // spawning thread.
+  std::atomic<int> phase{0};
+  common::AllocCounts worker_delta;
+  std::thread worker([&] {
+    while (phase.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+    const auto before = common::alloc_counts();
+    for (std::uint64_t i = 0; i < kAllocs; ++i) ::operator delete(::operator new(kBytes));
+    worker_delta = common::alloc_counts() - before;
+    phase.store(2, std::memory_order_release);
+  });
+  const auto before = common::alloc_counts();
+  phase.store(1, std::memory_order_release);
+  while (phase.load(std::memory_order_acquire) != 2) std::this_thread::yield();
+  const auto delta = common::alloc_counts() - before;
+  worker.join();
+  EXPECT_EQ(delta.allocs, 0u) << "another thread's allocations reached this thread's counts";
+  EXPECT_EQ(delta.frees, 0u);
+  EXPECT_EQ(delta.bytes, 0u);
+  EXPECT_EQ(worker_delta.allocs, kAllocs);
+  EXPECT_EQ(worker_delta.frees, kAllocs);
+
+  void* blocks[kAllocs];
+  const auto mine_before = common::alloc_counts();
+  for (void*& b : blocks) b = ::operator new(kBytes);
+  for (void* b : blocks) ::operator delete(b);
+  const auto mine = common::alloc_counts() - mine_before;
+  EXPECT_EQ(mine.allocs, kAllocs);
+  EXPECT_EQ(mine.frees, kAllocs);
+  EXPECT_EQ(mine.bytes, kAllocs * kBytes);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Tests for the net helpers: MsgBuffer retention policy and broadcast.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "net/broadcast.hpp"
 #include "net/msg_buffer.hpp"
@@ -22,14 +25,41 @@ Message make(std::uint32_t kind, std::uint64_t round, std::uint64_t value = 0) {
   return m;
 }
 
+using Values = std::vector<std::uint64_t>;
+
+/// Values of the (kind, round) matches, in the order for_each_matching visits them.
+Values values(const MsgBuffer& buf, std::uint32_t kind, std::uint64_t round) {
+  Values out;
+  buf.for_each_matching(kind, round, [&out](const Message& m) { out.push_back(m.value); });
+  return out;
+}
+
 TEST(MsgBuffer, MatchingFiltersKindAndRound) {
   MsgBuffer buf;
-  buf.ingest({make(1, 1), make(1, 2), make(2, 1), make(1, 1, 7)});
-  EXPECT_EQ(buf.matching(1, 1).size(), 2u);
-  EXPECT_EQ(buf.matching(1, 2).size(), 1u);
-  EXPECT_EQ(buf.matching(2, 1).size(), 1u);
-  EXPECT_EQ(buf.matching(3, 1).size(), 0u);
-  EXPECT_EQ(buf.size(), 4u);
+  buf.ingest({make(1, 1, 5), make(1, 2), make(2, 1), make(1, 1, 7)});
+  buf.ingest({make(1, 1, 3)});
+  // Arrival order, not value order: the receive rules' first-wins slots
+  // depend on it.
+  EXPECT_EQ(values(buf, 1, 1), (Values{5, 7, 3}));
+  EXPECT_EQ(values(buf, 1, 2).size(), 1u);
+  EXPECT_EQ(values(buf, 2, 1).size(), 1u);
+  EXPECT_TRUE(values(buf, 3, 1).empty());
+  EXPECT_EQ(buf.size(), 5u);
+}
+
+TEST(MsgBuffer, FirstMatchingIsEarliestOrNull) {
+  MsgBuffer buf;
+  EXPECT_EQ(buf.first_matching(1, 1), nullptr);
+  buf.ingest({make(2, 1, 9), make(1, 1, 4), make(1, 2, 8), make(1, 1, 6)});
+  const Message* first = buf.first_matching(1, 1);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->value, 4u);
+  EXPECT_EQ(buf.first_matching(1, 3), nullptr);
+  EXPECT_EQ(buf.first_matching(3, 1), nullptr);
+  buf.erase_matching([](const Message& m) { return m.value == 4; });
+  first = buf.first_matching(1, 1);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->value, 6u);
 }
 
 TEST(MsgBuffer, GcDropsOnlyOlderRounds) {
@@ -37,9 +67,9 @@ TEST(MsgBuffer, GcDropsOnlyOlderRounds) {
   buf.ingest({make(1, 1), make(1, 2), make(1, 3), make(2, 5)});
   buf.gc_below(3);
   EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.matching(1, 3).size(), 1u);
-  EXPECT_EQ(buf.matching(2, 5).size(), 1u);
-  EXPECT_TRUE(buf.matching(1, 1).empty());
+  EXPECT_EQ(values(buf, 1, 3).size(), 1u);
+  EXPECT_EQ(values(buf, 2, 5).size(), 1u);
+  EXPECT_TRUE(values(buf, 1, 1).empty());
 }
 
 TEST(MsgBuffer, FutureRoundsRetained) {
@@ -47,14 +77,14 @@ TEST(MsgBuffer, FutureRoundsRetained) {
   MsgBuffer buf;
   buf.ingest({make(1, 10)});
   buf.gc_below(2);
-  EXPECT_EQ(buf.matching(1, 10).size(), 1u);
+  EXPECT_EQ(values(buf, 1, 10).size(), 1u);
 }
 
 TEST(MsgBuffer, IngestAppends) {
   MsgBuffer buf;
-  buf.ingest({make(1, 1)});
-  buf.ingest({make(1, 1)});
-  EXPECT_EQ(buf.matching(1, 1).size(), 2u);
+  buf.ingest({make(1, 1, 1)});
+  buf.ingest({make(1, 1, 2)});
+  EXPECT_EQ(values(buf, 1, 1), (Values{1, 2}));
 }
 
 TEST(MsgBuffer, EraseMatchingIsSelective) {
@@ -62,9 +92,9 @@ TEST(MsgBuffer, EraseMatchingIsSelective) {
   buf.ingest({make(1, 1), make(2, 1), make(1, 5), make(3, 0)});
   buf.erase_matching([](const Message& m) { return m.kind == 1 && m.round < 5; });
   EXPECT_EQ(buf.size(), 3u);
-  EXPECT_TRUE(buf.matching(1, 1).empty());
-  EXPECT_EQ(buf.matching(1, 5).size(), 1u);
-  EXPECT_EQ(buf.matching(2, 1).size(), 1u);
+  EXPECT_TRUE(values(buf, 1, 1).empty());
+  EXPECT_EQ(values(buf, 1, 5).size(), 1u);
+  EXPECT_EQ(values(buf, 2, 1).size(), 1u);
 }
 
 TEST(MsgBuffer, TakeAllDrainsEverything) {
@@ -120,7 +150,7 @@ TEST(Broadcast, PumpMovesInboxToBuffer) {
   });
   rt.add_process([](Env& env) {
     MsgBuffer buf;
-    while (buf.matching(7, 3).size() < 2) {
+    while (values(buf, 7, 3).size() < 2) {
       buf.pump(env);
       env.step();
     }
