@@ -1,24 +1,28 @@
 #!/usr/bin/env bash
 # Bench smoke: proves the perf tooling hasn't bit-rotted.
 #
-# Builds (or reuses) a RelWithDebInfo tree, runs a trimmed bench_micro plus
-# one fast experiment bench that exercises the parallel trial engine, and
+# In an already-built tree, runs a trimmed bench_micro plus one fast
+# experiment bench that exercises the parallel trial engine, and
 # validates that BENCH_runtime.json was produced and is well-formed with the
 # expected fields. Wired into CTest under the "smoke" label:
 #     ctest -L smoke
 #
 # Env:
-#   BUILD_DIR   build tree to use (default: build; configured if missing)
+#   BUILD_DIR   built tree to use (default: build)
 #   MM_JOBS     trial-engine worker count (default: hardware concurrency)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-fi
-cmake --build "$BUILD_DIR" -j --target bench_micro bench_e9_ablation
+# The build makes every target (the tier-1 command and scripts/ci.sh build
+# before testing); this script only runs what is there.
+for bin in "$BUILD_DIR/bench/bench_micro" "$BUILD_DIR/bench/bench_e9_ablation"; do
+  if [ ! -x "$bin" ]; then
+    echo "FAIL: $bin missing: build target $(basename "$bin") first (cmake --build $BUILD_DIR)" >&2
+    exit 2
+  fi
+done
 
 json="$BUILD_DIR/BENCH_runtime_smoke.json"
 rm -f "$json"

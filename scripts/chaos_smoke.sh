@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke: proves the fault-injection campaign loop hasn't bit-rotted.
 #
-# Builds (or reuses) the tools/chaos driver, runs a small seeded safety
+# Uses the built tools/chaos binary: runs a small seeded safety
 # campaign (must find nothing), a Byzantine safety campaign (coherent b <= f
 # cases; also must find nothing), then planted campaigns — the deliberately
 # false termination invariant, crash-style and Byzantine-style — and replays
@@ -12,17 +12,21 @@
 #     ctest -L chaos
 #
 # Env:
-#   BUILD_DIR   build tree to use (default: build; configured if missing)
+#   BUILD_DIR   built tree to use (default: build)
 #   MM_JOBS     trial-engine worker count (default: hardware concurrency)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-fi
-cmake --build "$BUILD_DIR" -j --target chaos
+# The build makes every target (the tier-1 command and scripts/ci.sh build
+# before testing); this script only runs what is there.
+for bin in "$BUILD_DIR/tools/chaos"; do
+  if [ ! -x "$bin" ]; then
+    echo "FAIL: $bin missing: build target $(basename "$bin") first (cmake --build $BUILD_DIR)" >&2
+    exit 2
+  fi
+done
 
 CHAOS="$BUILD_DIR/tools/chaos"
 OUT="$BUILD_DIR/chaos-smoke"

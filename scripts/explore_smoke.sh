@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Explore smoke: proves the model checker hasn't bit-rotted.
 #
-# Builds (or reuses) the tools/check driver, then:
+# Uses the built tools/check binary:
 #   1. `check run all` — every clean instance must verify clean and exhaust,
 #      every planted-bug instance must produce its violation. The corpus now
 #      carries one fault-bearing instance per dependency class, so this leg
@@ -21,17 +21,21 @@
 #     ctest -L explore
 #
 # Env:
-#   BUILD_DIR   build tree to use (default: build; configured if missing)
+#   BUILD_DIR   built tree to use (default: build)
 #   MM_JOBS     frontier worker count default (the spot check overrides it)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-fi
-cmake --build "$BUILD_DIR" -j --target check
+# The build makes every target (the tier-1 command and scripts/ci.sh build
+# before testing); this script only runs what is there.
+for bin in "$BUILD_DIR/tools/check"; do
+  if [ ! -x "$bin" ]; then
+    echo "FAIL: $bin missing: build target $(basename "$bin") first (cmake --build $BUILD_DIR)" >&2
+    exit 2
+  fi
+done
 
 CHECK="$BUILD_DIR/tools/check"
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Observability smoke: proves the trace pipeline hasn't bit-rotted.
 #
-# Builds (or reuses) the tools/trace driver, records the built-in partitioned
+# Uses the built tools/trace binary: records the built-in partitioned
 # (K = 4) chaos scenario into an mm-trace-1 recording, re-exports it to a
 # Chrome-trace / Perfetto JSON without re-running, prints the sim-time
 # summary, and validates both JSON documents: schema tag, non-empty event
@@ -12,17 +12,21 @@
 #     ctest -L obs
 #
 # Env:
-#   BUILD_DIR   build tree to use (default: build; configured if missing)
+#   BUILD_DIR   built tree to use (default: build)
 #   MM_JOBS     LP worker count (default: hardware concurrency)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-fi
-cmake --build "$BUILD_DIR" -j --target trace chaos
+# The build makes every target (the tier-1 command and scripts/ci.sh build
+# before testing); this script only runs what is there.
+for bin in "$BUILD_DIR/tools/trace" "$BUILD_DIR/tools/chaos"; do
+  if [ ! -x "$bin" ]; then
+    echo "FAIL: $bin missing: build target $(basename "$bin") first (cmake --build $BUILD_DIR)" >&2
+    exit 2
+  fi
+done
 
 TRACE="$BUILD_DIR/tools/trace"
 CHAOS="$BUILD_DIR/tools/chaos"

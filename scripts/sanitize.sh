@@ -31,13 +31,15 @@ case "$MODE" in
     BUILD_DIR=${BUILD_DIR:-build-tsan}
     # Runtime + concurrency surface only: TSan's ~10x slowdown makes the full
     # suite impractical, and the single-threaded analysis passes add nothing.
-    FILTER=${GTEST_FILTER:-'Fiber.*:BackendDiff.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:Partition*:Modes/PartitionDiff.*'}
+    # The explorer suites are in because their walkers recycle fiber stacks
+    # on frontier worker threads.
+    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:Explore.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber.*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "exec/parallel_map.hpp"
+#include "runtime/fiber.hpp"
 
 namespace mm::check {
 
 using runtime::ConfigError;
+using runtime::FiberStackRecycler;
 using runtime::footprints_dependent;
 using runtime::SimConfig;
 using runtime::SimRuntime;
@@ -60,17 +63,32 @@ namespace {
 
 constexpr std::uint64_t pid_bit(Pid p) noexcept { return 1ULL << p.index(); }
 
-/// A process asleep for the current branch, with the footprint of the step
-/// it performed when its branch was explored (needed to decide what wakes
-/// it).
+/// A retired branch of a node: the process and the footprint of the step it
+/// performed when its branch was explored (needed to decide what wakes it).
 struct SleepEntry {
   Pid pid;
   StepFootprint step;
 };
 
+/// A process asleep for the current branch. `step` points into the owning
+/// node's slept_siblings, which stay put for the whole attempt: nodes are
+/// only pushed during an attempt, and moving a Node keeps its vectors'
+/// buffers.
+struct Sleeper {
+  Pid pid;
+  const StepFootprint* step;
+};
+
+struct CacheEntry {
+  std::uint64_t sleep_mask = 0;
+  Pid previous = Pid::none();
+  std::uint32_t preempt_used = 0;
+  bool open = true;  ///< the owning node is still on the exploration stack
+  std::vector<StepFootprint> agg;  ///< valid when closed
+};
+
 /// One decision point on the exploration stack.
 struct Node {
-  StateHash state{};
   std::vector<Pid> enabled;  ///< runnable pids at this point, pid order
   std::uint64_t enabled_mask = 0;
   std::uint64_t backtrack_mask = 0;  ///< pids the race scan demands we try
@@ -83,52 +101,46 @@ struct Node {
   std::uint32_t preempt_used = 0;  ///< preemptions consumed before this decision
   StepFootprint step;              ///< footprint of executing `chosen` (this branch)
   std::vector<StepFootprint> agg;  ///< per-pid union over the explored subtree
-  bool has_cache_entry = false;
+  /// The state's cache bucket (null without an entry), kept so closing the
+  /// entry needs no second lookup; map values never move.
+  std::vector<CacheEntry>* cache_bucket = nullptr;
   std::size_t cache_slot = 0;
 };
 
-struct CacheEntry {
-  std::uint64_t sleep_mask = 0;
-  Pid previous = Pid::none();
-  std::uint32_t preempt_used = 0;
-  bool open = true;  ///< the owning node is still on the exploration stack
-  std::vector<StepFootprint> agg;  ///< valid when closed
-};
+static_assert(std::is_nothrow_move_constructible_v<Node>,
+              "stack_ growth must move nodes, or Sleeper pointers dangle");
 
-/// Thrown out of the schedule policy to abandon a replay the explorer has
-/// proven redundant. Unwinds cleanly: the policy runs in scheduler context
-/// (no fiber is live) and propagates out of run_until_all_done.
-struct AbortRun {
-  enum class Why : std::uint8_t { kSleepBlocked, kCacheHit } why;
-  /// Closed-entry aggregate to replay as pseudo-steps in the race scan
-  /// (null for sleep blocks and open-entry cycle prunes).
-  const std::vector<StepFootprint>* pruned_agg = nullptr;
-};
-
-void merge_agg(std::vector<StepFootprint>& agg, const StepFootprint& s) {
+/// Union `s` into the per-pid aggregate; `s` is copied or, as an rvalue,
+/// moved in when its pid is new.
+template <class Footprint>
+void merge_agg(std::vector<StepFootprint>& agg, Footprint&& s) {
   for (StepFootprint& a : agg) {
     if (a.pid == s.pid) {
       a.merge(s);
       return;
     }
   }
-  agg.push_back(s);
+  agg.push_back(std::forward<Footprint>(s));
 }
 
 void merge_agg_all(std::vector<StepFootprint>& agg, const std::vector<StepFootprint>& other) {
   for (const StepFootprint& s : other) merge_agg(agg, s);
 }
 
-using Clock = std::vector<std::uint32_t>;
+/// For an aggregate that dies here: its footprints move instead of copying.
+void merge_agg_all(std::vector<StepFootprint>& agg, std::vector<StepFootprint>&& other) {
+  for (StepFootprint& s : other) merge_agg(agg, std::move(s));
+}
 
-bool clock_leq(const Clock& a, const Clock& b) {
-  for (std::size_t i = 0; i < a.size(); ++i)
+// Vector clocks are rows of n_procs entries in one flat buffer.
+bool clock_leq(const std::uint32_t* a, const std::uint32_t* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
     if (a[i] > b[i]) return false;
   return true;
 }
 
-void clock_join(Clock& into, const Clock& other) {
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] = std::max(into[i], other[i]);
+void clock_join(std::uint32_t* into, const std::uint32_t* other, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) into[i] = std::max(into[i], other[i]);
 }
 
 void finalize_result(ExploreResult& r, bool bounded) {
@@ -174,6 +186,9 @@ class Walker {
   }
 
  private:
+  /// Why the policy ended an attempt early (kNone: it ran to the end).
+  enum class Stop : std::uint8_t { kNone, kSleepBlocked, kCacheHit };
+
   // -- one schedule replay ---------------------------------------------------
 
   void attempt() {
@@ -187,25 +202,19 @@ class Walker {
     previous_ = Pid::none();
     cur_sleep_.clear();
     pending_ = Pending::kNone;
+    stop_ = Stop::kNone;
+    pruned_agg_ = nullptr;
     rt->set_schedule_policy([this](const std::vector<Pid>& runnable) { return decide(runnable); });
 
-    bool completed = false;
-    bool aborted = false;
-    const std::vector<StepFootprint>* pruned_agg = nullptr;
-    try {
-      completed = rt->run_until_all_done(opt_.max_steps_per_run);
-    } catch (const AbortRun& abort) {
-      aborted = true;
-      if (abort.why == AbortRun::Why::kSleepBlocked) {
-        ++result_.runs_pruned_by_sleep_set;
-      } else {
-        ++result_.runs_pruned_by_state_cache;
-        pruned_agg = abort.pruned_agg;
-        if (pruned_agg != nullptr) {
-          // The pruned subtree counts as explored below the current node.
-          if (!stack_.empty()) merge_agg_all(stack_.back().agg, *pruned_agg);
-        }
-      }
+    const bool completed = rt->run_until_all_done(opt_.max_steps_per_run);
+    const bool aborted = stop_ != Stop::kNone;
+    if (stop_ == Stop::kSleepBlocked) {
+      ++result_.runs_pruned_by_sleep_set;
+    } else if (stop_ == Stop::kCacheHit) {
+      ++result_.runs_pruned_by_state_cache;
+      // The pruned subtree counts as explored below the current node.
+      if (pruned_agg_ != nullptr && !stack_.empty())
+        merge_agg_all(stack_.back().agg, *pruned_agg_);
     }
     finish_pending_step();
     StateHash final_state{};
@@ -219,7 +228,7 @@ class Walker {
       verify_(*rt);
     }
     ++result_.runs;
-    race_scan(pruned_agg);
+    race_scan(pruned_agg_);
     if (pseudo_mask_ != 0 && !stack_.empty()) {
       // Terminal fault placements: a fault still enabled past its last
       // dependent step never meets the race scan, yet firing it still
@@ -235,7 +244,9 @@ class Walker {
   }
 
   /// The schedule policy: replay the base prefix, then the stack's chosen
-  /// branches, then extend with fresh nodes until done or pruned.
+  /// branches, then extend with fresh nodes until done or pruned. A prune
+  /// returns SimRuntime::kStopRun, which abandons the replay; stop_ records
+  /// why.
   std::size_t decide(const std::vector<Pid>& runnable) {
     finish_pending_step();
     if (pos_ < base_prefix_.size()) return decide_base(runnable);
@@ -263,7 +274,7 @@ class Walker {
     // freshly computed for the branch being re-entered), then add this
     // node's retired siblings — they sleep for the current branch.
     node.sleep_entry_mask = sleep_mask();
-    for (const SleepEntry& s : node.slept_siblings) cur_sleep_.push_back(s);
+    for (const SleepEntry& s : node.slept_siblings) cur_sleep_.push_back({s.pid, &s.step});
     const std::size_t idx = index_of(runnable, node.chosen);
     MM_ASSERT_MSG(idx < runnable.size(), "DPOR replay diverged: chosen pid not runnable");
     account_preemption(runnable, node.chosen);
@@ -291,8 +302,7 @@ class Walker {
     }
 
     if (opt_.state_cache) {
-      node.state = rt_->state_hash();
-      auto& bucket = cache_[node.state];
+      auto& bucket = cache_[rt_->state_hash()];
       for (CacheEntry& entry : bucket) {
         // The entry covers this node only if it explored at least as much:
         // its sleep set must be a subset of ours, and under a preemption
@@ -306,9 +316,9 @@ class Walker {
         // the schedule cycled (e.g. a collapsed spin); its exploration is
         // this exploration. Closed entry: a finished subtree; replay its
         // aggregate footprints for race detection and stop.
-        throw AbortRun{AbortRun::Why::kCacheHit, entry.open ? nullptr : &entry.agg};
+        return stop(Stop::kCacheHit, entry.open ? nullptr : &entry.agg);
       }
-      node.has_cache_entry = true;
+      node.cache_bucket = &bucket;
       node.cache_slot = bucket.size();
       bucket.push_back(CacheEntry{node.sleep_entry_mask, node.previous, node.preempt_used,
                                   /*open=*/true, {}});
@@ -325,12 +335,12 @@ class Walker {
       if (node.chosen.is_none()) {
         // Every enabled process is asleep: each of their next steps was
         // fully explored from an equivalent prefix. Nothing new below.
-        if (node.has_cache_entry) {
+        if (node.cache_bucket != nullptr) {
           // The node never joins the stack; drop its just-opened entry so
           // advance() bookkeeping stays one-to-one with stack nodes.
-          cache_[node.state].pop_back();
+          node.cache_bucket->pop_back();
         }
-        throw AbortRun{AbortRun::Why::kSleepBlocked, nullptr};
+        return stop(Stop::kSleepBlocked, nullptr);
       }
     }
     node.backtrack_mask = pid_bit(node.chosen);
@@ -354,16 +364,25 @@ class Walker {
         pending_ == Pending::kBase ? base_steps_[pending_index_] : stack_[pending_index_].step;
     slot = rt_->last_footprint();
     const Pid p = pending_pid_;
-    std::erase_if(cur_sleep_, [&](const SleepEntry& e) {
-      return e.pid == p || footprints_dependent(slot, e.step);
+    std::erase_if(cur_sleep_, [&](const Sleeper& e) {
+      return e.pid == p || footprints_dependent(slot, *e.step);
     });
     pending_ = Pending::kNone;
   }
 
   [[nodiscard]] std::uint64_t sleep_mask() const {
     std::uint64_t m = 0;
-    for (const SleepEntry& e : cur_sleep_) m |= pid_bit(e.pid);
+    for (const Sleeper& e : cur_sleep_) m |= pid_bit(e.pid);
     return m;
+  }
+
+  /// End the replay: `agg` is the closed-entry aggregate to replay as
+  /// pseudo-steps in the race scan (null for sleep blocks and open-entry
+  /// cycle prunes).
+  std::size_t stop(Stop why, const std::vector<StepFootprint>* agg) {
+    stop_ = why;
+    pruned_agg_ = agg;
+    return SimRuntime::kStopRun;
   }
 
   static std::size_t index_of(const std::vector<Pid>& runnable, Pid want) {
@@ -391,6 +410,55 @@ class Walker {
     std::ptrdiff_t node;  ///< stack index, or -1 for a frontier-prefix step
   };
 
+  /// race_scan's working state, kept across attempts so each scan reuses
+  /// the previous one's buffers instead of allocating its own.
+  struct Scan {
+    /// Per-register access index. Entries persist across scans and count
+    /// only when stamped with the current scan's epoch; a stale one reads
+    /// as empty.
+    struct RegIndex {
+      std::uint64_t epoch = 0;
+      std::ptrdiff_t last_write = -1;
+      std::vector<std::ptrdiff_t> reads_since;
+    };
+
+    std::vector<StepRef> steps;
+    std::vector<std::uint32_t> clocks;  ///< vector clock per step, n_procs wide
+    std::vector<std::ptrdiff_t> prog_pred;
+    std::vector<std::uint32_t> own_count;
+    std::unordered_map<std::uint64_t, RegIndex> regs;  ///< by RegKey bits
+    std::uint64_t epoch = 0;
+    std::vector<std::ptrdiff_t> last_send;
+    std::vector<std::ptrdiff_t> last_drain;
+    std::vector<std::vector<std::ptrdiff_t>> sends_since_drain;
+    std::vector<std::ptrdiff_t> last_crash;
+    std::vector<std::ptrdiff_t> toggles;
+    std::vector<std::ptrdiff_t> cands;
+
+    void reset(std::size_t n_procs, std::size_t n_steps) {
+      clocks.resize(n_steps * n_procs);  // each row is written before it is read
+      prog_pred.assign(n_procs, -1);
+      own_count.assign(n_procs, 0);
+      last_send.assign(n_procs, -1);
+      last_drain.assign(n_procs, -1);
+      last_crash.assign(n_procs, -1);
+      sends_since_drain.resize(n_procs);
+      for (std::vector<std::ptrdiff_t>& v : sends_since_drain) v.clear();
+      toggles.clear();
+      ++epoch;
+    }
+
+    RegIndex& reg(runtime::RegKey key) {
+      RegIndex& r = regs[key.bits()];
+      if (r.epoch != epoch) {
+        r.epoch = epoch;
+        r.last_write = -1;
+        r.reads_since.clear();
+      }
+      return r;
+    }
+  };
+
   /// Forward scan over this attempt's executed steps: find dependent pairs
   /// not already ordered transitively (vector clocks over per-object last
   /// accesses) and mark the later step's pid for backtracking at the earlier
@@ -399,8 +467,9 @@ class Walker {
   /// against every executed step with no transitivity filter (conservative).
   void race_scan(const std::vector<StepFootprint>* pruned_agg) {
     const std::size_t n_procs = procs_hint();
-    std::vector<StepRef> steps;
-    steps.reserve(pos_ + stack_.size());
+    Scan& sc = scan_;
+    std::vector<StepRef>& steps = sc.steps;
+    steps.clear();
     for (std::size_t i = 0; i < pos_; ++i) steps.push_back({&base_steps_[i], -1});
     for (std::size_t i = 0; i < stack_.size(); ++i)
       steps.push_back({&stack_[i].step, static_cast<std::ptrdiff_t>(i)});
@@ -408,22 +477,20 @@ class Walker {
     bool any_clock = false;
     for (const StepRef& s : steps) any_clock = any_clock || s.fp->observed_clock;
 
-    std::vector<Clock> clocks(steps.size());
-    std::vector<std::ptrdiff_t> prog_pred(n_procs, -1);
-    std::vector<std::uint32_t> own_count(n_procs, 0);
-    std::unordered_map<std::uint64_t, std::ptrdiff_t> last_write;
-    std::unordered_map<std::uint64_t, std::vector<std::ptrdiff_t>> reads_since;
-    std::vector<std::ptrdiff_t> last_send(n_procs, -1);
-    std::vector<std::ptrdiff_t> last_drain(n_procs, -1);
-    std::vector<std::vector<std::ptrdiff_t>> sends_since_drain(n_procs);
+    sc.reset(n_procs, steps.size());
+    std::uint32_t* const clocks = sc.clocks.data();
+    std::vector<std::ptrdiff_t>& prog_pred = sc.prog_pred;
+    std::vector<std::ptrdiff_t>& last_send = sc.last_send;
+    std::vector<std::ptrdiff_t>& last_drain = sc.last_drain;
+    std::vector<std::vector<std::ptrdiff_t>>& sends_since_drain = sc.sends_since_drain;
     // Fault pseudo-steps. Drops chain like writes (every drop depends on the
     // previous one through the shared budget), so the latest suffices; a
     // crash is covered by the target's program order plus the send chain to
     // it; toggles are at most two per run and get paired directly.
-    std::vector<std::ptrdiff_t> last_crash(n_procs, -1);
+    std::vector<std::ptrdiff_t>& last_crash = sc.last_crash;
     std::ptrdiff_t last_drop = -1;
-    std::vector<std::ptrdiff_t> toggles;
-    std::vector<std::ptrdiff_t> cands;
+    std::vector<std::ptrdiff_t>& toggles = sc.toggles;
+    std::vector<std::ptrdiff_t>& cands = sc.cands;
 
     for (std::size_t k = 0; k < steps.size(); ++k) {
       const StepFootprint& fp = *steps[k].fp;
@@ -436,15 +503,13 @@ class Walker {
           if (footprints_dependent(*steps[j].fp, fp)) cands.push_back(static_cast<std::ptrdiff_t>(j));
       } else {
         for (const runtime::RegKey r : fp.reads) {
-          const auto it = last_write.find(r.bits());
-          if (it != last_write.end()) cands.push_back(it->second);
+          const Scan::RegIndex& reg = sc.reg(r);
+          if (reg.last_write >= 0) cands.push_back(reg.last_write);
         }
         for (const runtime::RegKey w : fp.writes) {
-          const auto it = last_write.find(w.bits());
-          if (it != last_write.end()) cands.push_back(it->second);
-          const auto rit = reads_since.find(w.bits());
-          if (rit != reads_since.end())
-            cands.insert(cands.end(), rit->second.begin(), rit->second.end());
+          const Scan::RegIndex& reg = sc.reg(w);
+          if (reg.last_write >= 0) cands.push_back(reg.last_write);
+          cands.insert(cands.end(), reg.reads_since.begin(), reg.reads_since.end());
         }
         for (const Pid d : fp.send_to) {
           if (last_send[d.index()] >= 0) cands.push_back(last_send[d.index()]);
@@ -485,15 +550,20 @@ class Walker {
       std::sort(cands.begin(), cands.end());
       cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
 
-      Clock clk(n_procs, 0);
-      if (prog_pred[p] >= 0) clk = clocks[static_cast<std::size_t>(prog_pred[p])];
+      std::uint32_t* const clk = clocks + k * n_procs;
+      if (prog_pred[p] >= 0) {
+        std::copy_n(clocks + static_cast<std::size_t>(prog_pred[p]) * n_procs, n_procs, clk);
+      } else {
+        std::fill_n(clk, n_procs, 0U);
+      }
       for (const std::ptrdiff_t j : cands) {
         const StepRef& pre = steps[static_cast<std::size_t>(j)];
         if (pre.fp->pid == fp.pid) continue;
+        const std::uint32_t* const pre_clk = clocks + static_cast<std::size_t>(j) * n_procs;
         // Not ordered through program order + earlier conflicts alone ⇒ the
         // pair is a reversible race: demand the alternative order.
-        if (!clock_leq(clocks[static_cast<std::size_t>(j)], clk)) flag_race(pre, fp.pid);
-        clock_join(clk, clocks[static_cast<std::size_t>(j)]);
+        if (!clock_leq(pre_clk, clk, n_procs)) flag_race(pre, fp.pid);
+        clock_join(clk, pre_clk, n_procs);
       }
       // Enabled-and-dependent clause for fault pseudo-processes. The pair
       // scan above only sees EXECUTED steps, which suffices for real
@@ -518,14 +588,15 @@ class Walker {
         }
       }
 
-      clk[p] = ++own_count[p];
-      clocks[k] = std::move(clk);
+      clk[p] = ++sc.own_count[p];
       prog_pred[p] = static_cast<std::ptrdiff_t>(k);
 
-      for (const runtime::RegKey r : fp.reads) reads_since[r.bits()].push_back(static_cast<std::ptrdiff_t>(k));
+      for (const runtime::RegKey r : fp.reads)
+        sc.reg(r).reads_since.push_back(static_cast<std::ptrdiff_t>(k));
       for (const runtime::RegKey w : fp.writes) {
-        last_write[w.bits()] = static_cast<std::ptrdiff_t>(k);
-        reads_since[w.bits()].clear();
+        Scan::RegIndex& reg = sc.reg(w);
+        reg.last_write = static_cast<std::ptrdiff_t>(k);
+        reg.reads_since.clear();
       }
       for (const Pid d : fp.send_to) {
         last_send[d.index()] = static_cast<std::ptrdiff_t>(k);
@@ -607,14 +678,16 @@ class Walker {
         break;
       }
       if (chose) return true;
-      if (node.has_cache_entry) {
-        CacheEntry& entry = cache_[node.state][node.cache_slot];
+      if (node.cache_bucket != nullptr) {
+        // A copy, not a move: the copy is exact-size, while node.agg carries
+        // the slack of its merges, and the cache keeps every entry alive.
+        CacheEntry& entry = (*node.cache_bucket)[node.cache_slot];
         entry.open = false;
         entry.agg = node.agg;
       }
       std::vector<StepFootprint> agg = std::move(node.agg);
       stack_.pop_back();
-      if (!stack_.empty()) merge_agg_all(stack_.back().agg, agg);
+      if (!stack_.empty()) merge_agg_all(stack_.back().agg, std::move(agg));
     }
     return false;
   }
@@ -651,11 +724,14 @@ class Walker {
   std::size_t depth_ = 0;  ///< stack decisions taken
   std::uint32_t used_ = 0;
   Pid previous_ = Pid::none();
-  std::vector<SleepEntry> cur_sleep_;
+  std::vector<Sleeper> cur_sleep_;
   enum class Pending : std::uint8_t { kNone, kBase, kNode };
   Pending pending_ = Pending::kNone;
   std::size_t pending_index_ = 0;
   Pid pending_pid_ = Pid::none();
+  Stop stop_ = Stop::kNone;
+  const std::vector<StepFootprint>* pruned_agg_ = nullptr;  ///< see stop()
+  Scan scan_;
   std::size_t n_procs_ = 0;
   std::size_t n_real_ = 0;
   std::vector<StepFootprint> fault_fps_;  ///< static, by pseudo offset
@@ -665,8 +741,6 @@ class Walker {
 // ---------------------------------------------------------------------------
 // Frontier expansion
 // ---------------------------------------------------------------------------
-
-struct StopCapture {};
 
 struct Capture {
   std::vector<Pid> enabled;
@@ -715,12 +789,9 @@ Capture probe_prefix(const MakeFn& make, const DporOptions& opt,
         }
       }
     }
-    throw StopCapture{};
+    return SimRuntime::kStopRun;
   });
-  try {
-    (void)rt->run_until_all_done(opt.max_steps_per_run);
-  } catch (const StopCapture&) {
-  }
+  (void)rt->run_until_all_done(opt.max_steps_per_run);
   rt->shutdown();
   return cap;
 }
@@ -796,6 +867,9 @@ ExploreResult explore_dpor(const MakeFn& make, const VerifyFn& verify,
   }
 
   const auto run_task = [&](std::vector<Pid> prefix) {
+    // Every replay builds and destroys a SimRuntime: recycle its fiber
+    // stacks on this (worker) thread for the whole walk.
+    const FiberStackRecycler stacks;
     Walker w(make, verify, options, std::move(prefix));
     w.set_procs_hint(n_procs);
     w.set_fault_model(n_real, fault_fps);

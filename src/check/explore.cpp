@@ -4,9 +4,11 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "runtime/fiber.hpp"
 
 namespace mm::check {
 
+using runtime::FiberStackRecycler;
 using runtime::SimRuntime;
 
 namespace {
@@ -37,6 +39,8 @@ ExploreResult explore_schedules(
     const std::function<void(SimRuntime&)>& verify, const ExploreOptions& options) {
   ExploreResult result;
   std::vector<std::size_t> prefix;
+  // Every replay builds and destroys a SimRuntime: recycle its fiber stacks.
+  const FiberStackRecycler stacks;
 
   for (;;) {
     auto rt = make();

@@ -26,6 +26,7 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
                                     std::size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(const volatile void* addr, std::size_t size);
 }
 #endif
 
@@ -56,6 +57,40 @@ std::size_t page_size() {
 
 std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
+}
+
+/// The cache of the FiberStackRecycler open on this thread, or null.
+thread_local std::vector<void*>* tl_stack_cache = nullptr;
+thread_local FiberStackCounts tl_stack_counts;
+
+/// Usable bytes of the one stack size the recycler caches.
+std::size_t recyclable_stack_bytes() {
+  return round_up(Fiber::kDefaultStackBytes, page_size());
+}
+
+void* map_guarded_stack(std::size_t map_bytes) {
+  void* map = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  MM_ASSERT_MSG(map != MAP_FAILED, "fiber stack mmap failed");
+  // Guard page at the low end: stack overflow faults instead of corrupting
+  // the neighbouring fiber's stack.
+  MM_ASSERT(::mprotect(map, page_size(), PROT_NONE) == 0);
+  ++tl_stack_counts.mapped;
+  return map;
+}
+
+void unmap_guarded_stack(void* map, std::size_t map_bytes) {
+  ::munmap(map, map_bytes);
+  ++tl_stack_counts.unmapped;
+}
+
+/// Make recycled stack memory plain writable memory again for ASan. A dead
+/// fiber's last frame (run_entry, which never returns) can leave redzones
+/// poisoned, and the next fiber's init_frame stores would trip on them.
+void unpoison_stack([[maybe_unused]] void* lo, [[maybe_unused]] std::size_t bytes) {
+#if defined(MM_FIBER_ASAN)
+  __asan_unpoison_memory_region(lo, bytes);
+#endif
 }
 
 }  // namespace
@@ -183,12 +218,15 @@ Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
   const std::size_t page = page_size();
   stack_bytes_ = round_up(stack_bytes < 4 * page ? 4 * page : stack_bytes, page);
   map_bytes_ = stack_bytes_ + page;  // + guard page
-  stack_map_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  MM_ASSERT_MSG(stack_map_ != MAP_FAILED, "fiber stack mmap failed");
-  // Guard page at the low end: stack overflow faults instead of corrupting
-  // the neighbouring fiber's stack.
-  MM_ASSERT(::mprotect(stack_map_, page, PROT_NONE) == 0);
+  recyclable_ = stack_bytes_ == recyclable_stack_bytes();
+  std::vector<void*>* const cache = tl_stack_cache;
+  if (recyclable_ && cache != nullptr && !cache->empty()) {
+    stack_map_ = cache->back();
+    cache->pop_back();
+    unpoison_stack(static_cast<char*>(stack_map_) + page, stack_bytes_);
+  } else {
+    stack_map_ = map_guarded_stack(map_bytes_);
+  }
   stack_lo_ = static_cast<char*>(stack_map_) + page;
   init_context();
 }
@@ -213,7 +251,14 @@ Fiber::~Fiber() {
   delete static_cast<ucontext_t*>(uctx_);
   delete static_cast<ucontext_t*>(caller_uctx_);
 #endif
-  if (stack_map_ != nullptr) ::munmap(stack_map_, map_bytes_);
+  if (stack_map_ != nullptr) {
+    std::vector<void*>* const cache = tl_stack_cache;
+    if (recyclable_ && cache != nullptr) {
+      cache->push_back(stack_map_);
+    } else {
+      unmap_guarded_stack(stack_map_, map_bytes_);
+    }
+  }
 }
 
 void Fiber::run_entry(Fiber* self) {
@@ -330,6 +375,7 @@ void* FiberStackPool::acquire() {
   if (!free_.empty()) {
     void* lo = free_.back();
     free_.pop_back();
+    unpoison_stack(lo, stack_bytes_);
     return lo;
   }
   if (next_in_chunk_ == per_chunk_) {
@@ -345,5 +391,24 @@ void* FiberStackPool::acquire() {
   ++next_in_chunk_;
   return lo;
 }
+
+// ---------------------------------------------------------------------------
+// FiberStackRecycler
+// ---------------------------------------------------------------------------
+
+FiberStackRecycler::FiberStackRecycler() : owner_(tl_stack_cache == nullptr) {
+  if (owner_) tl_stack_cache = &cache_;
+}
+
+FiberStackRecycler::~FiberStackRecycler() {
+  if (!owner_) return;
+  MM_ASSERT_MSG(tl_stack_cache == &cache_,
+                "fiber stack recycler closed on another thread or out of scope order");
+  tl_stack_cache = nullptr;
+  const std::size_t map_bytes = recyclable_stack_bytes() + page_size();
+  for (void* map : cache_) unmap_guarded_stack(map, map_bytes);
+}
+
+FiberStackCounts fiber_stack_counts() noexcept { return tl_stack_counts; }
 
 }  // namespace mm::runtime

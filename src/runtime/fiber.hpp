@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -71,7 +72,9 @@ class Fiber {
   /// Create a suspended fiber that will run `entry` on first resume().
   /// `entry` must not throw and must return (or yield forever); destroying a
   /// fiber that is suspended mid-entry skips the destructors of everything
-  /// live on its stack, so owners drain fibers to completion first.
+  /// live on its stack, so owners drain fibers to completion first. With a
+  /// FiberStackRecycler open on this thread, a default-size stack comes from
+  /// (and returns to) its cache instead of a fresh mapping.
   explicit Fiber(std::function<void()> entry,
                  std::size_t stack_bytes = kDefaultStackBytes);
 
@@ -134,6 +137,7 @@ class Fiber {
   bool started_ = false;
   bool running_ = false;
   bool done_ = false;
+  bool recyclable_ = false;  ///< default-size guarded mapping (FiberStackRecycler)
 
   // Saved machine contexts. On x86-64 a context is just a stack pointer (the
   // callee-saved registers live on the owning stack); the ucontext fallback
@@ -192,5 +196,43 @@ class FiberStackPool {
   std::vector<void*> chunks_;
   std::vector<void*> free_;
 };
+
+/// Scoped per-thread recycler of guarded default-size fiber stacks.
+//
+// A loop that builds and tears down a SimRuntime per iteration (the model
+// checkers' replays) otherwise pays an mmap + mprotect + munmap per process
+// per iteration, and that kernel work dominates short runs. While a recycler
+// is open on a thread, a Fiber constructed there with kDefaultStackBytes
+// takes a cached guard+stack mapping instead of mapping a fresh one, and a
+// default-size Fiber destroyed there hands its mapping back instead of
+// unmapping it. The guard page belongs to the cached mapping and is never
+// unprotected, so an overflow still faults. Closing the scope unmaps the
+// cache; a fiber still alive then unmaps its own mapping when it dies. Other
+// stack sizes and caller-provided stacks (FiberStackPool) are unaffected.
+//
+// The cache grows to the peak number of default fibers alive at once on the
+// thread and keeps their touched pages committed until the scope closes. A
+// recycler opened while another is open on the same thread joins it: the
+// outer one owns the cache.
+class FiberStackRecycler {
+ public:
+  FiberStackRecycler();
+  ~FiberStackRecycler();
+  FiberStackRecycler(const FiberStackRecycler&) = delete;
+  FiberStackRecycler& operator=(const FiberStackRecycler&) = delete;
+
+ private:
+  std::vector<void*> cache_;  ///< idle mappings (guard page at the low end)
+  bool owner_;                ///< false when joining an outer recycler
+};
+
+/// Guarded stack mappings the calling thread has created (mmap) and
+/// destroyed (munmap) — monotone per-thread counters, the test hook that
+/// shows a FiberStackRecycler reusing stacks.
+struct FiberStackCounts {
+  std::uint64_t mapped = 0;
+  std::uint64_t unmapped = 0;
+};
+[[nodiscard]] FiberStackCounts fiber_stack_counts() noexcept;
 
 }  // namespace mm::runtime

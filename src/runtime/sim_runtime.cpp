@@ -785,6 +785,7 @@ bool SimRuntime::step_once() {
     const std::size_t nreal = policy_scratch_.size();
     if (ef_width_ != 0) ef_append_enabled(policy_scratch_);
     const std::size_t choice = schedule_policy_(policy_scratch_);
+    if (choice == kStopRun) return false;
     MM_ASSERT_MSG(choice < policy_scratch_.size(), "schedule policy choice out of range");
     if (choice < nreal) {
       activate(runnable_[choice]);

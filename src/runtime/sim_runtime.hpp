@@ -103,7 +103,8 @@ class SimRuntime {
   void start();
 
   /// Execute up to `k` scheduler steps. Returns the number executed, which
-  /// is smaller only if every process finished or crashed first.
+  /// is smaller only if every process finished or crashed first, or the
+  /// schedule policy returned kStopRun.
   Step run_steps(Step k);
 
   /// Run until all processes are finished/crashed or `budget` total steps
@@ -238,6 +239,11 @@ class SimRuntime {
   /// exhaustive schedule explorer drives.
   using SchedulePolicy = std::function<std::size_t(const std::vector<Pid>& runnable)>;
   void set_schedule_policy(SchedulePolicy policy) { schedule_policy_ = std::move(policy); }
+  /// Policy return value that ends the run instead of scheduling: no step is
+  /// taken and the run call returns at once with all_done() false. This is
+  /// how the explorers abandon a replay; a later run call asks the policy
+  /// again.
+  static constexpr std::size_t kStopRun = static_cast<std::size_t>(-1);
 
   /// Schedule width a policy-driven run exposes: the n real processes plus
   /// the fault pseudo-processes of SimConfig::explore_faults (== n when no
@@ -408,8 +414,9 @@ class SimRuntime {
     return a.deliver_at != b.deliver_at ? a.deliver_at > b.deliver_at : a.seq > b.seq;
   }
 
-  /// One scheduler step; returns false when no process is runnable. The
-  /// general path: honours policy/timely/weights/injector hooks.
+  /// One scheduler step; returns false when no process is runnable or the
+  /// schedule policy returned kStopRun. The general path: honours
+  /// policy/timely/weights/injector hooks.
   bool step_once();
   /// The specialised inner loop for the common configuration (no policy, no
   /// injector, no timeliness, uniform weights, tracing off, recording off):

@@ -13,6 +13,7 @@
 #include "check/instances.hpp"
 #include "graph/generators.hpp"
 #include "runtime/env.hpp"
+#include "runtime/fiber.hpp"
 #include "shm/adopt_commit.hpp"
 
 namespace mm::check {
@@ -428,6 +429,35 @@ TEST(Dpor, CyclePruneExhaustsSpinningReceiver) {
   EXPECT_FALSE(v.violation.has_value());
   EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_GT(v.result.runs_pruned_by_state_cache, 0u);
+}
+
+// -- fiber stack recycling ---------------------------------------------------
+
+TEST(Dpor, WarmStackCacheLeavesTheWalkUnchanged) {
+  // The walker recycles fiber stacks across replays. A walk that starts with
+  // every stack already cached must map none and report exactly what a cold
+  // walk reports.
+  const Instance* ac4 = find_instance("ac4");
+  ASSERT_NE(ac4, nullptr);
+  DporOptions o = ac4->dpor;
+  o.frontier_depth = 0;  // one thread: the cache is per thread
+  o.collect_final_states = true;
+  const InstanceVerdict cold = check_instance_dpor(*ac4, o);
+  ASSERT_FALSE(cold.violation.has_value());
+  ASSERT_EQ(cold.result.exhaustiveness, Exhaustiveness::kFull);
+
+  const runtime::FiberStackRecycler scope;  // the walks below join it
+  (void)check_instance_dpor(*ac4, o);       // fills the cache
+  const runtime::FiberStackCounts before = runtime::fiber_stack_counts();
+  const InstanceVerdict warm = check_instance_dpor(*ac4, o);
+  EXPECT_EQ(runtime::fiber_stack_counts().mapped, before.mapped);
+  EXPECT_FALSE(warm.violation.has_value());
+  EXPECT_EQ(warm.result.exhaustiveness, cold.result.exhaustiveness);
+  EXPECT_EQ(warm.result.runs, cold.result.runs);
+  EXPECT_EQ(warm.result.runs_pruned_by_state_cache, cold.result.runs_pruned_by_state_cache);
+  EXPECT_EQ(warm.result.runs_pruned_by_sleep_set, cold.result.runs_pruned_by_sleep_set);
+  EXPECT_EQ(warm.result.all_runs_completed, cold.result.all_runs_completed);
+  EXPECT_EQ(warm.result.final_states, cold.result.final_states);
 }
 
 // -- envelope validation -----------------------------------------------------

@@ -1,10 +1,14 @@
 // Tests for the stackful fiber primitive underlying the coroutine execution
 // backend: resume/yield ordering, completion, stack integrity, many
-// concurrent fibers, and nesting (fibers inside fibers, simulators inside
-// fibers — the shape the parallel trial engine produces).
+// concurrent fibers, nesting (fibers inside fibers, simulators inside
+// fibers — the shape the parallel trial engine produces), and the scoped
+// stack recycler the explorers run under.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -163,6 +167,138 @@ TEST(Fiber, SimRuntimeInsideFiber) {
   EXPECT_EQ(delivered, 3u);
   f.resume();
   EXPECT_TRUE(f.done());
+}
+
+// -- FiberStackRecycler ------------------------------------------------------
+
+/// Build, run and destroy a three-process coroutine runtime: three
+/// default-size fibers.
+void run_three_process_runtime() {
+  SimConfig cfg;
+  cfg.gsm = graph::complete(3);
+  cfg.seed = 11;
+  cfg.backend = SimBackend::kCoroutine;
+  SimRuntime rt{cfg};
+  for (std::uint32_t p = 0; p < 3; ++p)
+    rt.add_process([](Env& env) {
+      for (int i = 0; i < 4; ++i) env.step();
+    });
+  EXPECT_TRUE(rt.run_until_all_done(1'000));
+}
+
+TEST(FiberRecycler, SecondRuntimeInScopeMapsNoStack) {
+  const FiberStackCounts before = fiber_stack_counts();
+  {
+    const FiberStackRecycler scope;
+    run_three_process_runtime();
+    const FiberStackCounts warm = fiber_stack_counts();
+    EXPECT_EQ(warm.mapped - before.mapped, 3u);
+    EXPECT_EQ(warm.unmapped - before.unmapped, 0u);  // handed back to the cache
+    run_three_process_runtime();
+    const FiberStackCounts again = fiber_stack_counts();
+    EXPECT_EQ(again.mapped, warm.mapped);
+    EXPECT_EQ(again.unmapped, warm.unmapped);
+  }
+  // Closing the scope unmaps the cache.
+  const FiberStackCounts after = fiber_stack_counts();
+  EXPECT_EQ(after.mapped - before.mapped, 3u);
+  EXPECT_EQ(after.unmapped - before.unmapped, 3u);
+}
+
+TEST(FiberRecycler, OtherSizesAndUnscopedFibersOwnTheirStacks) {
+  const auto run_one = [](std::size_t stack_bytes) {
+    Fiber f{[] {}, stack_bytes};
+    f.resume();
+    EXPECT_TRUE(f.done());
+  };
+  const FiberStackCounts c0 = fiber_stack_counts();
+  run_one(Fiber::kDefaultStackBytes);  // no scope open
+  const FiberStackCounts c1 = fiber_stack_counts();
+  EXPECT_EQ(c1.mapped - c0.mapped, 1u);
+  EXPECT_EQ(c1.unmapped - c0.unmapped, 1u);
+  {
+    const FiberStackRecycler scope;
+    for (int i = 0; i < 2; ++i) run_one(2 * Fiber::kDefaultStackBytes);
+    const FiberStackCounts c2 = fiber_stack_counts();
+    EXPECT_EQ(c2.mapped - c1.mapped, 2u);
+    EXPECT_EQ(c2.unmapped - c1.unmapped, 2u);
+  }
+  const FiberStackCounts c3 = fiber_stack_counts();
+  EXPECT_EQ(c3.mapped - c0.mapped, 3u);
+  EXPECT_EQ(c3.unmapped - c0.unmapped, 3u);  // nothing was cached
+}
+
+TEST(FiberRecycler, FiberOutlivingItsScopeUnmapsItsStack) {
+  const FiberStackCounts c0 = fiber_stack_counts();
+  std::unique_ptr<Fiber> survivor;
+  {
+    const FiberStackRecycler scope;
+    {
+      Fiber first{[] {}};
+      first.resume();
+    }
+    survivor = std::make_unique<Fiber>([] {});  // takes first's cached mapping
+    EXPECT_EQ(fiber_stack_counts().mapped - c0.mapped, 1u);
+  }
+  EXPECT_EQ(fiber_stack_counts().unmapped - c0.unmapped, 0u);  // still in use
+  survivor->resume();
+  EXPECT_TRUE(survivor->done());
+  survivor.reset();
+  const FiberStackCounts c1 = fiber_stack_counts();
+  EXPECT_EQ(c1.mapped - c0.mapped, 1u);
+  EXPECT_EQ(c1.unmapped - c0.unmapped, 1u);  // unmapped, not leaked
+}
+
+TEST(FiberRecycler, NestedScopeJoinsTheOpenOne) {
+  const FiberStackCounts c0 = fiber_stack_counts();
+  {
+    const FiberStackRecycler outer;
+    {
+      const FiberStackRecycler inner;
+      run_three_process_runtime();
+    }
+    EXPECT_EQ(fiber_stack_counts().unmapped - c0.unmapped, 0u);  // outer still caches
+    run_three_process_runtime();
+    EXPECT_EQ(fiber_stack_counts().mapped - c0.mapped, 3u);
+  }
+  EXPECT_EQ(fiber_stack_counts().unmapped - c0.unmapped, 3u);
+}
+
+// 1 KiB frames, far more of them than a fiber stack holds. The volatile
+// limit keeps the recursion from being provably infinite.
+std::uint64_t recurse_deep(std::uint64_t depth, std::uint64_t limit) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth >= limit) return 0;
+  return recurse_deep(depth + 1, limit) + static_cast<std::uint64_t>(frame[0]);
+}
+
+void overflow_a_recycled_stack() {
+  const rlimit no_core{0, 0};
+  (void)::setrlimit(RLIMIT_CORE, &no_core);
+  const FiberStackRecycler scope;
+  {
+    Fiber first{[] {}};
+    first.resume();
+  }
+  volatile std::uint64_t limit = std::uint64_t{1} << 30;
+  std::uint64_t sink = 0;
+  Fiber second{[&] { sink = recurse_deep(0, limit); }};  // reuses first's mapping
+  second.resume();
+  std::fprintf(stderr, "overflow did not fault (%llu)\n",
+               static_cast<unsigned long long>(sink));
+}
+
+TEST(FiberRecyclerDeathTest, OverflowOnRecycledStackStillFaults) {
+  // The guard page travels with the cached mapping: overrunning the second
+  // fiber's stack must still fault loudly, not run into other memory.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+#if defined(MM_FIBER_ASAN) || defined(MM_FIBER_TSAN)
+  // The sanitizer's SEGV handler reports the fault and exits.
+  EXPECT_DEATH(overflow_a_recycled_stack(), "");
+#else
+  EXPECT_EXIT(overflow_a_recycled_stack(), testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 }  // namespace

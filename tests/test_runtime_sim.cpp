@@ -444,6 +444,37 @@ TEST(SimRuntime, ShutdownKillsParkedProcesses) {
   SUCCEED();
 }
 
+TEST(SimRuntime, StopRunPolicyValueEndsTheRunWithoutAStep) {
+  // The explorers abandon a replay by returning kStopRun from the schedule
+  // policy: the run call returns at once, the stop takes no step, and the
+  // parked processes still shut down cleanly (their stacks unwind).
+  SimRuntime rt{base_config(2, 24)};
+  int unwound = 0;
+  struct Unwind {
+    int* count;
+    ~Unwind() { ++*count; }
+  };
+  for (int p = 0; p < 2; ++p)
+    rt.add_process([&unwound](Env& env) {
+      const Unwind guard{&unwound};
+      for (int i = 0; i < 3; ++i) env.step();
+    });
+  int calls = 0;
+  rt.set_schedule_policy([&calls](const std::vector<Pid>&) -> std::size_t {
+    return ++calls == 1 ? 0 : SimRuntime::kStopRun;
+  });
+  EXPECT_FALSE(rt.run_until_all_done(1'000));
+  EXPECT_FALSE(rt.all_done());
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(rt.now(), 1u);  // p0's one slice; the stop took none
+  EXPECT_EQ(rt.run_steps(5), 0u);  // the policy is asked again and stops again
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(rt.now(), 1u);
+  rt.shutdown();
+  rt.rethrow_process_error();
+  EXPECT_EQ(unwound, 1);  // p0 was parked mid-body; p1 never started
+}
+
 TEST(SimRuntime, ProcessExceptionIsCaptured) {
   SimRuntime rt{base_config(1, 23)};
   rt.add_process([](Env&) { throw std::runtime_error{"boom"}; });
