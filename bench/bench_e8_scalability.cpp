@@ -13,12 +13,6 @@
 // pooled guardless stacks — the fiber-population scale a per-process OS
 // thread (or a per-fiber guarded mapping, which costs two VMAs against
 // vm.max_map_count) cannot reach. Override n with MM_E8_N.
-//
-// Part D (simulator, partitioned engine): ONE run spread across K logical
-// partitions — parallelism inside a single trajectory, where Parts A–C only
-// parallelize across trials. n = 10^5 by default (MM_E8_PART_D_N overrides;
-// 10^6 works on machines with the memory for it), K ∈ {1, 2, 4}, identical
-// trajectory at every K by the partitioned schedule contract.
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -28,7 +22,6 @@
 #include "core/hbo.hpp"
 #include "core/trial.hpp"
 #include "exec/parallel_map.hpp"
-#include "graph/partitioner.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "runtime/thread_runtime.hpp"
 
@@ -132,61 +125,6 @@ int million_fiber_run(std::size_t n) {
   return 0;
 }
 
-/// One partitioned run: n ring-messaging fiber processes sharded across k
-/// LPs with a 64-step delay band (= the conservative lookahead, so LPs check
-/// peer clocks only every ~64 local steps). Fixed step budget: every k
-/// executes the same trajectory, making rates directly comparable.
-struct PartedResult {
-  double steps_per_sec = 0.0;
-  std::uint64_t cross_msgs = 0;
-  std::uint64_t delivered = 0;
-  mm::runtime::StallProfile stalls;  ///< filled only when profiling is armed
-};
-
-PartedResult partitioned_run(std::size_t n, std::uint32_t k, mm::Step steps,
-                             bool profile = false) {
-  using namespace mm;
-  runtime::SimConfig cfg;
-  cfg.gsm = graph::edgeless(n);
-  cfg.seed = 8;
-  cfg.backend = runtime::SimBackend::kCoroutine;
-  cfg.min_delay = 64;
-  cfg.max_delay = 64;
-  cfg.partitions = k;
-  cfg.partition_of = graph::partition_contiguous(n, k).part_of;
-  cfg.fiber_stack_bytes = 32 * 1024;
-  cfg.pooled_fiber_stacks = true;
-  runtime::SimRuntime rt{cfg};
-  for (std::uint32_t p = 0; p < n; ++p) {
-    rt.add_process([p, n](runtime::Env& env) {
-      runtime::Message m;
-      m.kind = 1;
-      std::vector<runtime::Message> drained;
-      while (!env.stop_requested()) {
-        m.value = env.now();
-        env.send(Pid{static_cast<std::uint32_t>((p + 1) % n)}, m);
-        env.drain_inbox(drained);
-        env.step();
-      }
-    });
-  }
-  rt.start();
-  rt.run_steps(steps / 8);  // warm up: commit stacks, size pending heaps
-  // Arm profiling only for the measured window so the warmup's stalls (heap
-  // growth, first handoffs) don't pollute the breakdown.
-  if (profile) rt.set_stall_profiling(true);
-  bench::WallTimer timer;
-  rt.run_steps(steps);
-  const double ms = timer.ms();
-  PartedResult out;
-  out.steps_per_sec = static_cast<double>(steps) / (ms / 1'000.0);
-  out.cross_msgs = rt.cross_partition_msgs();
-  out.delivered = rt.metrics().msgs_delivered;
-  out.stalls = rt.stall_profile();
-  rt.shutdown();
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -250,68 +188,5 @@ int main() {
   std::printf("\nPart C: one run at n=%zu fiber processes (coroutine backend,\n"
               "pooled 32 KiB guardless stacks; override n with MM_E8_N)\n",
               big_n);
-  if (const int rc = million_fiber_run(big_n); rc != 0) return rc;
-
-  std::size_t parted_n = 100'000;
-  if (const char* env_n = std::getenv("MM_E8_PART_D_N"))
-    parted_n = std::strtoull(env_n, nullptr, 10);
-  std::printf("\nPart D: ONE partitioned run at n=%zu, K logical partitions in\n"
-              "parallel inside the same trajectory (delay band 64 = the CMB\n"
-              "lookahead; override n with MM_E8_PART_D_N)\n",
-              parted_n);
-  const Step parted_steps = static_cast<Step>(parted_n) * 4;
-  Table d{{"K", "steps", "steps/sec", "cross msgs", "delivered", "speedup vs K=1"}};
-  double base_rate = 0.0;
-  std::uint64_t base_delivered = 0;
-  for (const std::uint32_t k : {1u, 2u, 4u}) {
-    const PartedResult r = partitioned_run(parted_n, k, parted_steps);
-    if (k == 1) {
-      base_rate = r.steps_per_sec;
-      base_delivered = r.delivered;
-    } else if (r.delivered != base_delivered) {
-      // The schedule contract makes the trajectory K-invariant; delivered
-      // counts diverging across K means the engine broke, not noise.
-      std::printf("!! partitioned divergence at K=%u: delivered %llu != %llu\n", k,
-                  static_cast<unsigned long long>(r.delivered),
-                  static_cast<unsigned long long>(base_delivered));
-      return 1;
-    }
-    d.row()
-        .cell(k)
-        .cell(static_cast<double>(parted_steps), 0)
-        .cell(r.steps_per_sec, 0)
-        .cell(static_cast<double>(r.cross_msgs), 0)
-        .cell(static_cast<double>(r.delivered), 0)
-        .cell(r.steps_per_sec / base_rate, 2);
-  }
-  d.print();
-
-  std::printf("\nPart E: where the partitioned engine's wall clock goes (CMB stall\n"
-              "profile over the same workload; wall-clock facts, so K- and\n"
-              "machine-dependent by design — unlike the K-invariant columns above)\n");
-  const std::size_t prof_n = parted_n / 10 == 0 ? parted_n : parted_n / 10;
-  const Step prof_steps = static_cast<Step>(prof_n) * 4;
-  Table e{{"K", "horizon waits", "stall ms", "scan rounds", "handoff locks",
-           "contended", "busy/wall %"}};
-  for (const std::uint32_t k : {1u, 2u, 4u}) {
-    const PartedResult r = partitioned_run(prof_n, k, prof_steps, /*profile=*/true);
-    const runtime::StallProfile& s = r.stalls;
-    const double busy_frac =
-        s.worker_wall_ns == 0
-            ? 100.0
-            : 100.0 * static_cast<double>(s.worker_busy_ns) / static_cast<double>(s.worker_wall_ns);
-    e.row()
-        .cell(k)
-        .cell(static_cast<double>(s.horizon_waits), 0)
-        .cell(static_cast<double>(s.horizon_stall_ns) / 1e6, 2)
-        .cell(static_cast<double>(s.null_scan_rounds), 0)
-        .cell(static_cast<double>(s.handoff_locks), 0)
-        .cell(static_cast<double>(s.handoff_contended), 0)
-        .cell(busy_frac, 1);
-  }
-  e.print();
-  std::printf("K=1 never waits on a horizon (a single LP is always safe); rising\n"
-              "stall shares at higher K bound the CMB synchronization tax that the\n"
-              "delay-band lookahead amortizes.\n");
-  return 0;
+  return million_fiber_run(big_n);
 }

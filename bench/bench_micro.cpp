@@ -11,6 +11,7 @@
 // across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/alloc_count.hpp"
 #include "common/slab.hpp"
@@ -27,7 +29,6 @@
 #include "exec/jobs.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
-#include "graph/partitioner.hpp"
 #include "runtime/exec_backend.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -325,38 +326,33 @@ SweepTiming measure_trials_per_sec(std::size_t jobs, std::uint64_t trials,
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned-engine throughput (schema-4 additions).
+// Observability tax (schema 6).
 // ---------------------------------------------------------------------------
 
-struct PartedRates {
-  double steps_per_sec = 0.0;
-  double cross_msgs_per_sec = 0.0;
-  runtime::StallProfile stalls;  ///< filled only when profiling is armed
+struct RingRates {
+  double untraced = 0.0;
+  double traced = 0.0;
 };
 
-// The partitioned simulator on its natural workload: many processes, an
-// edgeless GSM (every contiguous plan is legal), ring messaging, and a loose
-// delay band — min_delay = max_delay = 64 gives each LP 64 steps of
-// lookahead per horizon check, so partitions genuinely run ahead of each
-// other instead of handing off in lockstep. Fixed step budget: the
-// trajectory is identical at every K, so the rates are comparable.
-PartedRates measure_partitioned_steps_per_sec(std::uint32_t k, Step steps,
-                                              bool trace = false, bool profile = false) {
+// Steps/sec of a 2048-process ring on pooled stacks with a fixed 64-step
+// link delay, untraced and traced: every slice sends one message and drains
+// whatever is due, so an armed trace ring and the sim-time histograms see
+// traffic on every step. One runtime alternates untraced chunks with
+// chunks that arm the event ring and the histograms — the exact
+// configuration tools/trace runs with — so both sides run on the same
+// memory and the same stretch of machine load. Arming only observes, so
+// the trajectory is the one an untraced run takes.
+RingRates measure_tracing_tax(Step steps) {
   constexpr std::uint32_t kProcs = 2048;
+  constexpr int kRounds = 10;
   runtime::SimConfig cfg;
   cfg.gsm = graph::Graph{kProcs};
   cfg.seed = 77;
   cfg.min_delay = 64;
   cfg.max_delay = 64;
-  cfg.partitions = k;
-  cfg.partition_of = graph::partition_contiguous(kProcs, k).part_of;
   cfg.fiber_stack_bytes = 32 * 1024;
   cfg.pooled_fiber_stacks = true;
-  // The observability tax leg: event ring + sim-time histograms armed, the
-  // exact configuration tools/trace runs with.
-  if (trace) cfg.trace_capacity = 65'536;
   runtime::SimRuntime rt{cfg};
-  if (trace) rt.set_observability(true);
   for (std::uint32_t p = 0; p < kProcs; ++p) {
     rt.add_process([p](runtime::Env& env) {
       std::vector<runtime::Message> drained;
@@ -373,17 +369,23 @@ PartedRates measure_partitioned_steps_per_sec(std::uint32_t k, Step steps,
   }
   rt.start();
   rt.run_steps(steps / 10);  // warm up (stacks committed, heaps sized)
-  if (profile) rt.set_stall_profiling(true);  // measured window only
-  const std::uint64_t cross_before = rt.cross_partition_msgs();
-  const auto start = std::chrono::steady_clock::now();
-  rt.run_steps(steps);
-  const double secs = seconds_since(start);
-  PartedRates out;
-  out.steps_per_sec = static_cast<double>(steps) / secs;
-  out.cross_msgs_per_sec =
-      static_cast<double>(rt.cross_partition_msgs() - cross_before) / secs;
-  out.stalls = rt.stall_profile();
-  return out;
+  const Step chunk = steps / kRounds;
+  double untraced_s = 0.0;
+  double traced_s = 0.0;
+  for (int i = 0; i < kRounds; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    rt.run_steps(chunk);
+    untraced_s += seconds_since(start);
+    rt.enable_trace(65'536);
+    rt.set_observability(true);
+    start = std::chrono::steady_clock::now();
+    rt.run_steps(chunk);
+    traced_s += seconds_since(start);
+    rt.enable_trace(0);
+    rt.set_observability(false);
+  }
+  const auto total = static_cast<double>(chunk * kRounds);
+  return {total / untraced_s, total / traced_s};
 }
 
 bool identical(const core::TerminationSweep& a, const core::TerminationSweep& b) {
@@ -409,30 +411,10 @@ int write_bench_runtime_json() {
   const double handoffs_per_sec = measure_handoffs_per_sec(quick ? 200'000 : 2'000'000);
   const AllocRates alloc_rates = measure_alloc_rates(quick ? 50'000 : 500'000);
 
-  // Partitioned (parallel-in-one-run) engine, schema 4: the K-way rate, the
-  // speedup over the identical K=1 partitioned run, and the cross-partition
-  // handoff traffic. K targets the machine (2..8 partitions).
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::uint32_t partitions = std::max(2u, std::min(hw, 8u));
-  const Step parted_steps = quick ? 200'000 : 2'000'000;
-  const PartedRates parted_base = measure_partitioned_steps_per_sec(1, parted_steps);
-  const PartedRates parted = measure_partitioned_steps_per_sec(partitions, parted_steps);
-  const double intra_run_speedup = parted.steps_per_sec / parted_base.steps_per_sec;
-
-  // Schema 5: the observability tax (same run, event ring + sim-time
-  // histograms armed) and the CMB stall breakdown (profiled run; the rate is
-  // not reported — timestamping perturbs it).
-  const PartedRates traced =
-      measure_partitioned_steps_per_sec(partitions, parted_steps, /*trace=*/true);
-  const double tracing_overhead_pct =
-      100.0 * (parted.steps_per_sec / traced.steps_per_sec - 1.0);
-  const PartedRates profiled = measure_partitioned_steps_per_sec(
-      partitions, parted_steps / 2, /*trace=*/false, /*profile=*/true);
-  const runtime::StallProfile& stalls = profiled.stalls;
-  const double busy_frac =
-      stalls.worker_wall_ns == 0
-          ? 1.0
-          : static_cast<double>(stalls.worker_busy_ns) / static_cast<double>(stalls.worker_wall_ns);
+  // The observability tax: the same ring run untraced and with the event
+  // ring + sim-time histograms armed.
+  const RingRates ring = measure_tracing_tax(quick ? 200'000 : 2'000'000);
+  const double tracing_overhead_pct = 100.0 * (ring.untraced / ring.traced - 1.0);
 
   (void)measure_trials_per_sec(0, trials > 8 ? 8 : trials);  // warm up
   const SweepTiming seq = measure_trials_per_sec(1, trials);
@@ -457,7 +439,7 @@ int write_bench_runtime_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": 5,\n"
+               "  \"schema\": 6,\n"
                "  \"quick\": %s,\n"
                "  \"jobs\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
@@ -466,22 +448,9 @@ int write_bench_runtime_json() {
                "  \"sim_steps_per_sec_coroutine\": %.1f,\n"
                "  \"sim_steps_per_sec_thread\": %.1f,\n"
                "  \"handoffs_per_sec\": %.1f,\n"
-               "  \"partitions\": %u,\n"
-               "  \"sim_steps_per_sec_partitioned\": %.1f,\n"
-               "  \"intra_run_speedup\": %.3f,\n"
-               "  \"cross_partition_msgs_per_sec\": %.1f,\n"
-               "  \"sim_steps_per_sec_partitioned_traced\": %.1f,\n"
+               "  \"sim_steps_per_sec_ring\": %.1f,\n"
+               "  \"sim_steps_per_sec_ring_traced\": %.1f,\n"
                "  \"tracing_overhead_pct\": %.2f,\n"
-               "  \"stall_breakdown\": {\n"
-               "    \"horizon_waits\": %llu,\n"
-               "    \"horizon_stall_ns\": %llu,\n"
-               "    \"null_scan_rounds\": %llu,\n"
-               "    \"handoff_locks\": %llu,\n"
-               "    \"handoff_contended\": %llu,\n"
-               "    \"worker_busy_ns\": %llu,\n"
-               "    \"worker_wall_ns\": %llu,\n"
-               "    \"worker_busy_frac\": %.4f\n"
-               "  },\n"
                "  \"alloc_counting_active\": %s,\n"
                "  \"allocs_per_step\": %.6f,\n"
                "  \"bytes_per_step\": %.4f,\n"
@@ -494,16 +463,7 @@ int write_bench_runtime_json() {
                "}\n",
                quick ? "true" : "false", jobs, std::thread::hardware_concurrency(),
                to_string(runtime::default_sim_backend()), steps_per_sec, steps_coroutine,
-               steps_thread, handoffs_per_sec, partitions, parted.steps_per_sec,
-               intra_run_speedup, parted.cross_msgs_per_sec, traced.steps_per_sec,
-               tracing_overhead_pct,
-               static_cast<unsigned long long>(stalls.horizon_waits),
-               static_cast<unsigned long long>(stalls.horizon_stall_ns),
-               static_cast<unsigned long long>(stalls.null_scan_rounds),
-               static_cast<unsigned long long>(stalls.handoff_locks),
-               static_cast<unsigned long long>(stalls.handoff_contended),
-               static_cast<unsigned long long>(stalls.worker_busy_ns),
-               static_cast<unsigned long long>(stalls.worker_wall_ns), busy_frac,
+               steps_thread, handoffs_per_sec, ring.untraced, ring.traced, tracing_overhead_pct,
                common::alloc_counting_active() ? "true" : "false", alloc_rates.allocs_per_step,
                alloc_rates.bytes_per_step, static_cast<unsigned long long>(trials),
                seq.trials_per_sec, par.trials_per_sec, par.trials_per_sec / seq.trials_per_sec,
@@ -515,17 +475,8 @@ int write_bench_runtime_json() {
   std::printf("  coroutine backend  : %.0f steps/sec\n", steps_coroutine);
   std::printf("  thread backend     : %.0f steps/sec\n", steps_thread);
   std::printf("  fiber handoffs/sec : %.0f\n", handoffs_per_sec);
-  std::printf("  partitioned (K=%u) : %.0f steps/sec (%.2fx vs K=1, %.0f cross msgs/sec)\n",
-              partitions, parted.steps_per_sec, intra_run_speedup, parted.cross_msgs_per_sec);
-  std::printf("  tracing armed      : %.0f steps/sec (overhead %.1f%%)\n", traced.steps_per_sec,
-              tracing_overhead_pct);
-  std::printf("  CMB stalls (K=%u)  : %llu waits, %.1f ms stalled, %llu scan rounds, "
-              "%llu/%llu locks contended, busy/wall %.0f%%\n",
-              partitions, static_cast<unsigned long long>(stalls.horizon_waits),
-              static_cast<double>(stalls.horizon_stall_ns) / 1e6,
-              static_cast<unsigned long long>(stalls.null_scan_rounds),
-              static_cast<unsigned long long>(stalls.handoff_contended),
-              static_cast<unsigned long long>(stalls.handoff_locks), busy_frac * 100.0);
+  std::printf("  2048-proc ring     : %.0f steps/sec untraced, %.0f traced (overhead %.1f%%)\n",
+              ring.untraced, ring.traced, tracing_overhead_pct);
   std::printf("  allocs/step        : %.6f (%.2f bytes/step%s)\n", alloc_rates.allocs_per_step,
               alloc_rates.bytes_per_step,
               common::alloc_counting_active() ? "" : "; counting inactive");

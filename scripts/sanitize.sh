@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer pass: rebuild under a sanitizer and run the runtime- and
 # exec-focused tests — the code that switches stacks (fiber backend), parks
-# threads (thread backend), fans trials out across the worker pool, and runs
-# K logical partitions concurrently inside one simulation (partitioned
-# SimRuntime). Wired into CTest under the "sanitize" / "tsan" labels:
+# threads (thread backend), and fans trials out across the worker pool.
+# Wired into CTest under the "sanitize" / "tsan" labels:
 #     ctest -L sanitize        # ASan+UBSan
 #     ctest -L tsan            # ThreadSanitizer
 #
@@ -15,8 +14,8 @@
 #   thread             TSan in build-tsan. Fibers register with the
 #                      __tsan_*_fiber API (fiber.cpp), so the coroutine
 #                      backend's stack switches keep TSan's shadow state
-#                      coherent; the partitioned engine's clock/handoff
-#                      protocol is checked for real data races.
+#                      coherent; the worker pool and the thread backend's
+#                      semaphore handoffs are checked for real data races.
 #
 # Env:
 #   MM_SANITIZE   address (default) | thread
@@ -33,13 +32,13 @@ case "$MODE" in
     # suite impractical, and the single-threaded analysis passes add nothing.
     # The explorer suites are in because their walkers recycle fiber stacks
     # on frontier worker threads.
-    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:Explore.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:Partition*:Modes/PartitionDiff.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"

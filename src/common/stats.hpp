@@ -64,8 +64,7 @@ class Samples {
 /// in dedicated unit-width buckets and are exact.
 ///
 /// Merging is element-wise bucket addition, which is *exact*: merging N
-/// histograms equals adding all samples to one. That property is what lets
-/// per-LP recorders be combined into a K-invariant report.
+/// histograms equals adding all samples to one.
 class LogHistogram {
  public:
   static constexpr unsigned kSubBits = 4;

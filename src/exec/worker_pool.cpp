@@ -1,7 +1,6 @@
 #include "exec/worker_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -28,52 +27,6 @@ void WorkerPool::run_indexed(std::uint64_t count, std::size_t workers,
   for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
   worker();  // the caller is worker 0
   for (auto& t : threads) t.join();
-}
-
-void WorkerPool::run_per_worker(std::uint64_t count,
-                                const std::function<void(std::uint64_t)>& job) {
-  run_per_worker(count, job, nullptr);
-}
-
-void WorkerPool::run_per_worker(std::uint64_t count,
-                                const std::function<void(std::uint64_t)>& job,
-                                std::vector<WorkerTiming>* timings) {
-  if (count == 0) return;
-  if (timings != nullptr) timings->assign(static_cast<std::size_t>(count), WorkerTiming{});
-  const auto ns_since = [](std::chrono::steady_clock::time_point t0) {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          std::chrono::steady_clock::now() - t0)
-                                          .count());
-  };
-  auto timed_job = [&](std::uint64_t i) {
-    if (timings == nullptr) {
-      job(i);
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    job(i);
-    const std::uint64_t busy = ns_since(t0);
-    WorkerTiming& wt = (*timings)[static_cast<std::size_t>(i)];
-    wt.busy_ns = busy;
-    wt.wall_ns = busy;  // thread-local wall so far; the join gap is the caller's
-  };
-  if (count == 1) {
-    timed_job(0);
-    return;
-  }
-  const auto spawn0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(count - 1));
-  for (std::uint64_t i = 1; i < count; ++i)
-    threads.emplace_back([&timed_job, i] { timed_job(i); });
-  timed_job(0);  // the caller is worker 0
-  for (auto& t : threads) t.join();
-  if (timings != nullptr) {
-    // All jobs have returned: the dispatch wall time is shared, so each
-    // worker's idle share is dispatch-wall minus its busy time.
-    const std::uint64_t wall = ns_since(spawn0);
-    for (WorkerTiming& wt : *timings) wt.wall_ns = wall;
-  }
 }
 
 }  // namespace mm::exec

@@ -9,20 +9,11 @@
 // pool.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace mm::exec {
-
-/// Wall-clock split for one worker of a run_per_worker call: how long its
-/// job ran vs how long the whole dispatch took (spawn-to-join as seen by
-/// that worker). wall_ns − busy_ns is the worker's idle/teardown share; the
-/// partitioned simulator reports it next to its CMB stall counters.
-struct WorkerTiming {
-  std::uint64_t busy_ns = 0;  ///< time inside job(i)
-  std::uint64_t wall_ns = 0;  ///< spawn-to-return time for this worker's thread
-};
 
 class WorkerPool {
  public:
@@ -31,23 +22,6 @@ class WorkerPool {
   /// `workers` is clamped to `count`; with workers <= 1 the job runs inline.
   static void run_indexed(std::uint64_t count, std::size_t workers,
                           const std::function<void(std::uint64_t)>& job);
-
-  /// Co-scheduled variant: exactly `count` workers, worker i runs job(i) and
-  /// nothing else, all concurrently. Required when the jobs synchronize with
-  /// each other (the partitioned simulator's LPs block on each other's
-  /// clocks): run_indexed's dynamic claiming could hand two such jobs to one
-  /// thread and deadlock. With count <= 1 the job runs inline; otherwise the
-  /// caller is worker 0 and the call blocks until every job returns.
-  static void run_per_worker(std::uint64_t count,
-                             const std::function<void(std::uint64_t)>& job);
-
-  /// run_per_worker with per-worker wall-clock accounting. `timings` is
-  /// resized to `count`; slot i is written by worker i after its job
-  /// returns (the join orders the writes before the caller reads them).
-  /// Pass nullptr to skip all timing work.
-  static void run_per_worker(std::uint64_t count,
-                             const std::function<void(std::uint64_t)>& job,
-                             std::vector<WorkerTiming>* timings);
 };
 
 }  // namespace mm::exec

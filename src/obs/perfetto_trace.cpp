@@ -19,9 +19,9 @@ namespace {
 
 // Short stable names, indexed by Kind — the wire format of trace_events_json
 // and the slice names in the Chrome view. Order must match the enum.
-constexpr std::array<std::string_view, 12> kKindNames = {
-    "sched", "send", "deliver", "drop", "read", "write",
-    "cas",   "crash", "memfail", "memrecover", "fault", "horizon",
+constexpr std::array<std::string_view, 11> kKindNames = {
+    "sched", "send",  "deliver", "drop",       "read",  "write",
+    "cas",   "crash", "memfail", "memrecover", "fault",
 };
 
 // Built via += rather than chained `"p" + std::to_string(...)`: see
@@ -81,18 +81,6 @@ Json obs_report_json(const runtime::ObsReport& r) {
   return j;
 }
 
-Json stall_profile_json(const runtime::StallProfile& s) {
-  Json j = Json::object();
-  j.set("horizon_waits", Json::uint(s.horizon_waits));
-  j.set("horizon_stall_ns", Json::uint(s.horizon_stall_ns));
-  j.set("null_scan_rounds", Json::uint(s.null_scan_rounds));
-  j.set("handoff_locks", Json::uint(s.handoff_locks));
-  j.set("handoff_contended", Json::uint(s.handoff_contended));
-  j.set("worker_busy_ns", Json::uint(s.worker_busy_ns));
-  j.set("worker_wall_ns", Json::uint(s.worker_wall_ns));
-  return j;
-}
-
 Json trace_events_json(const std::vector<TraceEvent>& events) {
   Json arr = Json::array();
   for (const TraceEvent& e : events) {
@@ -137,11 +125,9 @@ Json recording_json(const runtime::SimRuntime& rt) {
   Json doc = Json::object();
   doc.set("schema", Json::str("mm-trace-1"));
   doc.set("n", Json::uint(rt.metrics().steps_by_proc.size()));
-  doc.set("partitions", Json::uint(rt.partitions()));
   doc.set("final_step", Json::uint(rt.now()));
   doc.set("events", trace_events_json(rt.trace()));
   doc.set("obs", obs_report_json(rt.obs_report()));
-  doc.set("stalls", stall_profile_json(rt.stall_profile()));
   const runtime::Metrics& m = rt.metrics();
   Json metrics = Json::object();
   metrics.set("msgs_sent", Json::uint(m.msgs_sent));
@@ -155,31 +141,21 @@ Json recording_json(const runtime::SimRuntime& rt) {
   return doc;
 }
 
-Json chrome_trace(const std::vector<TraceEvent>& events, std::size_t n_procs,
-                  std::uint32_t partitions) {
-  // Track layout: pid 1 = the simulated processes (tid = Pid), pid 2 = the
-  // CMB engine (tid = LP index). Fault-rule firings land on the track of
-  // their context process so they line up with the affected slices.
+Json chrome_trace(const std::vector<TraceEvent>& events, std::size_t n_procs) {
+  // Track layout: pid 1 = the simulated processes (tid = Pid). Fault-rule
+  // firings land on the track of their context process so they line up
+  // with the affected slices.
   constexpr std::uint64_t kSimPid = 1;
-  constexpr std::uint64_t kCmbPid = 2;
   Json arr = Json::array();
   arr.push(metadata_event("process_name", kSimPid, std::nullopt, "sim processes"));
   for (std::uint64_t p = 0; p < n_procs; ++p)
     arr.push(metadata_event("thread_name", kSimPid, p, prefixed("p", p)));
-  bool horizon_seen = false;
-  for (const TraceEvent& e : events)
-    if (e.kind == Kind::kHorizon) { horizon_seen = true; break; }
   // Flow arrows need both ends: a deliver whose send never made the ring
   // (evicted, or a link-level duplicate — the copy is not a process send)
   // must not emit a dangling flow terminator.
   std::unordered_set<std::uint64_t> send_seqs;
   for (const TraceEvent& e : events)
     if (e.kind == Kind::kSend && e.seq != 0) send_seqs.insert(e.seq);
-  if (horizon_seen) {
-    arr.push(metadata_event("process_name", kCmbPid, std::nullopt, "CMB engine"));
-    for (std::uint64_t q = 0; q < partitions; ++q)
-      arr.push(metadata_event("thread_name", kCmbPid, q, prefixed("LP", q)));
-  }
 
   for (const TraceEvent& e : events) {
     const std::uint64_t ts = e.step;  // 1 virtual step = 1 µs
@@ -281,16 +257,6 @@ Json chrome_trace(const std::vector<TraceEvent>& events, std::size_t n_procs,
         args.set("rule", Json::uint(e.b));
         i.set("args", std::move(args));
         arr.push(std::move(i));
-        break;
-      }
-      case Kind::kHorizon: {
-        Json x = chrome_event("horizon-wait", "X", ts, kCmbPid, tid);
-        x.set("dur", Json::uint(1));
-        Json args = Json::object();
-        args.set("safe_until", Json::uint(e.a));
-        args.set("scan_rounds", Json::uint(e.b));
-        x.set("args", std::move(args));
-        arr.push(std::move(x));
         break;
       }
     }

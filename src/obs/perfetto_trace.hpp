@@ -2,20 +2,19 @@
 //
 // Three artifacts, all built from public SimRuntime surfaces:
 //
-//   * recording_json  — a raw "mm-trace-1" document: the merged trace-event
-//     ring plus the ObsReport histograms, the StallProfile, and a Metrics
-//     subset. This is the durable on-disk form (tools/trace record); it
-//     round-trips through trace_events_from_json so later exports never need
-//     to re-run the simulation.
+//   * recording_json  — a raw "mm-trace-1" document: the trace-event ring
+//     plus the ObsReport histograms and a Metrics subset. This is the
+//     durable on-disk form (tools/trace record); it round-trips through
+//     trace_events_from_json so later exports never need to re-run the
+//     simulation.
 //   * chrome_trace    — the same events rendered in the Chrome trace-event
 //     format that Perfetto / chrome://tracing load directly: one track per
 //     simulated process ("X" slices for scheduled steps, dur-1 slices with
 //     flow arrows pairing each send with its deliver by the trace seq),
 //     instant events for crashes / drops / memory windows / fault-rule
-//     firings, and a separate CMB track per LP for horizon waits. Virtual
-//     steps map 1:1 to microseconds (the format's ts unit).
+//     firings. Virtual steps map 1:1 to microseconds (the format's ts unit).
 //   * summary helpers — per-histogram JSON ({count,min,max,mean,p50/p90/p99})
-//     shared by the recording document and the schema-5 bench output.
+//     used by the recording document.
 //
 // Everything here is a pure function of already-recorded state; nothing
 // mutates the runtime.
@@ -37,9 +36,6 @@ namespace mm::obs {
 /// The four ObsReport histograms keyed by name.
 [[nodiscard]] fault::Json obs_report_json(const runtime::ObsReport& r);
 
-/// The CMB stall breakdown (wall-clock facts; see StallProfile).
-[[nodiscard]] fault::Json stall_profile_json(const runtime::StallProfile& s);
-
 /// Raw event list: [{step,pid,kind,a,b,seq}...] with kind as a short string.
 [[nodiscard]] fault::Json trace_events_json(
     const std::vector<runtime::SimRuntime::TraceEvent>& events);
@@ -52,11 +48,9 @@ namespace mm::obs {
 /// Full "mm-trace-1" recording document for a finished (or paused) run.
 [[nodiscard]] fault::Json recording_json(const runtime::SimRuntime& rt);
 
-/// Chrome trace-event JSON ({"traceEvents":[...]}) from a merged event list.
-/// `n_procs` names the per-process tracks; `partitions` the CMB tracks
-/// (0 or 1 suppresses the CMB process group when no horizon events exist).
+/// Chrome trace-event JSON ({"traceEvents":[...]}) from an event list.
+/// `n_procs` names the per-process tracks.
 [[nodiscard]] fault::Json chrome_trace(
-    const std::vector<runtime::SimRuntime::TraceEvent>& events, std::size_t n_procs,
-    std::uint32_t partitions);
+    const std::vector<runtime::SimRuntime::TraceEvent>& events, std::size_t n_procs);
 
 }  // namespace mm::obs

@@ -105,16 +105,6 @@ SimBackend default_sim_backend() {
   return SimBackend::kCoroutine;
 }
 
-std::uint32_t default_sim_partitions() {
-  const char* raw = std::getenv("MM_SIM_PARTITIONS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return 0;  // malformed: ignore, like MM_JOBS
-  if (v > 64) return 64;                     // kMaxPartitions; avoid the include cycle
-  return static_cast<std::uint32_t>(v);
-}
-
 std::unique_ptr<ProcExec> make_proc_exec(SimBackend backend, std::function<void()> body,
                                          const ExecOptions& opts) {
   switch (backend) {

@@ -37,14 +37,6 @@ enum class SimBackend : std::uint8_t {
 /// SimConfig::backend overrides this per runtime.
 [[nodiscard]] SimBackend default_sim_backend();
 
-/// Process-wide default partition count: MM_SIM_PARTITIONS=<k>; unset,
-/// malformed, or 0 → 0 (sequential mode). SimConfig::partitions overrides
-/// this per runtime. The environment default is advisory: runtimes whose
-/// config is not partition-eligible (e.g. timely processes, zero delay
-/// lower bound) silently fall back to sequential rather than throwing, so a
-/// global export cannot break unrelated sequential runs.
-[[nodiscard]] std::uint32_t default_sim_partitions();
-
 /// One process' suspended execution context. Exactly one side is ever
 /// running: resume() is the scheduler handing the process its step, yield()
 /// is the process handing control back. The wrapped body runs to completion

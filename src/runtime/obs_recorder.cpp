@@ -1,47 +1,15 @@
 #include "runtime/obs_recorder.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace mm::runtime {
 
-void ObsRecorder::merge_from(ObsRecorder& other) {
-  delivery_latency.merge(other.delivery_latency);
-  inbox_depth.merge(other.inbox_depth);
-  if (channel_events.empty()) {
-    channel_events = std::move(other.channel_events);
-  } else {
-    channel_events.insert(channel_events.end(), other.channel_events.begin(),
-                          other.channel_events.end());
-  }
-  for (const auto& [key, count] : other.reg_touches) reg_touches[key] += count;
-  other.reset();
-}
-
-ObsReport build_obs_report(const ObsRecorder& merged) {
+ObsReport build_obs_report(const ObsRecorder& rec) {
   ObsReport rep;
-  rep.delivery_latency = merged.delivery_latency;
-  rep.inbox_depth = merged.inbox_depth;
-
-  // Channel-event walk: stable sort by step keeps same-step events (always
-  // from one slice, hence one source list, hence contiguous) in slice order,
-  // then a linear pass maintains per-destination in-flight depth. The depth
-  // BEFORE a delivering drain — the queue the drain found — is the sample.
-  std::vector<ChannelEvent> events = merged.channel_events;
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ChannelEvent& a, const ChannelEvent& b) { return a.step < b.step; });
-  std::unordered_map<std::uint32_t, std::int64_t> depth;
-  for (const ChannelEvent& e : events) {
-    std::int64_t& d = depth[e.dest];
-    if (e.delta < 0) {
-      rep.pending_depth.add(d > 0 ? static_cast<std::uint64_t>(d) : 0);
-    }
-    d += e.delta;
-  }
-
+  rep.delivery_latency = rec.delivery_latency;
+  rep.inbox_depth = rec.inbox_depth;
+  rep.pending_depth = rec.pending_depth;
   // Per-register access counts → one histogram sample per register. The map
   // iteration order is arbitrary, but histogram insertion commutes.
-  for (const auto& [key, count] : merged.reg_touches) rep.reg_contention.add(count);
+  for (const auto& [key, count] : rec.reg_touches) rep.reg_contention.add(count);
   return rep;
 }
 

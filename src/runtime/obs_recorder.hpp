@@ -1,62 +1,30 @@
 // Sim-time observability recorders (docs/RUNTIME.md "Observability").
 //
-// An ObsRecorder accumulates per-context (sequential runtime, or one logical
-// partition) sim-time measurements: delivery latencies, drain batch sizes,
-// per-register touch counts, and deferred channel-depth events. Everything a
-// recorder stores is a pure trajectory fact — virtual steps, counts, key
-// bits — so merging the per-LP recorders yields an ObsReport that is
-// bit-identical at any partition count, backend, and MM_JOBS, exactly like
-// Metrics. Wall-clock facts (which ARE K- and machine-dependent) live in the
-// separate StallProfile instead and never enter a report.
-//
-// The pending-depth histogram cannot be sampled from the physical heaps: a
-// cross-partition message reaches the destination heap at a racy real time,
-// so heap sizes depend on K. Instead every enqueue records a (+1) channel
-// event and every delivering drain a (−count) event, stamped with the
-// virtual step; build_obs_report merges the per-context event lists,
-// stable-sorts by step (same-step events cannot span contexts — exactly one
-// process executes per global virtual step, so they are contiguous in one
-// list and keep their slice order), and walks them accumulating the true
-// in-flight depth per destination.
+// An ObsRecorder accumulates a run's sim-time measurements: delivery
+// latencies, drain batch sizes, the destination's pending-heap size at each
+// delivering drain, and per-register touch counts. Everything a recorder
+// stores is a pure trajectory fact — virtual steps, counts, key bits — so
+// the ObsReport built from it is bit-identical at any backend and MM_JOBS,
+// exactly like Metrics.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "common/ids.hpp"
 #include "common/stats.hpp"
 
 namespace mm::runtime {
 
-/// One in-flight population change for a destination's channel: +1 at
-/// enqueue (sent and not dropped), −count at a delivering drain.
-struct ChannelEvent {
-  Step step = 0;
-  std::uint32_t dest = 0;
-  std::int32_t delta = 0;
-};
-
-/// Accumulator owned by one recording context. merge_from is exact (bucket
-/// addition, key-wise count addition, event-list append), so the merged
-/// recorder is indistinguishable from one that saw every sample itself.
+/// Accumulator owned by the runtime while observability is armed.
 struct ObsRecorder {
   LogHistogram delivery_latency;  ///< drain step − send step, per delivered message
   LogHistogram inbox_depth;       ///< messages handed over per non-empty drain
-  std::vector<ChannelEvent> channel_events;
+  LogHistogram pending_depth;     ///< destination heap size before each delivering drain
   std::unordered_map<std::uint64_t, std::uint64_t> reg_touches;  ///< key bits → accesses
-
-  /// Steal `other`'s contents into this recorder (leaves `other` empty).
-  void merge_from(ObsRecorder& other);
-  [[nodiscard]] bool empty() const noexcept {
-    return delivery_latency.total() == 0 && inbox_depth.total() == 0 &&
-           channel_events.empty() && reg_touches.empty();
-  }
-  void reset() { *this = ObsRecorder{}; }
 };
 
 /// The per-run observability result. All four histograms are pure functions
-/// of the trajectory; the K-grid identity tests compare reports verbatim.
+/// of the trajectory; the ObsGrid tests compare reports verbatim.
 struct ObsReport {
   LogHistogram delivery_latency;  ///< sim-steps from send to delivering drain
   LogHistogram inbox_depth;       ///< batch size per non-empty drain
@@ -66,32 +34,8 @@ struct ObsReport {
   friend bool operator==(const ObsReport&, const ObsReport&) = default;
 };
 
-/// Build the report from a fully-merged recorder (see file comment for the
-/// channel-event walk).
-[[nodiscard]] ObsReport build_obs_report(const ObsRecorder& merged);
-
-/// Wall-clock CMB cost decomposition for the partitioned engine. These are
-/// real-time facts — they depend on K, core count, and scheduling noise —
-/// so they are deliberately NOT part of Metrics or ObsReport.
-struct StallProfile {
-  std::uint64_t horizon_waits = 0;      ///< wait_horizon calls that actually blocked
-  std::uint64_t horizon_stall_ns = 0;   ///< wall time spent blocked in wait_horizon
-  std::uint64_t null_scan_rounds = 0;   ///< peer-clock re-reads while blocked
-  std::uint64_t handoff_locks = 0;      ///< handoff mutex acquisitions
-  std::uint64_t handoff_contended = 0;  ///< acquisitions that found the mutex held
-  std::uint64_t worker_busy_ns = 0;     ///< Σ over LP workers of time inside lp_run
-  std::uint64_t worker_wall_ns = 0;     ///< Σ over LP workers of chunk dispatch wall time
-
-  void merge_from(const StallProfile& o) noexcept {
-    horizon_waits += o.horizon_waits;
-    horizon_stall_ns += o.horizon_stall_ns;
-    null_scan_rounds += o.null_scan_rounds;
-    handoff_locks += o.handoff_locks;
-    handoff_contended += o.handoff_contended;
-    worker_busy_ns += o.worker_busy_ns;
-    worker_wall_ns += o.worker_wall_ns;
-  }
-  void reset() noexcept { *this = StallProfile{}; }
-};
+/// Build the report from a recorder: the three histograms as recorded, plus
+/// one reg_contention sample per touched register.
+[[nodiscard]] ObsReport build_obs_report(const ObsRecorder& rec);
 
 }  // namespace mm::runtime

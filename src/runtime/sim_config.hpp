@@ -49,10 +49,6 @@ struct Partition {
   }
 };
 
-/// Hard cap on logical partitions: shard ids live in the top 8 bits of a
-/// RegId and a >64-way shard split never beats trial-level parallelism.
-inline constexpr std::uint32_t kMaxPartitions = 64;
-
 /// Explorer-scheduled fault plan: faults as first-class nondeterministic
 /// choices instead of clock-indexed side effects. Each entry becomes a
 /// *pseudo-process* that the schedule policy (DFS / DPOR, see src/check)
@@ -153,23 +149,6 @@ struct SimConfig {
   /// so long runs cannot accumulate trace memory silently.
   std::size_t trace_capacity = 0;
 
-  /// Number of logical partitions (LPs) for the parallel-in-one-run engine.
-  /// Unset: the MM_SIM_PARTITIONS environment default (0 = sequential).
-  /// 1 or more selects the partitioned schedule contract — a distinct
-  /// deterministic schedule whose trajectory is a pure function of the seed
-  /// and invariant in the partition count and MM_JOBS, but intentionally NOT
-  /// the sequential-mode schedule (see RUNTIME.md "Partitioned execution").
-  /// Partitioned mode requires min_delay >= 1 (the conservative lookahead)
-  /// and rejects timely/sched_weight/partition knobs. Tracing works: each
-  /// LP records into a private ring and trace() merges them by step.
-  std::optional<std::uint32_t> partitions;
-
-  /// Optional explicit partition plan: partition_of[p] is p's LP index.
-  /// Empty (default) lets the runtime compute a graph-aware plan from the
-  /// GSM's connected components. Explicit plans must keep every GSM edge
-  /// inside one partition (register shards are pinned to their owner's LP).
-  std::vector<std::uint32_t> partition_of;
-
   /// Explorer-scheduled fault plan (see ExploreFaults above). Only honored
   /// by runs driven through set_schedule_policy; validate() checks the
   /// structure, check::validate_explorable checks explorer soundness.
@@ -252,51 +231,8 @@ inline void SimConfig::validate() const {
   if (fiber_stack_bytes != 0 && fiber_stack_bytes < 16 * 1024)
     throw ConfigError{"fiber_stack_bytes must be 0 (default) or >= 16 KiB; smaller "
                       "stacks overflow before the body's first frame"};
-  if (partitions.has_value()) {
-    if (*partitions < 1)
-      throw ConfigError{"partitions must be >= 1 (unset the knob for sequential mode)"};
-    if (*partitions > procs)
-      throw ConfigError{"partitions must be <= n: a partition with no processes can "
-                        "never advance and would stall every horizon"};
-    if (*partitions > kMaxPartitions)
-      throw ConfigError{"partitions must be <= 64 (register shard ids pack into 8 "
-                        "bits, and more partitions than cores never helps)"};
-    if (min_delay < 1)
-      throw ConfigError{"partitioned mode requires min_delay >= 1: a zero link-delay "
-                        "lower bound gives no lookahead, so no safe horizon exists"};
-    if (timely.has_value())
-      throw ConfigError{"partitioned mode cannot honor a timely process (the window "
-                        "guarantee needs the global runnable set); use sequential mode"};
-    for (const double w : sched_weight)
-      if (w != 1.0)
-        throw ConfigError{"partitioned mode requires uniform sched_weight (the static "
-                          "pick schedule is weight-blind)"};
-    if (partition.has_value())
-      throw ConfigError{"partitioned mode cannot combine with a partition window; use "
-                        "a kLinkBurst FaultRule or sequential mode"};
-    if (!partition_of.empty()) {
-      if (partition_of.size() != procs)
-        throw ConfigError{"partition_of must be empty or have exactly n entries"};
-      for (const std::uint32_t q : partition_of)
-        if (q >= *partitions)
-          throw ConfigError{"partition_of entries must be < partitions"};
-      for (std::size_t u = 0; u < procs; ++u)
-        for (const Pid v : gsm.neighbors(Pid{static_cast<std::uint32_t>(u)}))
-          if (partition_of[u] != partition_of[v.index()])
-            throw ConfigError{"partition_of splits GSM edge {" + std::to_string(u) +
-                              "," + std::to_string(v.index()) +
-                              "}: register shards are pinned to their owner's "
-                              "partition, so plans must keep neighborhoods together"};
-    }
-  }
-  if (!partitions.has_value() && !partition_of.empty())
-    throw ConfigError{"partition_of requires partitions to be set (explicit plans "
-                      "opt into partitioned mode; the env default is advisory)"};
   if (explore_faults.has_value()) {
     const ExploreFaults& ef = *explore_faults;
-    if (partitions.has_value())
-      throw ConfigError{"explore_faults requires sequential mode (the pseudo-process "
-                        "schedule needs the global runnable set)"};
     if (procs + ef.width(procs) > 64)
       throw ConfigError{"explore_faults: n + pseudo-process count must be <= 64 "
                         "(the explorer packs enabled sets into 64-bit masks)"};

@@ -1,11 +1,9 @@
 #include "runtime/sim_runtime.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "runtime/sim_partition_detail.hpp"
 
 namespace mm::runtime {
 
@@ -40,41 +38,33 @@ constexpr std::uint64_t kSliceSigSeed = 0x2545f4914f6cdd1dULL;
 
 // ---------------------------------------------------------------------------
 // SimEnv — forwards to the runtime, tagged with the calling pid. Each call
-// dispatches once on the (partitioned, footprint-recording, observability)
-// flags to the matching instantiation of the env backend; the
-// <false, false, false> instantiation carries no instrumentation at all.
+// dispatches once on the (footprint-recording, observability) flags to the
+// matching instantiation of the env backend; the <false, false>
+// instantiation carries no instrumentation at all.
 // ---------------------------------------------------------------------------
 
-// Eight-way dispatch for the channel/register env calls. Template argument
-// order is <Recording, Parted, Obs>. Only one branch is ever evaluated, so
+// Four-way dispatch for the drain/register env calls. Template argument
+// order is <Recording, Obs>. Only one branch is ever evaluated, so
 // forwarding std::move'd arguments through every arm is safe.
-#define MM_ENV_DISPATCH(fn, ...)                                                      \
-  do {                                                                                \
-    if (rt_->partitioned_) [[unlikely]] {                                             \
-      if (rt_->record_obs_) [[unlikely]] {                                            \
-        if (rt_->record_footprints_) return rt_->fn<true, true, true>(__VA_ARGS__);   \
-        return rt_->fn<false, true, true>(__VA_ARGS__);                               \
-      }                                                                               \
-      if (rt_->record_footprints_) return rt_->fn<true, true, false>(__VA_ARGS__);    \
-      return rt_->fn<false, true, false>(__VA_ARGS__);                                \
-    }                                                                                 \
-    if (rt_->record_obs_) [[unlikely]] {                                              \
-      if (rt_->record_footprints_) return rt_->fn<true, false, true>(__VA_ARGS__);    \
-      return rt_->fn<false, false, true>(__VA_ARGS__);                                \
-    }                                                                                 \
-    if (rt_->record_footprints_) [[unlikely]]                                         \
-      return rt_->fn<true, false, false>(__VA_ARGS__);                                \
-    return rt_->fn<false, false, false>(__VA_ARGS__);                                 \
+#define MM_ENV_DISPATCH(fn, ...)                                            \
+  do {                                                                      \
+    if (rt_->record_obs_) [[unlikely]] {                                    \
+      if (rt_->record_footprints_) return rt_->fn<true, true>(__VA_ARGS__); \
+      return rt_->fn<false, true>(__VA_ARGS__);                             \
+    }                                                                       \
+    if (rt_->record_footprints_) [[unlikely]]                               \
+      return rt_->fn<true, false>(__VA_ARGS__);                             \
+    return rt_->fn<false, false>(__VA_ARGS__);                              \
   } while (0)
 
 std::size_t SimEnv::n() const { return rt_->config().n(); }
-void SimEnv::send(Pid to, Message m) { MM_ENV_DISPATCH(env_send, self_, to, std::move(m)); }
-void SimEnv::drain_inbox(std::vector<Message>& out) { MM_ENV_DISPATCH(env_drain, self_, out); }
-RegId SimEnv::reg(RegKey key) {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->parted_reg(self_, key);
-  return rt_->env_reg(self_, key);
+void SimEnv::send(Pid to, Message m) {
+  if (rt_->record_footprints_) [[unlikely]]
+    return rt_->env_send<true>(self_, to, std::move(m));
+  rt_->env_send<false>(self_, to, std::move(m));
 }
+void SimEnv::drain_inbox(std::vector<Message>& out) { MM_ENV_DISPATCH(env_drain, self_, out); }
+RegId SimEnv::reg(RegKey key) { return rt_->env_reg(self_, key); }
 std::uint64_t SimEnv::read(RegId r) { MM_ENV_DISPATCH(env_read, self_, r); }
 void SimEnv::write(RegId r, std::uint64_t v) { MM_ENV_DISPATCH(env_write, self_, r, v); }
 std::uint64_t SimEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired) {
@@ -83,18 +73,11 @@ std::uint64_t SimEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired
 
 #undef MM_ENV_DISPATCH
 bool SimEnv::coin() {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_coin<true, true>(self_)
-                                   : rt_->env_coin<false, true>(self_);
-  return rt_->record_footprints_ ? rt_->env_coin<true, false>(self_)
-                                 : rt_->env_coin<false, false>(self_);
+  return rt_->record_footprints_ ? rt_->env_coin<true>(self_) : rt_->env_coin<false>(self_);
 }
 std::uint64_t SimEnv::rand_below(std::uint64_t bound) {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_rand_below<true, true>(self_, bound)
-                                   : rt_->env_rand_below<false, true>(self_, bound);
-  return rt_->record_footprints_ ? rt_->env_rand_below<true, false>(self_, bound)
-                                 : rt_->env_rand_below<false, false>(self_, bound);
+  return rt_->record_footprints_ ? rt_->env_rand_below<true>(self_, bound)
+                                 : rt_->env_rand_below<false>(self_, bound);
 }
 void SimEnv::step() {
   if (fiber_ != nullptr) {
@@ -105,11 +88,7 @@ void SimEnv::step() {
   rt_->env_step(self_);
 }
 Step SimEnv::now() const {
-  if (rt_->partitioned_) [[unlikely]]
-    return rt_->record_footprints_ ? rt_->env_now<true, true>(self_)
-                                   : rt_->env_now<false, true>(self_);
-  return rt_->record_footprints_ ? rt_->env_now<true, false>(self_)
-                                 : rt_->env_now<false, false>(self_);
+  return rt_->record_footprints_ ? rt_->env_now<true>(self_) : rt_->env_now<false>(self_);
 }
 bool SimEnv::stop_requested() const {
   return rt_->stop_requested_.load(std::memory_order_relaxed);
@@ -154,7 +133,6 @@ SimRuntime::SimRuntime(SimConfig config)
     ef_width_ = ef.width(config_.n());
     ef_drops_left_ = ef.drop_budget;
   }
-  init_partitions();
 }
 
 SimRuntime::~SimRuntime() { shutdown(); }
@@ -221,7 +199,6 @@ void SimRuntime::start() {
     pr.env->fiber_ = fiber_[i];
     pr.env->kill_flag_ = proc_kill_.data() + i;
   }
-  if (partitioned_) start_partitioned();
 }
 
 void SimRuntime::shutdown() {
@@ -263,22 +240,6 @@ void SimRuntime::apply_crash_plan() {
 
 void SimRuntime::crash_now(Pid p) {
   MM_ASSERT(p.index() < procs_.size());
-  if (partitioned_) [[unlikely]] {
-    // From LP context (an injector replica), only p's owner applies the
-    // crash — every other replica reaches the same call on its own timeline
-    // and drops it here, so the crash lands exactly once, at the owner's
-    // local step. Driver-context calls between chunks apply directly.
-    if (tl_part_.rt == this && lp_by_pid_[p.index()] != tl_part_.lp) return;
-    if (!runnable(p.index())) return;
-    proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
-    if (tl_part_.rt == this) {
-      trace_event_lp(*tl_part_.lp, p, TraceEvent::Kind::kCrash);
-    } else {
-      trace_event(p, TraceEvent::Kind::kCrash);  // driver context between chunks
-    }
-    mark_done_parted(now(), true);
-    return;
-  }
   if (runnable(p.index())) {
     proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
     remove_runnable(p.index());
@@ -375,21 +336,6 @@ void SimRuntime::ef_fire(std::size_t idx) {
 
 void SimRuntime::fail_memory_now(Pid host, std::optional<Step> recover_at) {
   MM_ASSERT(host.index() < config_.n());
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    // LP context: only the host's owner LP opens the window, on its local
-    // clock. The shared armed flag is NOT written here — LP threads must
-    // never touch it; set_partition_fault_injectors armed it up front.
-    if (lp_by_pid_[host.index()] != tl_part_.lp) return;
-    MM_ASSERT_MSG(mem_faults_armed_,
-                  "partition-context memory faults require injector replicas "
-                  "(set_partition_fault_injectors arms the fault gate)");
-    const Step local_now = *tl_part_.clock;
-    MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > local_now,
-                  "memory recovery must lie in the future");
-    mem_window_[host.index()] = MemWindow{local_now, recover_at.value_or(kNever)};
-    trace_event_lp(*tl_part_.lp, host, TraceEvent::Kind::kMemFail, recover_at.value_or(0));
-    return;
-  }
   MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > global_step_,
                 "memory recovery must lie in the future");
   mem_window_[host.index()] = MemWindow{global_step_, recover_at.value_or(kNever)};
@@ -400,15 +346,6 @@ void SimRuntime::fail_memory_now(Pid host, std::optional<Step> recover_at) {
 void SimRuntime::recover_memory_now(Pid host) {
   MM_ASSERT(host.index() < config_.n());
   MemWindow& w = mem_window_[host.index()];
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    if (lp_by_pid_[host.index()] != tl_part_.lp) return;
-    const Step local_now = *tl_part_.clock;
-    if (w.fail_at <= local_now && local_now < w.recover_at) {
-      w.recover_at = local_now;
-      trace_event_lp(*tl_part_.lp, host, TraceEvent::Kind::kMemRecover);
-    }
-    return;
-  }
   if (w.fail_at <= global_step_ && global_step_ < w.recover_at) {
     w.recover_at = global_step_;
     trace_event(host, TraceEvent::Kind::kMemRecover);
@@ -416,42 +353,17 @@ void SimRuntime::recover_memory_now(Pid host) {
 }
 
 void SimRuntime::set_partition_now(std::uint64_t side_a, Step until) {
-  MM_ASSERT_MSG(!partitioned_,
-                "partition windows are sequential-only (they hold messages on the "
-                "single global clock); use a kLinkBurst rule in partitioned mode");
   MM_ASSERT_MSG(config_.n() <= 64, "partition masks require n <= 64");
   config_.partition = Partition{side_a, global_step_, until};
 }
 
 void SimRuntime::clear_partition_now() { config_.partition.reset(); }
 
-void SimRuntime::begin_link_burst(const LinkBurst& burst) {
-  if (partitioned_) [[unlikely]] {
-    if (tl_part_.rt == this) {
-      // Each injector replica arms its own LP's window at its own local
-      // step — together they reproduce the sequential burst exactly.
-      tl_part_.lp->burst = burst;
-    } else {
-      burst_ = burst;
-      for (Lp& lp : part_->lps) lp.burst = burst;
-    }
-    return;
-  }
-  burst_ = burst;
-}
-
 void SimRuntime::enable_trace(std::size_t capacity) {
   trace_capacity_ = capacity;
   trace_buf_.clear();
   trace_buf_.shrink_to_fit();
   trace_head_ = 0;
-  if (partitioned_ && part_ != nullptr) {
-    for (Lp& lp : part_->lps) {
-      lp.trace_buf.clear();
-      lp.trace_buf.shrink_to_fit();
-      lp.trace_head = 0;
-    }
-  }
 }
 
 void SimRuntime::trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t a,
@@ -467,52 +379,20 @@ void SimRuntime::trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t 
   trace_head_ = trace_head_ + 1 == trace_capacity_ ? 0 : trace_head_ + 1;
 }
 
-void SimRuntime::trace_event_lp_slow(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
-                                     std::uint64_t b, std::uint64_t seq) {
-  // Same ring discipline as the global buffer, stamped with the LP's local
-  // clock (the virtual step its slice in flight executes at).
-  const TraceEvent e{lp.clock, pid, kind, a, b, seq};
-  if (lp.trace_buf.size() < trace_capacity_) {
-    lp.trace_buf.push_back(e);
-    return;
-  }
-  lp.trace_buf[lp.trace_head] = e;
-  lp.trace_head = lp.trace_head + 1 == trace_capacity_ ? 0 : lp.trace_head + 1;
-}
-
 void SimRuntime::trace_fault(Pid context, std::uint64_t action, std::uint64_t rule) {
-  if (trace_capacity_ == 0) [[likely]]
-    return;
-  if (partitioned_ && tl_part_.rt == this) [[unlikely]] {
-    trace_event_lp_slow(*tl_part_.lp, context, TraceEvent::Kind::kFault, action, rule, 0);
-    return;
-  }
-  trace_event_slow(context, TraceEvent::Kind::kFault, action, rule, 0);
+  trace_event(context, TraceEvent::Kind::kFault, action, rule);
 }
 
 std::vector<SimRuntime::TraceEvent> SimRuntime::trace() const {
+  // trace_head_ is the oldest slot once the ring has wrapped; before that it
+  // is 0 and the buffer is already chronological.
+  const std::size_t size = trace_buf_.size();
   std::vector<TraceEvent> out;
-  // head is the oldest slot once a ring has wrapped; before that it is 0 and
-  // the buffer is already chronological.
-  const auto append_ring = [&out](const std::vector<TraceEvent>& buf, std::size_t head) {
-    const std::size_t size = buf.size();
-    out.reserve(out.size() + size);
-    for (std::size_t i = 0; i < size; ++i) {
-      std::size_t j = head + i;
-      if (j >= size) j -= size;
-      out.push_back(buf[j]);
-    }
-  };
-  append_ring(trace_buf_, trace_head_);
-  if (partitioned_ && part_ != nullptr) {
-    // Merge the per-LP rings into virtual-step order. Same-step process
-    // events always come from exactly one LP (one process executes per
-    // global step), so stable_sort keeps their slice order; only wall-clock
-    // kHorizon events can tie across LPs and they fall back to LP index
-    // (the concatenation order).
-    for (const Lp& lp : part_->lps) append_ring(lp.trace_buf, lp.trace_head);
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent& x, const TraceEvent& y) { return x.step < y.step; });
+  out.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    std::size_t j = trace_head_ + i;
+    if (j >= size) j -= size;
+    out.push_back(trace_buf_[j]);
   }
   return out;
 }
@@ -520,7 +400,7 @@ std::vector<SimRuntime::TraceEvent> SimRuntime::trace() const {
 std::string SimRuntime::dump_trace(std::size_t last_n) const {
   static constexpr const char* kNames[] = {"sched", "send ", "deliv", "drop ", "read ",
                                            "write", "cas  ", "crash", "mfail", "mrecv",
-                                           "fault", "horzn"};
+                                           "fault"};
   const std::vector<TraceEvent> events = trace();
   std::string out;
   const std::size_t start = events.size() > last_n ? events.size() - last_n : 0;
@@ -560,9 +440,6 @@ std::string SimRuntime::dump_trace(std::size_t last_n) const {
       case TraceEvent::Kind::kFault:
         std::snprintf(detail, sizeof detail, "action=%llu rule=%llu", u(e.a), u(e.b));
         break;
-      case TraceEvent::Kind::kHorizon:
-        std::snprintf(detail, sizeof detail, "safe_until=%llu scans=%llu", u(e.a), u(e.b));
-        break;
       default:
         detail[0] = '\0';
         break;
@@ -577,21 +454,17 @@ std::string SimRuntime::dump_trace(std::size_t last_n) const {
   return out;
 }
 
-ObsReport SimRuntime::obs_report() const {
-  // run_partitioned merges every LP's recorder into obs_ after each chunk,
-  // so between chunks (the documented call point) obs_ holds everything.
-  return build_obs_report(obs_);
-}
+ObsReport SimRuntime::obs_report() const { return build_obs_report(obs_); }
 
 void SimRuntime::activate(std::size_t pick) {
   ++metrics_.steps_by_proc[pick];
   trace_event(Pid{static_cast<std::uint32_t>(pick)}, TraceEvent::Kind::kSchedule);
   if (record_footprints_) [[unlikely]]
-    begin_slice(pick, scratch_);
+    begin_slice(pick);
   resume_proc(pick);
   if (record_footprints_) [[unlikely]] {
     scratch_.footprint.finishes = proc_finished_[pick] != 0;
-    end_slice(pick, scratch_);
+    end_slice(pick);
   }
   if (proc_finished_[pick] != 0) {
     proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
@@ -622,13 +495,14 @@ void SimRuntime::obs_note(Pid self, std::uint64_t tag, std::uint64_t value,
   sig = mix64(sig ^ v);
 }
 
-void SimRuntime::begin_slice(std::size_t pick, SliceScratch& sc) {
-  sc.footprint.clear(Pid{static_cast<std::uint32_t>(pick)});
-  sc.sig = kSliceSigSeed;
-  sc.got_messages = false;
+void SimRuntime::begin_slice(std::size_t pick) {
+  scratch_.footprint.clear(Pid{static_cast<std::uint32_t>(pick)});
+  scratch_.sig = kSliceSigSeed;
+  scratch_.got_messages = false;
 }
 
-void SimRuntime::end_slice(std::size_t pick, SliceScratch& sc) {
+void SimRuntime::end_slice(std::size_t pick) {
+  const SliceScratch& sc = scratch_;
   // Effect-free: nothing another process (or the oracle) could ever see —
   // no writes, no sends, no randomness consumed, no clock read, and any
   // drain came back empty. Metrics counters still tick, which is why
@@ -698,7 +572,7 @@ StateHash SimRuntime::state_hash() const {
   // 0 is indistinguishable from one never materialised (env_reg creates
   // storage holding 0), so including them would split states by RegId
   // creation order — a difference no process can observe. register_dump()
-  // is the mode-independent view (partitioned shards fold identically).
+  // is exactly that view.
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> regs = register_dump();
   fold(regs.size());
   for (const auto& [k, v] : regs) {
@@ -906,8 +780,6 @@ Step SimRuntime::run_fast(Step k) {
 Step SimRuntime::run_steps(Step k) {
   start();
   MM_ASSERT_MSG(!shut_down_, "runtime already shut down");
-  if (partitioned_) [[unlikely]]
-    return run_partitioned(k);
   if (fast_path_eligible()) return run_fast(k);
   Step done = 0;
   while (done < k && step_once()) ++done;
@@ -916,10 +788,6 @@ Step SimRuntime::run_steps(Step k) {
 
 bool SimRuntime::run_until_all_done(Step budget) {
   start();
-  if (partitioned_) [[unlikely]] {
-    if (budget > global_step_) run_partitioned(budget - global_step_);
-    return all_done();
-  }
   if (fast_path_eligible()) {
     if (budget > global_step_) run_fast(budget - global_step_);
     return all_done();
@@ -953,13 +821,6 @@ void SimRuntime::rethrow_process_error() const {
 }
 
 std::optional<std::uint64_t> SimRuntime::register_value(RegKey key) const {
-  if (partitioned_) {
-    if (key.is_global()) return std::nullopt;  // unmaterialisable in this mode
-    const auto& sh = part_->shards[part_of_[key.owner().index()]];
-    const auto it = sh.index.find(key);
-    if (it == sh.index.end()) return std::nullopt;
-    return sh.values[it->second];
-  }
   const auto it = reg_index_.find(key);
   if (it == reg_index_.end()) return std::nullopt;
   return reg_values_[it->second];
@@ -967,15 +828,9 @@ std::optional<std::uint64_t> SimRuntime::register_value(RegKey key) const {
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  if (partitioned_) {
-    for (const PartitionState::RegShard& sh : part_->shards)
-      for (std::size_t i = 0; i < sh.values.size(); ++i)
-        if (sh.values[i] != 0) out.emplace_back(sh.keys[i].bits(), sh.values[i]);
-  } else {
-    out.reserve(reg_values_.size());
-    for (std::size_t i = 0; i < reg_values_.size(); ++i)
-      if (reg_values_[i] != 0) out.emplace_back(reg_keys_[i].bits(), reg_values_[i]);
-  }
+  out.reserve(reg_values_.size());
+  for (std::size_t i = 0; i < reg_values_.size(); ++i)
+    if (reg_values_[i] != 0) out.emplace_back(reg_keys_[i].bits(), reg_values_[i]);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -1017,167 +872,90 @@ void SimRuntime::enqueue_message(Pid to, Step deliver_at, Message m) {
   pending_head_[to.index()] = pend.front().deliver_at;
 }
 
-template <bool Recording, bool Parted, bool Obs>
+template <bool Recording>
 void SimRuntime::env_send(Pid from, Pid to, Message m) {
   MM_ASSERT(to.index() < config_.n());
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[from.index()];
-    bool deliver = true;
-    if (lp.injector != nullptr) [[unlikely]] {
-      // The hook may fire actuators and read now(); under the thread backend
-      // this call runs on the process's own thread, so bind the LP context
-      // here (under the fiber backend this rebinds the same values).
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_send(*this, from, to);
-      deliver = lp.injector->on_byz_send(from, to, m);
-      tl_part_ = saved;
-    }
-    if constexpr (Recording) lp.scratch.footprint.add_send(to);
-    ++lp.scalars.msgs_sent;
-    ++metrics_.sends_by_proc[from.index()];
-    if (!deliver) [[unlikely]] {  // Byzantine selective silence
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    // Per-sender streams (a global stream's draw order would depend on the
-    // LP interleaving); the burst window lives on the sender's local clock.
-    Rng& lrng = part_->link_rng_of[from.index()];
-    if (config_.link_type == LinkType::kFairLossy && lrng.bernoulli(config_.drop_prob)) {
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    Rng& frng = part_->fault_rng_of[from.index()];
-    const bool burst = lp.clock < lp.burst.until;
-    if (burst && frng.bernoulli(lp.burst.drop_prob)) {
-      ++lp.scalars.msgs_dropped;
-      return;
-    }
-    m.from = from;
-    Step deliver_at = lp.clock + lrng.between(config_.min_delay, config_.max_delay);
-    if (burst && lp.burst.extra_delay_max > 0)
-      deliver_at += frng.between(0, lp.burst.extra_delay_max);
-    // Sender-assigned tie-break seq: globally unique because exactly one
-    // process executes per virtual step ((step << 16) | slice send index).
-    if (burst && frng.bernoulli(lp.burst.dup_prob)) {
-      Step dup_at = lp.clock + frng.between(config_.min_delay, config_.max_delay);
-      if (lp.burst.extra_delay_max > 0) dup_at += frng.between(0, lp.burst.extra_delay_max);
-      if constexpr (Obs)
-        lp.obs.channel_events.push_back(ChannelEvent{lp.clock, to.value(), +1});
-      parted_enqueue(lp, to, dup_at, (lp.clock << 16) | lp.sends_in_slice++, m);
-    }
-    if constexpr (Obs)
-      lp.obs.channel_events.push_back(ChannelEvent{lp.clock, to.value(), +1});
-    const std::uint64_t seq = (lp.clock << 16) | lp.sends_in_slice++;
-    trace_event_lp(lp, from, TraceEvent::Kind::kSend, to.value(), m.kind, seq);
-    parted_enqueue(lp, to, deliver_at, seq, std::move(m));
-    return;
-  } else {
-    bool deliver = true;
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_send(*this, from, to);
-      deliver = injector_->on_byz_send(from, to, m);
-    }
-    if constexpr (Recording) scratch_.footprint.add_send(to);
-    ++metrics_.msgs_sent;
-    ++metrics_.sends_by_proc[from.index()];
-    if (!deliver) [[unlikely]] {  // Byzantine selective silence
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    if (config_.link_type == LinkType::kFairLossy && link_rng_.bernoulli(config_.drop_prob)) {
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    // Injected burst hostility (drops / delay spikes / duplicates) draws from
-    // the dedicated fault stream; outside a burst window this block is free
-    // and burst-free runs stay bit-identical.
-    const bool burst = global_step_ < burst_.until;
-    if (burst && fault_rng_.bernoulli(burst_.drop_prob)) {
-      ++metrics_.msgs_dropped;
-      trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
-      return;
-    }
-    m.from = from;
-    Step deliver_at = global_step_ + link_rng_.between(config_.min_delay, config_.max_delay);
-    if (burst && burst_.extra_delay_max > 0)
-      deliver_at += fault_rng_.between(0, burst_.extra_delay_max);
-    deliver_at = partition_hold(from, to, deliver_at, link_rng_);
-    if (ef_part_active_) [[unlikely]] {
-      // Explorer partition window: crossing sends are held (with their
-      // already-drawn stamp and the next seq, exactly as if enqueued) until
-      // the off toggle re-injects them. The send was counted above, so
-      // send-metrics oracles are window-invariant.
-      if (detail::mask_crosses(*config_.explore_faults->partition_mask, from, to)) {
-        if constexpr (Obs)
-          obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-        trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
-        ef_held_.emplace_back(to.index(),
-                              InFlight{deliver_at, send_seq_++, global_step_, std::move(m)});
-        return;
-      }
-    }
-    if (burst && fault_rng_.bernoulli(burst_.dup_prob)) {
-      // Link-level duplication: the copy travels independently (own delay,
-      // own partition hold) and is not counted as a send by `from`.
-      Step dup_at = global_step_ + fault_rng_.between(config_.min_delay, config_.max_delay);
-      if (burst_.extra_delay_max > 0) dup_at += fault_rng_.between(0, burst_.extra_delay_max);
-      dup_at = partition_hold(from, to, dup_at, fault_rng_);
-      if constexpr (Obs)
-        obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-      enqueue_message(to, dup_at, m);
-    }
-    if constexpr (Obs)
-      obs_.channel_events.push_back(ChannelEvent{global_step_, to.value(), +1});
-    // Flow id = the seq enqueue_message is about to assign, pairing this
-    // kSend with its kDeliver.
-    trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
-    enqueue_message(to, deliver_at, std::move(m));
+  bool deliver = true;
+  if (injector_ != nullptr) [[unlikely]] {
+    injector_->on_send(*this, from, to);
+    deliver = injector_->on_byz_send(from, to, m);
   }
+  if constexpr (Recording) scratch_.footprint.add_send(to);
+  ++metrics_.msgs_sent;
+  ++metrics_.sends_by_proc[from.index()];
+  if (!deliver) [[unlikely]] {  // Byzantine selective silence
+    ++metrics_.msgs_dropped;
+    trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
+    return;
+  }
+  if (config_.link_type == LinkType::kFairLossy && link_rng_.bernoulli(config_.drop_prob)) {
+    ++metrics_.msgs_dropped;
+    trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
+    return;
+  }
+  // Injected burst hostility (drops / delay spikes / duplicates) draws from
+  // the dedicated fault stream; outside a burst window this block is free
+  // and burst-free runs stay bit-identical.
+  const bool burst = global_step_ < burst_.until;
+  if (burst && fault_rng_.bernoulli(burst_.drop_prob)) {
+    ++metrics_.msgs_dropped;
+    trace_event(from, TraceEvent::Kind::kDrop, to.value(), m.kind);
+    return;
+  }
+  m.from = from;
+  Step deliver_at = global_step_ + link_rng_.between(config_.min_delay, config_.max_delay);
+  if (burst && burst_.extra_delay_max > 0)
+    deliver_at += fault_rng_.between(0, burst_.extra_delay_max);
+  deliver_at = partition_hold(from, to, deliver_at, link_rng_);
+  if (ef_part_active_) [[unlikely]] {
+    // Explorer partition window: crossing sends are held (with their
+    // already-drawn stamp and the next seq, exactly as if enqueued) until
+    // the off toggle re-injects them. The send was counted above, so
+    // send-metrics oracles are window-invariant.
+    if (detail::mask_crosses(*config_.explore_faults->partition_mask, from, to)) {
+      trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
+      ef_held_.emplace_back(to.index(),
+                            InFlight{deliver_at, send_seq_++, global_step_, std::move(m)});
+      return;
+    }
+  }
+  if (burst && fault_rng_.bernoulli(burst_.dup_prob)) {
+    // Link-level duplication: the copy travels independently (own delay,
+    // own partition hold) and is not counted as a send by `from`.
+    Step dup_at = global_step_ + fault_rng_.between(config_.min_delay, config_.max_delay);
+    if (burst_.extra_delay_max > 0) dup_at += fault_rng_.between(0, burst_.extra_delay_max);
+    dup_at = partition_hold(from, to, dup_at, fault_rng_);
+    enqueue_message(to, dup_at, m);
+  }
+  // Flow id = the seq enqueue_message is about to assign, pairing this
+  // kSend with its kDeliver.
+  trace_event(from, TraceEvent::Kind::kSend, to.value(), m.kind, send_seq_);
+  enqueue_message(to, deliver_at, std::move(m));
 }
 
-template <bool Parted, bool Obs>
+template <bool Obs>
 void SimRuntime::drain_pending(Pid to, Step now_step, std::vector<Message>& out) {
   auto& pend = pending_[to.index()];
-  // Recorder/trace context: the drain runs in the destination's slice, so
-  // partitioned records route to `to`'s owner LP (never the sender's).
-  [[maybe_unused]] ObsRecorder* obs = nullptr;
-  [[maybe_unused]] Lp* lp = nullptr;
-  if constexpr (Parted) lp = lp_by_pid_[to.index()];
-  if constexpr (Obs) obs = Parted ? &lp->obs : &obs_;
+  // The cached pending_head_ guarantees this drain delivers at least one
+  // message; the heap it found is the pending-depth sample.
+  if constexpr (Obs) obs_.pending_depth.add(pend.size());
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
     if constexpr (Obs)
-      obs->delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
-    if constexpr (Parted) {
-      trace_event_lp(*lp, f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind,
-                     f.seq);
-    } else {
-      trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
-    }
+      obs_.delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
+    trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
-  if constexpr (Obs) {
-    // The cached pending_head_ guarantees delivered >= 1 here.
-    obs->inbox_depth.add(delivered);
-    obs->channel_events.push_back(
-        ChannelEvent{now_step, to.value(), -static_cast<std::int32_t>(delivered)});
-  }
-  if constexpr (Parted) {
-    lp->scalars.msgs_delivered += delivered;
-  } else {
-    metrics_.msgs_delivered += delivered;
-  }
+  if constexpr (Obs) obs_.inbox_depth.add(delivered);
+  metrics_.msgs_delivered += delivered;
 }
 
-template <bool Recording, bool Parted, bool Obs>
+template <bool Recording, bool Obs>
 void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
   // Pop eligible messages straight from the heap into the caller's buffer —
   // delivery order is (deliver_at, seq), exactly the heap's pop order, so no
@@ -1185,11 +963,10 @@ void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
   // the steady-state drain allocates nothing, and when nothing is due the
   // cached pending_head_ skips the heap entirely.
   out.clear();
-  const Step now_step = Parted ? lp_by_pid_[self.index()]->clock : global_step_;
-  if (pending_head_[self.index()] <= now_step)
-    drain_pending<Parted, Obs>(self, now_step, out);
+  if (pending_head_[self.index()] <= global_step_)
+    drain_pending<Obs>(self, global_step_, out);
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
+    SliceScratch& sc = scratch_;
     // Even an empty drain is a channel touch: it would have observed any
     // message sent before it, so it must order against sends to `self`.
     sc.footprint.drained = true;
@@ -1249,192 +1026,109 @@ void SimRuntime::check_register_access(Pid accessor, RegId r) const {
   }
 }
 
-template <bool Recording, bool Parted, bool Obs>
+template <bool Recording, bool Obs>
 std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
   maybe_auto_step(self);
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    ++lp.scalars.reg_reads;
-    ++metrics_.reads_by_proc[self.index()];
-    if (sh.owner[li] == self.value()) {
-      ++lp.scalars.reg_reads_local;
-    } else {
-      ++metrics_.remote_reads_by_proc[self.index()];
-    }
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegRead, r.value(), sh.values[li]);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) {
-      lp.scratch.footprint.add_read(sh.keys[li]);
-      obs_note(self, kObsRead, sh.values[li], lp.scratch.sig);
-    }
-    return sh.values[li];
+  check_register_access(self, r);
+  check_memory_alive(r);
+  ++metrics_.reg_reads;
+  ++metrics_.reads_by_proc[self.index()];
+  if (reg_owner_[r.index()] == self.value()) {
+    ++metrics_.reg_reads_local;
   } else {
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_reads;
-    ++metrics_.reads_by_proc[self.index()];
-    if (reg_owner_[r.index()] == self.value()) {
-      ++metrics_.reg_reads_local;
-    } else {
-      ++metrics_.remote_reads_by_proc[self.index()];
-    }
-    trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    if constexpr (Recording) {
-      scratch_.footprint.add_read(reg_keys_[r.index()]);
-      obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
-    }
-    return reg_values_[r.index()];
+    ++metrics_.remote_reads_by_proc[self.index()];
   }
+  trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
+  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  if constexpr (Recording) {
+    scratch_.footprint.add_read(reg_keys_[r.index()]);
+    obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
+  }
+  return reg_values_[r.index()];
 }
 
-template <bool Recording, bool Parted, bool Obs>
+template <bool Recording, bool Obs>
 void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
   maybe_auto_step(self);
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    if (lp.injector != nullptr) [[unlikely]] {
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_reg_write(*this, self, sh.keys[li]);
-      lp.injector->on_byz_reg_write(self, sh.keys[li], v);
-      tl_part_ = saved;
-    }
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    ++lp.scalars.reg_writes;
-    ++metrics_.writes_by_proc[self.index()];
-    if (sh.owner[li] == self.value()) {
-      ++lp.scalars.reg_writes_local;
-    } else {
-      ++metrics_.remote_writes_by_proc[self.index()];
-    }
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegWrite, r.value(), v);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) lp.scratch.footprint.add_write(sh.keys[li]);
-    sh.values[li] = v;
-    return;
-  } else {
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-      injector_->on_byz_reg_write(self, reg_keys_[r.index()], v);
-    }
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_writes;
-    ++metrics_.writes_by_proc[self.index()];
-    if (reg_owner_[r.index()] == self.value()) {
-      ++metrics_.reg_writes_local;
-    } else {
-      ++metrics_.remote_writes_by_proc[self.index()];
-    }
-    trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    if constexpr (Recording) scratch_.footprint.add_write(reg_keys_[r.index()]);
-    reg_values_[r.index()] = v;
+  if (injector_ != nullptr) [[unlikely]] {
+    injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
+    injector_->on_byz_reg_write(self, reg_keys_[r.index()], v);
   }
+  check_register_access(self, r);
+  check_memory_alive(r);
+  ++metrics_.reg_writes;
+  ++metrics_.writes_by_proc[self.index()];
+  if (reg_owner_[r.index()] == self.value()) {
+    ++metrics_.reg_writes_local;
+  } else {
+    ++metrics_.remote_writes_by_proc[self.index()];
+  }
+  trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
+  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  if constexpr (Recording) scratch_.footprint.add_write(reg_keys_[r.index()]);
+  reg_values_[r.index()] = v;
 }
 
-template <bool Recording, bool Parted, bool Obs>
+template <bool Recording, bool Obs>
 std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
                                   std::uint64_t desired) {
   maybe_auto_step(self);
   // A CAS is a write-class mutation: fault rules keyed on register writes
   // (kOnFirstWrite / kOnRoundEntry) must see CAS-based object protocols too.
-  if constexpr (Parted) {
-    Lp& lp = *lp_by_pid_[self.index()];
-    PartitionState::RegShard& sh =
-        part_->shards[r.value() >> PartitionState::kShardShift];
-    const std::size_t li = r.value() & PartitionState::kLocalMask;
-    if (lp.injector != nullptr) [[unlikely]] {
-      const PartCtx saved = tl_part_;
-      tl_part_ = PartCtx{this, &lp.clock, &lp};
-      lp.injector->on_reg_write(*this, self, sh.keys[li]);
-      lp.injector->on_byz_reg_write(self, sh.keys[li], desired);
-      tl_part_ = saved;
-    }
-    parted_check_access(self, r);
-    parted_check_memory_alive(r, lp.clock);
-    ++lp.scalars.reg_cas_ops;
-    if (sh.owner[li] == self.value()) ++lp.scalars.reg_cas_local;
-    const std::uint64_t old = sh.values[li];
-    trace_event_lp(lp, self, TraceEvent::Kind::kRegCas, r.value(), old);
-    if constexpr (Obs) ++lp.obs.reg_touches[sh.keys[li].bits()];
-    if constexpr (Recording) {
-      lp.scratch.footprint.add_read(sh.keys[li]);
-      lp.scratch.footprint.add_write(sh.keys[li]);
-      obs_note(self, kObsCas, old, lp.scratch.sig);
-    }
-    if (old == expected) sh.values[li] = desired;
-    return old;
-  } else {
-    if (injector_ != nullptr) [[unlikely]] {
-      injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-      injector_->on_byz_reg_write(self, reg_keys_[r.index()], desired);
-    }
-    check_register_access(self, r);
-    check_memory_alive(r);
-    ++metrics_.reg_cas_ops;
-    if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
-    trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
-    if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
-    const std::uint64_t old = reg_values_[r.index()];
-    if constexpr (Recording) {
-      // A CAS both observes and (potentially) mutates: read+write footprint,
-      // with the observed old value as the observation. Whether the swap hit
-      // is a deterministic function of (old, expected), so old alone suffices.
-      scratch_.footprint.add_read(reg_keys_[r.index()]);
-      scratch_.footprint.add_write(reg_keys_[r.index()]);
-      obs_note(self, kObsCas, old, scratch_.sig);
-    }
-    if (old == expected) reg_values_[r.index()] = desired;
-    return old;
+  if (injector_ != nullptr) [[unlikely]] {
+    injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
+    injector_->on_byz_reg_write(self, reg_keys_[r.index()], desired);
   }
+  check_register_access(self, r);
+  check_memory_alive(r);
+  ++metrics_.reg_cas_ops;
+  if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
+  trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
+  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  const std::uint64_t old = reg_values_[r.index()];
+  if constexpr (Recording) {
+    // A CAS both observes and (potentially) mutates: read+write footprint,
+    // with the observed old value as the observation. Whether the swap hit
+    // is a deterministic function of (old, expected), so old alone suffices.
+    scratch_.footprint.add_read(reg_keys_[r.index()]);
+    scratch_.footprint.add_write(reg_keys_[r.index()]);
+    obs_note(self, kObsCas, old, scratch_.sig);
+  }
+  if (old == expected) reg_values_[r.index()] = desired;
+  return old;
 }
 
-template <bool Recording, bool Parted>
+template <bool Recording>
 bool SimRuntime::env_coin(Pid self) {
   const bool v = proc_rng_[self.index()].coin();
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
-    sc.footprint.drew_rand = true;
-    obs_note(self, kObsCoin, v ? 1 : 0, sc.sig);
+    scratch_.footprint.drew_rand = true;
+    obs_note(self, kObsCoin, v ? 1 : 0, scratch_.sig);
   }
   return v;
 }
 
-template <bool Recording, bool Parted>
+template <bool Recording>
 std::uint64_t SimRuntime::env_rand_below(Pid self, std::uint64_t bound) {
   const std::uint64_t v = proc_rng_[self.index()].below(bound);
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
-    sc.footprint.drew_rand = true;
-    obs_note(self, kObsRand, v, sc.sig);
+    scratch_.footprint.drew_rand = true;
+    obs_note(self, kObsRand, v, scratch_.sig);
   }
   return v;
 }
 
-template <bool Recording, bool Parted>
+template <bool Recording>
 Step SimRuntime::env_now(Pid self) {
-  const Step now_step = Parted ? lp_by_pid_[self.index()]->clock : global_step_;
   if constexpr (Recording) {
-    SliceScratch& sc = Parted ? lp_by_pid_[self.index()]->scratch : scratch_;
     // Reading the clock makes the step depend on *every* other step (time
     // advances with each), so it is recorded as a global conflict.
-    sc.footprint.observed_clock = true;
-    obs_note(self, kObsNow, now_step, sc.sig);
+    scratch_.footprint.observed_clock = true;
+    obs_note(self, kObsNow, global_step_, scratch_.sig);
   } else {
     (void)self;
   }
-  return now_step;
+  return global_step_;
 }
 
 }  // namespace mm::runtime

@@ -117,10 +117,7 @@ class SimRuntime {
 
   /// Crash p at the next scheduling decision (dynamic injection).
   void crash_now(Pid p);
-  /// Cooperative stop flag, visible through Env::stop_requested(). In
-  /// partitioned mode a set from inside a process body reaches other
-  /// partitions at a racy real time — drive partitioned runs by fixed step
-  /// budgets instead when the trajectory must be reproducible.
+  /// Cooperative stop flag, visible through Env::stop_requested().
   void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
 
   // -- dynamic fault actuators (reactive injection; see fault_hook.hpp) ------
@@ -154,7 +151,7 @@ class SimRuntime {
     double dup_prob = 0.0;
     Step extra_delay_max = 0;
   };
-  void begin_link_burst(const LinkBurst& burst);
+  void begin_link_burst(const LinkBurst& burst) { burst_ = burst; }
 
   /// Revoke the §3 timeliness guarantee from now on: the timely process
   /// becomes an ordinary weighted pick (the adversary Theorem 5.2 forbids).
@@ -165,13 +162,6 @@ class SimRuntime {
   /// bit-identical to runs before this hook existed.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Partitioned mode only: install one reactive injector per logical
-  /// partition — K independent replicas of the same rules, fired on each
-  /// partition's local clock (see docs/RUNTIME.md "Partitioned execution"
-  /// for which rule shapes replicate faithfully). Non-owning; `injectors`
-  /// must be empty (detach) or have exactly partitions() entries.
-  void set_partition_fault_injectors(const std::vector<FaultInjector*>& injectors);
-
   [[nodiscard]] bool finished(Pid p) const;
   [[nodiscard]] bool crashed(Pid p) const;
   [[nodiscard]] bool all_done() const;
@@ -179,38 +169,14 @@ class SimRuntime {
   /// any. Call after a run to surface algorithm bugs in tests.
   void rethrow_process_error() const;
 
-  /// The current global step. From a FaultInjector hook in partitioned mode
-  /// this is the calling partition's local clock (each LP replays the rules
-  /// on its own timeline); everywhere else it is the single global counter.
-  /// The partitioned_ gate both skips the TLS read on the sequential hot
-  /// path (tl_part_.rt can only equal a partitioned runtime) and keeps
-  /// gcc's UBSan from hoisting the thread-local's null check above the
-  /// wrapper call in tight caller loops (a false positive at -O2).
-  [[nodiscard]] Step now() const noexcept {
-    if (partitioned_ && tl_part_.rt == this) [[unlikely]] return *tl_part_.clock;
-    return global_step_;
-  }
+  /// The current global step.
+  [[nodiscard]] Step now() const noexcept { return global_step_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
   /// The execution backend this runtime resolved to (config override, else
   /// the MM_SIM_BACKEND environment default).
   [[nodiscard]] SimBackend backend() const noexcept { return backend_; }
 
-  /// True when this runtime runs the partitioned (LP-sharded) schedule
-  /// contract — selected by SimConfig::partitions, else the advisory
-  /// MM_SIM_PARTITIONS environment default.
-  [[nodiscard]] bool partitioned() const noexcept { return partitioned_; }
-  /// Logical partitions actually in use — the graph-aware planner clamps the
-  /// request down to the GSM's component count. 0 when sequential.
-  [[nodiscard]] std::uint32_t partitions() const noexcept { return nparts_; }
-  /// pid → logical partition index (empty when sequential).
-  [[nodiscard]] const std::vector<std::uint32_t>& partition_of() const noexcept {
-    return part_of_;
-  }
-  /// Messages that crossed a partition boundary so far (0 when sequential).
-  /// Deliberately not a Metrics field: the count depends on the partition
-  /// plan, while Metrics must stay invariant in the partition count.
-  [[nodiscard]] std::uint64_t cross_partition_msgs() const noexcept { return cross_msgs_; }
   /// Register values indexed by RegId — i.e. in creation order, which is
   /// itself part of the deterministic trajectory. Differential-backend tests
   /// compare this table verbatim.
@@ -223,11 +189,9 @@ class SimRuntime {
   /// results a process published to a well-known key on ANY interleaving.
   [[nodiscard]] std::optional<std::uint64_t> register_value(RegKey key) const;
 
-  /// Mode-independent register dump: (key bits, value) for every
-  /// materialised register with a non-zero value, sorted by key bits. Works
-  /// in sequential and partitioned mode alike (the PartitionDiff tests
-  /// compare it verbatim); register_values() stays sequential-only because
-  /// RegId creation order is per-shard under partitioning.
+  /// Schedule-independent register dump: (key bits, value) for every
+  /// materialised register with a non-zero value, sorted by key bits — the
+  /// view state_hash() folds, free of register_values()'s RegId order.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> register_dump() const;
 
   /// Interleave at register-op granularity (default on; see header comment).
@@ -270,8 +234,7 @@ class SimRuntime {
   void set_footprint_recording(bool on);
   [[nodiscard]] bool footprint_recording() const noexcept { return record_footprints_; }
   /// Footprint of the most recently executed scheduler step. Valid while
-  /// recording is armed and at least one step has run (sequential mode only
-  /// — partitioned slices retire concurrently, one scratch per LP).
+  /// recording is armed and at least one step has run.
   [[nodiscard]] const StepFootprint& last_footprint() const noexcept {
     return scratch_.footprint;
   }
@@ -310,7 +273,6 @@ class SimRuntime {
       kMemFail,    ///< pid = host whose memory failed, a = recover step (0 = never)
       kMemRecover, ///< pid = host whose memory recovered
       kFault,      ///< fault rule fired: pid = context, a = action code, b = rule index
-      kHorizon,    ///< CMB horizon wait: pid = LP index, a = safe_until, b = scan rounds
     };
     Step step = 0;
     Pid pid;
@@ -327,14 +289,9 @@ class SimRuntime {
 
   /// Keep the last `capacity` events (0 disables tracing, the default unless
   /// SimConfig::trace_capacity armed it at construction). Storage is a fixed
-  /// ring: memory use is bounded by the capacity, never by run length. In
-  /// partitioned mode each LP records into its own ring of this capacity
-  /// (events on a shared ring would race); trace() merges them by step.
+  /// ring: memory use is bounded by the capacity, never by run length.
   void enable_trace(std::size_t capacity = 65'536);
   /// The retained events, oldest first (a copy — the live buffer is a ring).
-  /// Partitioned mode merges the per-LP rings into virtual-step order;
-  /// same-step process events come from exactly one LP so the order is
-  /// deterministic (wall-clock kHorizon events tie-break by LP index).
   [[nodiscard]] std::vector<TraceEvent> trace() const;
   /// Render the last `last_n` events, one per line (for failure triage):
   /// sim-time step deltas plus decoded per-kind payloads.
@@ -342,7 +299,7 @@ class SimRuntime {
 
   /// Instant trace event for a fault-rule firing (called by the fault
   /// engine so rule firings — including kGoByzantine — appear in exported
-  /// traces). Safe from LP context: routes to the calling LP's ring.
+  /// traces).
   void trace_fault(Pid context, std::uint64_t action, std::uint64_t rule);
 
   // -- sim-time observability (docs/RUNTIME.md "Observability") --------------
@@ -353,24 +310,12 @@ class SimRuntime {
   /// and trajectories are unchanged by arming (recording only observes).
   void set_observability(bool on) noexcept { record_obs_ = on; }
   [[nodiscard]] bool observability() const noexcept { return record_obs_; }
-  /// Merge every context's recorder into one report, bit-identical at any
-  /// partition count, backend, and MM_JOBS. Call between run chunks.
+  /// The report so far, bit-identical at any backend and MM_JOBS. Call
+  /// between run chunks.
   [[nodiscard]] ObsReport obs_report() const;
-
-  /// Arm wall-clock CMB stall profiling: horizon stall time, null-message
-  /// scan rounds, handoff-lock contention (sequential runs record nothing).
-  /// Wall-clock facts are K- and machine-dependent by nature, so they live
-  /// outside Metrics/ObsReport and never affect the trajectory.
-  void set_stall_profiling(bool on) noexcept { profile_stalls_ = on; }
-  [[nodiscard]] const StallProfile& stall_profile() const noexcept { return stall_profile_; }
 
  private:
   friend class SimEnv;
-
-  // Partitioned-engine state, defined in sim_partition_detail.hpp (only the
-  // runtime's own translation units see the definitions).
-  struct Lp;
-  struct PartitionState;
 
   enum class ProcState : std::uint8_t { kNew, kParked, kFinished, kCrashed };
 
@@ -462,52 +407,42 @@ class SimRuntime {
   /// the window — mirrors the thread runtime's check_memory_alive.
   void check_memory_alive(RegId r) const;
   /// Pop every message for `to` eligible at `now_step` straight into `out`
-  /// (delivery order), maintaining pending_head_. Parted routes the
-  /// delivered count (and trace/obs records) to the owner LP's context.
-  template <bool Parted, bool Obs>
+  /// (delivery order), maintaining pending_head_.
+  template <bool Obs>
   void drain_pending(Pid to, Step now_step, std::vector<Message>& out);
   /// Apply the partition hold rule to a tentative delivery step; re-draws
   /// the post-window delay from `rng` (the link stream for originals, the
   /// fault stream for injected duplicates).
   [[nodiscard]] Step partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng);
   void enqueue_message(Pid to, Step deliver_at, Message m);
-  /// Partitioned enqueue: local destinations go straight into pending_,
-  /// remote ones through the destination LP's mutex-protected inbox. `seq`
-  /// is sender-assigned ((step << 16) | slice send index — globally unique
-  /// because exactly one process executes per virtual step).
-  void parted_enqueue(Lp& lp, Pid to, Step deliver_at, std::uint64_t seq, Message m);
 
   // Env backends (called from the running process thread; serialized by the
-  // semaphore handoff — in partitioned mode by the per-partition handoff —
-  // so no locking is needed). Templated on the recording policy, the
-  // partitioned engine, and (for the channel/register calls) the
-  // observability policy: the <false, false, false> instantiations — the
-  // sequential uninstrumented hot path — contain no footprint/observation
-  // code, no partition bookkeeping, and no histogram feeds at all (compiled
+  // handoff, so no locking is needed). Templated on the recording policy
+  // and (for the drain and register calls) the observability policy: the
+  // <false, false> instantiations — the uninstrumented hot path — contain
+  // no footprint/observation code and no histogram feeds at all (compiled
   // out, not branched around).
-  template <bool Recording, bool Parted, bool Obs>
+  template <bool Recording>
   void env_send(Pid from, Pid to, Message m);
-  template <bool Recording, bool Parted, bool Obs>
+  template <bool Recording, bool Obs>
   void env_drain(Pid self, std::vector<Message>& out);
   RegId env_reg(Pid self, RegKey key);
-  template <bool Recording, bool Parted, bool Obs>
+  template <bool Recording, bool Obs>
   std::uint64_t env_read(Pid self, RegId r);
-  template <bool Recording, bool Parted, bool Obs>
+  template <bool Recording, bool Obs>
   void env_write(Pid self, RegId r, std::uint64_t v);
-  template <bool Recording, bool Parted, bool Obs>
+  template <bool Recording, bool Obs>
   std::uint64_t env_cas(Pid self, RegId r, std::uint64_t expected, std::uint64_t desired);
   void env_step(Pid self);
-  template <bool Recording, bool Parted>
+  template <bool Recording>
   bool env_coin(Pid self);
-  template <bool Recording, bool Parted>
+  template <bool Recording>
   std::uint64_t env_rand_below(Pid self, std::uint64_t bound);
-  template <bool Recording, bool Parted>
+  template <bool Recording>
   Step env_now(Pid self);
   void maybe_auto_step(Pid self);
 
-  /// Scratch for the recording state of the slice in flight. Sequential
-  /// mode uses the single scratch_ below; each partition LP carries its own
-  /// so footprint recording composes with concurrent slices.
+  /// Scratch for the recording state of the slice in flight.
   struct SliceScratch {
     StepFootprint footprint;   ///< footprint of the slice in flight / just retired
     std::uint64_t sig = 0;     ///< observation signature of the slice in flight
@@ -518,8 +453,8 @@ class SimRuntime {
   /// hash and into the slice signature `sig` (for idle-slice collapse).
   void obs_note(Pid self, std::uint64_t tag, std::uint64_t value, std::uint64_t& sig);
   /// Slice lifecycle around ProcExec::resume() while recording is armed.
-  void begin_slice(std::size_t pick, SliceScratch& sc);
-  void end_slice(std::size_t pick, SliceScratch& sc);
+  void begin_slice(std::size_t pick);
+  void end_slice(std::size_t pick);
   /// Hot-path tracing hook: a branch-predictable no-op unless enable_trace
   /// armed it (the capacity check inlines; the ring push stays out of line).
   void trace_event(Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0, std::uint64_t b = 0,
@@ -531,17 +466,6 @@ class SimRuntime {
   }
   void trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t a, std::uint64_t b,
                         std::uint64_t seq);
-  /// Partitioned-mode tracing hook: records into `lp`'s private ring with
-  /// lp's local clock as the step (the shared ring would race).
-  void trace_event_lp(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0,
-                      std::uint64_t b = 0, std::uint64_t seq = 0) {
-    if (trace_capacity_ == 0) [[likely]] {
-      return;
-    }
-    trace_event_lp_slow(lp, pid, kind, a, b, seq);
-  }
-  void trace_event_lp_slow(Lp& lp, Pid pid, TraceEvent::Kind kind, std::uint64_t a,
-                           std::uint64_t b, std::uint64_t seq);
 
   SimConfig config_;
   SimBackend backend_;
@@ -625,19 +549,14 @@ class SimRuntime {
   std::vector<TraceEvent> trace_buf_;
   std::size_t trace_head_ = 0;
 
-  // Sim-time observability (set_observability): the sequential-mode
-  // recorder; per-LP recorders live in Lp and are merged into this one after
-  // each partitioned chunk. Wall-clock stall counters are accumulated the
-  // same way (per-LP, merged post-chunk).
+  // Sim-time observability (set_observability).
   bool record_obs_ = false;
   ObsRecorder obs_;
-  bool profile_stalls_ = false;
-  StallProfile stall_profile_;
 
   // Footprint / observation recording (see the model-checker hooks above).
   bool record_footprints_ = false;
   bool idle_collapse_ = false;
-  SliceScratch scratch_;                 ///< sequential-mode slice scratch
+  SliceScratch scratch_;                 ///< the slice in flight
   std::vector<std::uint64_t> obs_hash_;  ///< per-process rolling observation hash
   // Idle-spin collapse state (set_idle_slice_collapse): per process, a ring
   // of the last kIdleRing effect-free slice signatures and post-slice
@@ -655,45 +574,6 @@ class SimRuntime {
   std::vector<std::uint32_t> idle_streak_;     ///< consecutive effect-free slices
 
   Metrics metrics_;
-
-  // -- partitioned engine (docs/RUNTIME.md "Partitioned execution") ----------
-  // K logical partitions (LPs) advance concurrently under Chandy–Misra–Bryant
-  // conservative synchronization: the link delay lower bound is the
-  // lookahead, each LP publishes its clock atomically (the null-message
-  // broadcast), and a cross-partition send travels through the destination
-  // LP's mutex-protected inbox. The trajectory is a pure function of the
-  // seed, invariant in K and MM_JOBS — but it is its OWN schedule contract,
-  // not the sequential one. All heavyweight state lives behind part_ (defined
-  // in sim_partition_detail.hpp) so sequential runtimes pay one null pointer.
-  /// Set while a thread executes inside lp_run, so now() and the dynamic
-  /// actuators resolve to the calling LP's local timeline (FaultEngine
-  /// replicas fire on it). rt discriminates nested runtimes on one thread.
-  struct PartCtx {
-    const SimRuntime* rt = nullptr;
-    const Step* clock = nullptr;
-    Lp* lp = nullptr;  ///< lets actuators filter to the calling LP's pids
-  };
-  static thread_local PartCtx tl_part_;
-
-  void init_partitions();      ///< ctor tail: resolve K, build/validate plan
-  void start_partitioned();    ///< start() tail: LPs, shards, per-pid streams
-  Step run_partitioned(Step k);
-  void lp_run(Lp& lp, Step target);
-  void wait_horizon(Lp& lp, Step t) noexcept;
-  void drain_handoff(Lp& lp);
-  /// One process finished (crash=false, during step t) or crashed (crash=
-  /// true, at the step-t boundary) under the partitioned engine.
-  void mark_done_parted(Step t, bool crash);
-  RegId parted_reg(Pid self, RegKey key);
-  void parted_check_access(Pid accessor, RegId r) const;
-  void parted_check_memory_alive(RegId r, Step now_step) const;
-
-  bool partitioned_ = false;
-  std::uint32_t nparts_ = 0;
-  std::vector<std::uint32_t> part_of_;  ///< pid → LP index
-  std::vector<Lp*> lp_by_pid_;          ///< owner LP per pid (stable; set in start)
-  std::uint64_t cross_msgs_ = 0;        ///< merged after each run chunk
-  std::unique_ptr<PartitionState> part_;
 };
 
 }  // namespace mm::runtime

@@ -46,11 +46,16 @@ RegId ThreadEnv::reg(RegKey key) {
     const std::scoped_lock lock{rt_->reg_mutex_};
     auto it = rt_->reg_index_.find(key);
     if (it == rt_->reg_index_.end()) {
-      const auto idx = static_cast<std::uint32_t>(rt_->reg_values_.size());
-      rt_->reg_values_.emplace_back(0);
-      rt_->reg_owner_.push_back(key.owner());
-      rt_->reg_global_.push_back(key.is_global());
-      rt_->reg_keys_.push_back(key);
+      const auto idx = static_cast<std::uint32_t>(rt_->reg_index_.size());
+      MM_ASSERT_MSG(idx >> ThreadRuntime::kRegChunkBits < ThreadRuntime::kRegChunks,
+                    "ThreadRuntime register table full");
+      constexpr std::uint32_t kChunkSlots = 1u << ThreadRuntime::kRegChunkBits;
+      auto& chunk = rt_->reg_chunks_[idx >> ThreadRuntime::kRegChunkBits];
+      if (!chunk) chunk = std::make_unique<ThreadRuntime::RegSlot[]>(kChunkSlots);
+      ThreadRuntime::RegSlot& s = rt_->slot(RegId{idx});
+      s.owner = key.owner();
+      s.global = key.is_global();
+      s.key = key;
       it = rt_->reg_index_.emplace(key, idx).first;
     }
     const RegId r{it->second};
@@ -64,36 +69,36 @@ std::uint64_t ThreadEnv::read(RegId r) {
   rt_->counters_.reg_reads.fetch_add(1, std::memory_order_relaxed);
   auto& pc = *rt_->per_proc_[self_.index()];
   pc.reads.fetch_add(1, std::memory_order_relaxed);
-  if (rt_->reg_owner_[r.index()] == self_) {
+  if (rt_->slot(r).owner == self_) {
     rt_->counters_.reg_reads_local.fetch_add(1, std::memory_order_relaxed);
   } else {
     pc.remote_reads.fetch_add(1, std::memory_order_relaxed);
   }
-  return rt_->slot(r).load(std::memory_order_seq_cst);
+  return rt_->slot(r).value.load(std::memory_order_seq_cst);
 }
 
 void ThreadEnv::write(RegId r, std::uint64_t v) {
-  if (rt_->byz_ != nullptr) rt_->byz_->on_byz_reg_write(self_, rt_->reg_keys_[r.index()], v);
+  if (rt_->byz_ != nullptr) rt_->byz_->on_byz_reg_write(self_, rt_->slot(r).key, v);
   rt_->check_memory_alive(r);
   rt_->counters_.reg_writes.fetch_add(1, std::memory_order_relaxed);
   auto& pc = *rt_->per_proc_[self_.index()];
   pc.writes.fetch_add(1, std::memory_order_relaxed);
-  if (rt_->reg_owner_[r.index()] == self_) {
+  if (rt_->slot(r).owner == self_) {
     rt_->counters_.reg_writes_local.fetch_add(1, std::memory_order_relaxed);
   } else {
     pc.remote_writes.fetch_add(1, std::memory_order_relaxed);
   }
-  rt_->slot(r).store(v, std::memory_order_seq_cst);
+  rt_->slot(r).value.store(v, std::memory_order_seq_cst);
 }
 
 std::uint64_t ThreadEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired) {
-  if (rt_->byz_ != nullptr) rt_->byz_->on_byz_reg_write(self_, rt_->reg_keys_[r.index()], desired);
+  if (rt_->byz_ != nullptr) rt_->byz_->on_byz_reg_write(self_, rt_->slot(r).key, desired);
   rt_->check_memory_alive(r);
   rt_->counters_.reg_cas_ops.fetch_add(1, std::memory_order_relaxed);
-  if (rt_->reg_owner_[r.index()] == self_)
+  if (rt_->slot(r).owner == self_)
     rt_->counters_.reg_cas_local.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t e = expected;
-  rt_->slot(r).compare_exchange_strong(e, desired, std::memory_order_seq_cst);
+  rt_->slot(r).value.compare_exchange_strong(e, desired, std::memory_order_seq_cst);
   return e;  // compare_exchange leaves the observed value in e
 }
 
@@ -194,26 +199,21 @@ void ThreadRuntime::fail_memory(Pid host) {
 }
 
 void ThreadRuntime::check_memory_alive(RegId r) const {
-  const Pid owner = reg_owner_[r.index()];
-  if (!reg_global_[r.index()] &&
-      memory_failed_[owner.index()]->load(std::memory_order_acquire)) {
-    throw MemoryFailure{"memory hosted at " + to_string(owner) + " has failed"};
+  const RegSlot& s = slot(r);
+  if (!s.global && memory_failed_[s.owner.index()]->load(std::memory_order_acquire)) {
+    throw MemoryFailure{"memory hosted at " + to_string(s.owner) + " has failed"};
   }
 }
 
 void ThreadRuntime::check_register_access(Pid accessor, RegId r) const {
-  // Called with reg_mutex_ held (creation path); ownership vectors are
-  // immutable afterwards.
-  if (reg_global_[r.index()] || accessor == reg_owner_[r.index()]) return;
-  if (!config_.gsm.has_edge(accessor, reg_owner_[r.index()])) {
+  // Called with reg_mutex_ held (creation path); slots are immutable apart
+  // from their value afterwards.
+  const RegSlot& s = slot(r);
+  if (s.global || accessor == s.owner) return;
+  if (!config_.gsm.has_edge(accessor, s.owner)) {
     throw ModelViolation{to_string(accessor) + " accessed register owned by " +
-                         to_string(reg_owner_[r.index()]) +
-                         " outside its shared-memory domain"};
+                         to_string(s.owner) + " outside its shared-memory domain"};
   }
-}
-
-std::atomic<std::uint64_t>& ThreadRuntime::slot(RegId r) const {
-  return reg_values_[r.index()];
 }
 
 Metrics ThreadRuntime::metrics_snapshot() const {

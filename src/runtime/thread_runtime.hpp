@@ -5,9 +5,9 @@
 // examples that want wall-clock behaviour.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -133,9 +133,22 @@ class ThreadRuntime {
     std::atomic<std::uint64_t> remote_reads{0}, remote_writes{0};
   };
 
+  /// One register: its value plus the creation-time facts the access
+  /// checks and interposer hooks read.
+  struct RegSlot {
+    std::atomic<std::uint64_t> value{0};
+    Pid owner;
+    bool global = false;
+    RegKey key;
+  };
+  static constexpr std::uint32_t kRegChunkBits = 12;  ///< 4096 slots per chunk
+  static constexpr std::uint32_t kRegChunks = 1024;   ///< up to 4M registers
+
   void check_register_access(Pid accessor, RegId r) const;
   void check_memory_alive(RegId r) const;
-  std::atomic<std::uint64_t>& slot(RegId r) const;
+  RegSlot& slot(RegId r) const {
+    return reg_chunks_[r.index() >> kRegChunkBits][r.index() & ((1u << kRegChunkBits) - 1)];
+  }
 
   Config config_;
   std::vector<std::unique_ptr<Proc>> procs_;
@@ -143,14 +156,16 @@ class ThreadRuntime {
   std::atomic<bool> stop_{false};
   std::atomic<Step> clock_{0};
 
-  // Register table: creation is rare and mutex-guarded; the deque keeps
-  // element addresses stable so reads/writes go lock-free to the atomic.
+  // Register table: creation is rare and mutex-guarded; reads, writes and
+  // CASes go lock-free to the slot. Slots live in fixed-size chunks under a
+  // fixed directory, so creating a register never moves a slot, or the
+  // directory entry, that another thread is reading — a growing vector or
+  // deque would, racing every concurrent access. A process only uses a
+  // RegId that reg() returned under reg_mutex_, which orders the slot's
+  // creation before its lock-free use.
   mutable std::mutex reg_mutex_;
   std::unordered_map<RegKey, std::uint32_t> reg_index_;
-  mutable std::deque<std::atomic<std::uint64_t>> reg_values_;
-  std::vector<Pid> reg_owner_;
-  std::vector<bool> reg_global_;
-  std::deque<RegKey> reg_keys_;  ///< creation-order keys, for interposer hooks
+  std::array<std::unique_ptr<RegSlot[]>, kRegChunks> reg_chunks_;
 
   ByzInterposer* byz_ = nullptr;
 

@@ -1,12 +1,11 @@
 // Coverage-focused tests for paths the main suites exercise only
-// incidentally: Env helpers, logging, metrics deltas, runtime corner cases,
+// incidentally: Env helpers, metrics deltas, runtime corner cases,
 // and the paper algorithms under the REAL-thread runtime.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 
-#include "common/log.hpp"
 #include "core/hbo.hpp"
 #include "core/omega.hpp"
 #include "core/tags.hpp"
@@ -70,21 +69,6 @@ TEST(EnvHelpers, ReadWriteKeyRoundTrip) {
   });
   rt.run_until_all_done(1'000);
   rt.rethrow_process_error();
-}
-
-// ---------------------------------------------------------------------------
-// Logging
-// ---------------------------------------------------------------------------
-
-TEST(Log, LevelGatesOutput) {
-  // No crash / no output assertions possible portably; exercise the paths.
-  set_log_level(LogLevel::kOff);
-  log(LogLevel::kError, "suppressed ", 42);
-  set_log_level(LogLevel::kDebug);
-  log(LogLevel::kDebug, std::string{"visible "}, 7);
-  log(LogLevel::kTrace, "still suppressed");
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(LogLevel::kOff);
 }
 
 // ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
       }
     });
   }
-  rt.set_observability(true);  // recording path: histograms + event lists fill
+  rt.set_observability(true);  // recording path: the histograms fill
   rt.run_steps(20'000);
   EXPECT_GT(rt.obs_report().delivery_latency.total(), 0u);
   rt.set_observability(false);

@@ -1,17 +1,13 @@
 // Observability-layer tests: LogHistogram exactness, trace-ring wraparound,
-// and the K-grid identity of ObsReport (docs/RUNTIME.md "Observability").
+// and the backend identity of ObsReport (docs/RUNTIME.md "Observability").
 //
 // The contract under test mirrors Metrics: everything in an ObsReport is a
-// pure function of the (seed, config) trajectory, so every cell of a
-// {partitions} × {backends} × {MM_JOBS} grid must reproduce the K = 1
-// baseline report bit-for-bit. Wall-clock facts (StallProfile) are
-// deliberately exempt and only smoke-checked.
+// pure function of the (seed, config) trajectory, so both execution
+// backends must produce the same report bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -128,19 +124,18 @@ TEST(TraceRing, WraparoundKeepsExactlyTheLastCapacityEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// K-grid identity of ObsReport
+// Backend identity of ObsReport
 // ---------------------------------------------------------------------------
 
-/// n = 8 in four disjoint GSM pairs, ring messaging plus cross-pair register
-/// traffic and a fault schedule — the same shape as the PartitionDiff grid,
-/// with observability armed.
+/// n = 8 in four disjoint GSM pairs, ring messaging plus partner-register
+/// traffic and a link-burst fault schedule, with observability armed.
 struct ObsCell {
   ObsReport report;
   std::uint64_t cas_local = 0;
   std::uint64_t cas_total = 0;
 };
 
-ObsCell run_obs_cell(std::uint32_t k, SimBackend backend, std::uint64_t seed) {
+ObsCell run_obs_cell(SimBackend backend, std::uint64_t seed) {
   constexpr std::uint32_t kN = 8;
   constexpr int kIters = 80;
   graph::Graph g{kN};
@@ -151,7 +146,6 @@ ObsCell run_obs_cell(std::uint32_t k, SimBackend backend, std::uint64_t seed) {
   cfg.backend = backend;
   cfg.min_delay = 2;
   cfg.max_delay = 9;
-  cfg.partitions = k;
   SimRuntime rt{cfg};
   rt.set_observability(true);
   for (std::uint32_t p = 0; p < kN; ++p) {
@@ -186,14 +180,8 @@ ObsCell run_obs_cell(std::uint32_t k, SimBackend backend, std::uint64_t seed) {
   burst.drop_prob = 0.25;
   burst.dup_prob = 0.25;
   burst.extra_delay = 4;
-  std::vector<std::unique_ptr<fault::FaultEngine>> engines;
-  std::vector<FaultInjector*> raw;
-  for (std::uint32_t q = 0; q < rt.partitions(); ++q) {
-    engines.push_back(
-        std::make_unique<fault::FaultEngine>(std::vector<fault::FaultRule>{burst}));
-    raw.push_back(engines.back().get());
-  }
-  rt.set_partition_fault_injectors(raw);
+  fault::FaultEngine engine{std::vector<fault::FaultRule>{burst}};
+  rt.set_fault_injector(&engine);
   EXPECT_TRUE(rt.run_until_all_done(200'000));
   ObsCell out;
   out.report = rt.obs_report();
@@ -202,39 +190,35 @@ ObsCell run_obs_cell(std::uint32_t k, SimBackend backend, std::uint64_t seed) {
   return out;
 }
 
-TEST(ObsGrid, ReportInvariantInPartitionCountBackendAndJobs) {
-  const ObsCell base = run_obs_cell(1, SimBackend::kCoroutine, 42);
-  // The baseline must be non-trivial or the grid equality is vacuous.
+TEST(ObsGrid, ReportInvariantInBackend) {
+  const ObsCell base = run_obs_cell(SimBackend::kCoroutine, 42);
+  // The baseline must be non-trivial or the backend equality is vacuous.
   EXPECT_GT(base.report.delivery_latency.total(), 0u);
   EXPECT_GT(base.report.inbox_depth.total(), 0u);
   EXPECT_GT(base.report.pending_depth.total(), 0u);
   EXPECT_GT(base.report.reg_contention.total(), 0u);
+  // Pending depth is the destination heap's size at each delivering drain.
+  // Pinned to the in-flight depth that replaying this cell's every enqueue
+  // (+1) and delivering drain (−count) in step order yields: the burst's
+  // drops and duplicates must not skew the heap against that count.
+  const LogHistogram& pending = base.report.pending_depth;
+  EXPECT_EQ(pending.total(), 475u);
+  EXPECT_EQ(pending.min(), 1u);
+  EXPECT_EQ(pending.percentile(0.50), 2u);
+  EXPECT_EQ(pending.percentile(0.90), 3u);
+  EXPECT_EQ(pending.max(), 5u);
   // The §5.3 locality split: every process CASes its own register once and
   // its partner's once per iteration, so exactly half the CAS traffic is
   // owner-local.
   EXPECT_GT(base.cas_local, 0u);
   EXPECT_EQ(base.cas_local * 2, base.cas_total);
 
-  const char* old = std::getenv("MM_JOBS");
-  const std::string saved = old != nullptr ? old : "";
-  for (const char* jobs : {"1", "4"}) {
-    ::setenv("MM_JOBS", jobs, 1);
-    for (const SimBackend backend : {SimBackend::kCoroutine, SimBackend::kThread}) {
-      for (const std::uint32_t k : {1u, 2u, 4u}) {
-        const ObsCell got = run_obs_cell(k, backend, 42);
-        EXPECT_EQ(got.report, base.report)
-            << "partitions=" << k << " jobs=" << jobs
-            << " backend=" << (backend == SimBackend::kThread ? "thread" : "coroutine");
-        EXPECT_EQ(got.cas_local, base.cas_local);
-      }
-    }
-  }
-  if (old != nullptr) ::setenv("MM_JOBS", saved.c_str(), 1);
-  else ::unsetenv("MM_JOBS");
+  const ObsCell thread = run_obs_cell(SimBackend::kThread, 42);
+  EXPECT_EQ(thread.report, base.report);
+  EXPECT_EQ(thread.cas_local, base.cas_local);
 
-  // A different seed must move the histograms (same vacuity guard as the
-  // PartitionDiff suite).
-  const ObsCell other = run_obs_cell(4, SimBackend::kCoroutine, 43);
+  // A different seed must move the histograms (same vacuity guard).
+  const ObsCell other = run_obs_cell(SimBackend::kCoroutine, 43);
   EXPECT_FALSE(other.report == base.report);
 }
 

@@ -420,6 +420,63 @@ TEST(SimRuntime, RunStepsReturnsExecutedCount) {
   EXPECT_EQ(rt.run_steps(10), 0u);  // nothing left to schedule
 }
 
+TEST(SimRuntime, ChunkedRunsMatchOneShotRuns) {
+  // Chunk boundaries are invisible: uneven run_steps calls reproduce one
+  // run_steps call of the same total, on the general step path (footprint
+  // recording armed) and on the fast path alike. The budget ends mid-run,
+  // so a chunk that runs one step too many or too few shows, and the crash
+  // plan fires exactly at a chunk boundary (step 31 = 7 + 1 + 23).
+  struct Result {
+    std::vector<std::uint64_t> sums;
+    std::vector<std::uint64_t> steps_by_proc;
+    std::uint64_t delivered = 0;
+    Step final_step = 0;
+    StateHash hash{};
+    bool operator==(const Result&) const = default;
+  };
+  auto run = [](bool chunked, bool recording) {
+    constexpr std::uint32_t kN = 6;
+    SimConfig cfg = base_config(kN, 9);
+    cfg.crash_at.assign(kN, std::nullopt);
+    cfg.crash_at[4] = 31;
+    SimRuntime rt{cfg};
+    rt.set_footprint_recording(recording);
+    std::vector<std::uint64_t> sums(kN, 0);
+    for (std::uint32_t p = 0; p < kN; ++p) {
+      rt.add_process([&sums, p](Env& env) {
+        std::vector<Message> drained;
+        for (int i = 0; i < 200; ++i) {
+          Message m;
+          m.kind = 3;
+          m.value = p * 1000u + static_cast<std::uint64_t>(i);
+          env.send(Pid{(p + 1) % kN}, m);
+          env.drain_inbox(drained);
+          for (const Message& r : drained) sums[p] = sums[p] * 31 + r.value + env.now();
+          env.step();
+        }
+      });
+    }
+    if (chunked) {
+      for (const Step c : {7u, 1u, 23u, 120u, 400u}) rt.run_steps(c);
+    } else {
+      rt.run_steps(551);
+    }
+    Result out;
+    out.sums = sums;
+    out.steps_by_proc = rt.metrics().steps_by_proc;
+    out.delivered = rt.metrics().msgs_delivered;
+    out.final_step = rt.now();
+    if (recording) out.hash = rt.state_hash();
+    return out;
+  };
+  for (const bool recording : {true, false}) {
+    const Result one_shot = run(false, recording);
+    EXPECT_EQ(one_shot.final_step, 551u);  // still running when the budget ends
+    EXPECT_GT(one_shot.delivered, 0u);
+    EXPECT_EQ(run(true, recording), one_shot) << "recording=" << recording;
+  }
+}
+
 TEST(SimRuntime, StopRequestedVisible) {
   SimRuntime rt{base_config(1, 21)};
   bool observed = false;

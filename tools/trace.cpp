@@ -1,33 +1,30 @@
 // tools/trace — record, export, and summarize deterministic run traces.
 //
 // Subcommands (all run the same built-in scenario unless --from is given):
-//   trace record    [--seed S] [--partitions K] [--iters N] [--out FILE]
-//     Run the scenario with tracing + observability + stall profiling armed
-//     and write the raw "mm-trace-1" recording (events, histograms, stall
-//     breakdown, metrics) to FILE (default trace-recording.json).
+//   trace record    [--seed S] [--iters N] [--out FILE]
+//     Run the scenario with tracing + observability armed and write the raw
+//     "mm-trace-1" recording (events, histograms, metrics) to FILE (default
+//     trace-recording.json).
 //
-//   trace export    [--from FILE | --seed S --partitions K --iters N]
-//                   [--out FILE]
+//   trace export    [--from FILE | --seed S --iters N] [--out FILE]
 //     Produce Chrome trace-event JSON (load it in Perfetto / ui.perfetto.dev
 //     or chrome://tracing): per-process tracks with dur-1 step slices,
-//     send→deliver flow arrows paired by message seq, instant events for
-//     crashes / drops / memory windows / fault-rule firings, and a CMB
-//     track per LP showing horizon waits. Default output trace-chrome.json.
+//     send→deliver flow arrows paired by message seq, and instant events for
+//     crashes / drops / memory windows / fault-rule firings. Default output
+//     trace-chrome.json.
 //
-//   trace summarize [--from FILE | --seed S --partitions K --iters N]
-//     Print the sim-time histograms, the CMB stall breakdown, the metrics
-//     subset, and (live runs only) the decoded tail of the event ring.
+//   trace summarize [--from FILE | --seed S --iters N]
+//     Print the sim-time histograms, the metrics subset, and (live runs
+//     only) the decoded tail of the event ring.
 //
-// The built-in scenario is a partitioned chaos run: n = 8 processes in four
-// disjoint shared-memory pairs (so K in {1,2,4} is a legal split), a message
-// ring over all eight, register traffic on both ends of each pair, and a
-// fault schedule (link burst, crash, memory window) replayed by one
-// FaultEngine replica per partition. Recording is a pure function of
-// (--seed, --partitions never changes the trajectory — only the CMB tracks).
+// The built-in scenario is a chaos run: n = 8 processes in four disjoint
+// shared-memory pairs, a message ring over all eight, register traffic on
+// both ends of each pair, and a fault schedule (link burst, crash, memory
+// window) replayed by one FaultEngine. A recording is a pure function of
+// (--seed, --iters): two records with the same flags are byte-identical.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,23 +44,21 @@ using runtime::SimRuntime;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: trace record    [--seed S] [--partitions K] [--iters N] [--out FILE]\n"
-               "       trace export    [--from FILE] [--seed S] [--partitions K]\n"
-               "                       [--iters N] [--out FILE]\n"
-               "       trace summarize [--from FILE] [--seed S] [--partitions K] [--iters N]\n");
+               "usage: trace record    [--seed S] [--iters N] [--out FILE]\n"
+               "       trace export    [--from FILE] [--seed S] [--iters N] [--out FILE]\n"
+               "       trace summarize [--from FILE] [--seed S] [--iters N]\n");
   return 2;
 }
 
 struct Options {
   std::uint64_t seed = 1;
-  std::uint32_t partitions = 4;
   int iters = 200;
   std::string out;
   std::string from;
 };
 
-/// n = 8, GSM = four disjoint pairs {2i, 2i+1}: every K in {1, 2, 4} is a
-/// legal component-level split, while the message ring spans all eight.
+/// n = 8, GSM = four disjoint pairs {2i, 2i+1}: register traffic stays
+/// inside each pair, while the message ring spans all eight.
 graph::Graph paired_gsm(std::size_t n) {
   graph::Graph g{n};
   for (std::uint32_t i = 0; i + 1 < n; i += 2) g.add_edge(Pid{i}, Pid{i + 1});
@@ -102,11 +97,9 @@ Json run_scenario(const Options& opt) {
   cfg.seed = opt.seed;
   cfg.min_delay = 2;
   cfg.max_delay = 9;
-  cfg.partitions = opt.partitions;
   cfg.trace_capacity = 65'536;
   SimRuntime rt{cfg};
   rt.set_observability(true);
-  rt.set_stall_profiling(true);
 
   const int iters = opt.iters;
   for (std::uint32_t p = 0; p < kN; ++p) {
@@ -134,16 +127,8 @@ Json run_scenario(const Options& opt) {
     });
   }
 
-  // One FaultEngine replica per partition: each replays the same schedule on
-  // its own LP timeline; the owner filters apply every effect exactly once.
-  const std::vector<fault::FaultRule> rules = chaos_schedule();
-  std::vector<std::unique_ptr<fault::FaultEngine>> engines;
-  std::vector<runtime::FaultInjector*> raw;
-  for (std::uint32_t q = 0; q < rt.partitions(); ++q) {
-    engines.push_back(std::make_unique<fault::FaultEngine>(rules));
-    raw.push_back(engines.back().get());
-  }
-  rt.set_partition_fault_injectors(raw);
+  fault::FaultEngine engine{chaos_schedule()};
+  rt.set_fault_injector(&engine);
 
   if (!rt.run_until_all_done(500'000)) {
     std::fprintf(stderr, "trace: scenario did not finish within its budget\n");
@@ -187,18 +172,12 @@ void print_histogram(const char* name, const Json& h) {
 
 int cmd_summarize(const Options& opt) {
   const Json doc = load_or_run(opt);
-  std::printf("mm-trace: n=%llu partitions=%llu final_step=%llu events=%zu\n",
+  std::printf("mm-trace: n=%llu final_step=%llu events=%zu\n",
               static_cast<unsigned long long>(doc.at("n").as_u64()),
-              static_cast<unsigned long long>(doc.at("partitions").as_u64()),
               static_cast<unsigned long long>(doc.at("final_step").as_u64()),
               doc.at("events").as_array().size());
   std::printf("sim-time histograms (virtual steps / counts):\n");
   for (const auto& [name, h] : doc.at("obs").as_object()) print_histogram(name.c_str(), h);
-  const Json& s = doc.at("stalls");
-  std::printf("CMB stall breakdown (wall clock):\n");
-  for (const auto& [name, v] : s.as_object())
-    std::printf("  %-18s %llu\n", name.c_str(),
-                static_cast<unsigned long long>(v.as_u64()));
   const Json& m = doc.at("metrics");
   std::printf("metrics:");
   for (const auto& [name, v] : m.as_object())
@@ -222,9 +201,7 @@ int cmd_export(const Options& opt) {
   const std::string out = opt.out.empty() ? "trace-chrome.json" : opt.out;
   const Json doc = load_or_run(opt);
   const auto events = obs::trace_events_from_json(doc.at("events"));
-  const Json chrome = obs::chrome_trace(
-      events, doc.at("n").as_u64(),
-      static_cast<std::uint32_t>(doc.at("partitions").as_u64()));
+  const Json chrome = obs::chrome_trace(events, doc.at("n").as_u64());
   write_file(out, chrome.dump() + "\n");
   std::printf("wrote %s (%zu trace events) — load it at ui.perfetto.dev\n", out.c_str(),
               chrome.at("traceEvents").as_array().size());
@@ -245,7 +222,6 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (a == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
-      else if (a == "--partitions") opt.partitions = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
       else if (a == "--iters") opt.iters = std::atoi(next());
       else if (a == "--out") opt.out = next();
       else if (a == "--from") opt.from = next();
