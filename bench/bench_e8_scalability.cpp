@@ -9,7 +9,7 @@
 // Part B (real threads): the same HBO objects under ThreadRuntime, showing
 // the algorithm is runtime-agnostic and the wall time at real concurrency.
 //
-// Part C (simulator, coroutine backend): one run at n = 10^6 processes on
+// Part C (simulator): one run at n = 10^6 fiber processes on
 // pooled guardless stacks — the fiber-population scale a per-process OS
 // thread (or a per-fiber guarded mapping, which costs two VMAs against
 // vm.max_map_count) cannot reach. Override n with MM_E8_N.
@@ -77,7 +77,6 @@ int million_fiber_run(std::size_t n) {
   runtime::SimConfig cfg;
   cfg.gsm = graph::edgeless(n);
   cfg.seed = 8;
-  cfg.backend = runtime::SimBackend::kCoroutine;
   cfg.fiber_stack_bytes = 32 * 1024;
   cfg.pooled_fiber_stacks = true;
   runtime::SimRuntime rt{cfg};
@@ -185,8 +184,8 @@ int main() {
 
   std::size_t big_n = 1'000'000;
   if (const char* env_n = std::getenv("MM_E8_N")) big_n = std::strtoull(env_n, nullptr, 10);
-  std::printf("\nPart C: one run at n=%zu fiber processes (coroutine backend,\n"
-              "pooled 32 KiB guardless stacks; override n with MM_E8_N)\n",
+  std::printf("\nPart C: one run at n=%zu fiber processes (pooled 32 KiB\n"
+              "guardless stacks; override n with MM_E8_N)\n",
               big_n);
   return million_fiber_run(big_n);
 }

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +28,6 @@
 #include "exec/jobs.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
-#include "runtime/exec_backend.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "shm/adopt_commit.hpp"
@@ -39,8 +37,7 @@ namespace {
 
 using namespace mm;
 
-// One scheduler handoff round-trip: the simulator's unit cost (default
-// backend — coroutine unless MM_SIM_BACKEND says otherwise).
+// One scheduler handoff round-trip: the simulator's unit cost.
 void BM_SimStep(benchmark::State& state) {
   runtime::SimConfig cfg;
   cfg.gsm = graph::complete(1);
@@ -51,28 +48,11 @@ void BM_SimStep(benchmark::State& state) {
   rt.start();
   for (auto _ : state) rt.run_steps(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(to_string(rt.backend()));
 }
 BENCHMARK(BM_SimStep);
 
-// Same round-trip on the reference thread backend (two semaphore handoffs
-// across OS threads) — the cost the coroutine backend eliminates.
-void BM_SimStepThread(benchmark::State& state) {
-  runtime::SimConfig cfg;
-  cfg.gsm = graph::complete(1);
-  cfg.backend = runtime::SimBackend::kThread;
-  runtime::SimRuntime rt{cfg};
-  rt.add_process([](runtime::Env& env) {
-    for (;;) env.step();
-  });
-  rt.start();
-  for (auto _ : state) rt.run_steps(1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SimStepThread);
-
 // Raw fiber resume/yield round-trip, no scheduler at all: the floor the
-// coroutine backend's step cost sits on.
+// simulator's step cost sits on.
 void BM_FiberHandoff(benchmark::State& state) {
   bool stop = false;
   runtime::Fiber fiber{[&] {
@@ -213,10 +193,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 // One scheduler handoff round-trip, measured over k steps.
-double measure_steps_per_sec(Step steps, std::optional<runtime::SimBackend> backend = {}) {
+double measure_steps_per_sec(Step steps) {
   runtime::SimConfig cfg;
   cfg.gsm = graph::complete(1);
-  cfg.backend = backend;
   runtime::SimRuntime rt{cfg};
   rt.add_process([](runtime::Env& env) {
     for (;;) env.step();
@@ -301,8 +280,7 @@ struct SweepTiming {
   std::size_t jobs_used = 1;  ///< workers the engine actually ran with
 };
 
-SweepTiming measure_trials_per_sec(std::size_t jobs, std::uint64_t trials,
-                                   std::optional<runtime::SimBackend> backend = {}) {
+SweepTiming measure_trials_per_sec(std::size_t jobs, std::uint64_t trials) {
   exec::ScopedJobs scoped{jobs};
   core::ConsensusTrialConfig cfg;
   cfg.gsm = graph::chordal_ring(8);
@@ -311,7 +289,6 @@ SweepTiming measure_trials_per_sec(std::size_t jobs, std::uint64_t trials,
   cfg.crash_pick = core::CrashPick::kRandom;
   cfg.budget = 500'000;
   cfg.seed = 9'000;
-  cfg.backend = backend;
   SweepTiming out;
   // Resolve the worker count the same way the engine will: the scoped
   // override (or environment/hardware default), clamped by the trial count —
@@ -401,13 +378,8 @@ int write_bench_runtime_json() {
   const Step step_count = quick ? 100'000 : 1'000'000;
   const std::uint64_t trials = quick ? 8 : 32;
 
-  // sim_steps_per_sec keeps its schema-1 meaning — the default backend —
-  // alongside explicit per-backend rates and the raw fiber handoff floor.
+  // The null-loop step rate sits on the raw fiber handoff floor.
   const double steps_per_sec = measure_steps_per_sec(step_count);
-  const double steps_coroutine =
-      measure_steps_per_sec(step_count, runtime::SimBackend::kCoroutine);
-  const double steps_thread =
-      measure_steps_per_sec(quick ? step_count : step_count / 4, runtime::SimBackend::kThread);
   const double handoffs_per_sec = measure_handoffs_per_sec(quick ? 200'000 : 2'000'000);
   const AllocRates alloc_rates = measure_alloc_rates(quick ? 50'000 : 500'000);
 
@@ -422,16 +394,6 @@ int write_bench_runtime_json() {
   const std::size_t jobs = par.jobs_used;
   const bool deterministic = identical(seq.sweep, par.sweep);
 
-  // Backend invariance: the same sweep, forced onto each backend, must
-  // produce bit-identical aggregates (the BackendDiff suite checks the full
-  // trajectories; this records the same property in the perf trail).
-  const std::uint64_t inv_trials = quick ? 4 : 8;
-  const SweepTiming inv_coro =
-      measure_trials_per_sec(1, inv_trials, runtime::SimBackend::kCoroutine);
-  const SweepTiming inv_thread =
-      measure_trials_per_sec(1, inv_trials, runtime::SimBackend::kThread);
-  const bool backend_invariant = identical(inv_coro.sweep, inv_thread.sweep);
-
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -439,14 +401,11 @@ int write_bench_runtime_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": 6,\n"
+               "  \"schema\": 7,\n"
                "  \"quick\": %s,\n"
                "  \"jobs\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
-               "  \"backend_default\": \"%s\",\n"
                "  \"sim_steps_per_sec\": %.1f,\n"
-               "  \"sim_steps_per_sec_coroutine\": %.1f,\n"
-               "  \"sim_steps_per_sec_thread\": %.1f,\n"
                "  \"handoffs_per_sec\": %.1f,\n"
                "  \"sim_steps_per_sec_ring\": %.1f,\n"
                "  \"sim_steps_per_sec_ring_traced\": %.1f,\n"
@@ -458,22 +417,17 @@ int write_bench_runtime_json() {
                "  \"trials_per_sec_seq\": %.3f,\n"
                "  \"trials_per_sec_par\": %.3f,\n"
                "  \"parallel_speedup\": %.3f,\n"
-               "  \"deterministic\": %s,\n"
-               "  \"backend_invariant\": %s\n"
+               "  \"deterministic\": %s\n"
                "}\n",
-               quick ? "true" : "false", jobs, std::thread::hardware_concurrency(),
-               to_string(runtime::default_sim_backend()), steps_per_sec, steps_coroutine,
-               steps_thread, handoffs_per_sec, ring.untraced, ring.traced, tracing_overhead_pct,
+               quick ? "true" : "false", jobs, std::thread::hardware_concurrency(), steps_per_sec,
+               handoffs_per_sec, ring.untraced, ring.traced, tracing_overhead_pct,
                common::alloc_counting_active() ? "true" : "false", alloc_rates.allocs_per_step,
                alloc_rates.bytes_per_step, static_cast<unsigned long long>(trials),
                seq.trials_per_sec, par.trials_per_sec, par.trials_per_sec / seq.trials_per_sec,
-               deterministic ? "true" : "false", backend_invariant ? "true" : "false");
+               deterministic ? "true" : "false");
   std::fclose(f);
   std::printf("\nBENCH_runtime.json -> %s\n", path.c_str());
-  std::printf("  sim steps/sec      : %.0f (default: %s)\n", steps_per_sec,
-              to_string(runtime::default_sim_backend()));
-  std::printf("  coroutine backend  : %.0f steps/sec\n", steps_coroutine);
-  std::printf("  thread backend     : %.0f steps/sec\n", steps_thread);
+  std::printf("  sim steps/sec      : %.0f\n", steps_per_sec);
   std::printf("  fiber handoffs/sec : %.0f\n", handoffs_per_sec);
   std::printf("  2048-proc ring     : %.0f steps/sec untraced, %.0f traced (overhead %.1f%%)\n",
               ring.untraced, ring.traced, tracing_overhead_pct);
@@ -484,8 +438,7 @@ int write_bench_runtime_json() {
   std::printf("  trials/sec (%zu job%s): %.2f  (speedup %.2fx, deterministic: %s)\n", jobs,
               jobs == 1 ? "" : "s", par.trials_per_sec, par.trials_per_sec / seq.trials_per_sec,
               deterministic ? "yes" : "NO");
-  std::printf("  backend invariant  : %s\n", backend_invariant ? "yes" : "NO");
-  return deterministic && backend_invariant ? 0 : 1;
+  return deterministic ? 0 : 1;
 }
 
 }  // namespace

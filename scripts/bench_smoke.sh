@@ -38,18 +38,16 @@ echo "== bench_e9_ablation =="
 echo "== validating $json =="
 [ -s "$json" ] || { echo "FAIL: $json missing or empty"; exit 1; }
 
-required_keys="schema jobs hardware_concurrency backend_default sim_steps_per_sec sim_steps_per_sec_coroutine sim_steps_per_sec_thread handoffs_per_sec sim_steps_per_sec_ring sim_steps_per_sec_ring_traced tracing_overhead_pct alloc_counting_active allocs_per_step bytes_per_step trials_per_sec_seq trials_per_sec_par parallel_speedup deterministic backend_invariant"
+required_keys="schema jobs hardware_concurrency sim_steps_per_sec handoffs_per_sec sim_steps_per_sec_ring sim_steps_per_sec_ring_traced tracing_overhead_pct alloc_counting_active allocs_per_step bytes_per_step trials_per_sec_seq trials_per_sec_par parallel_speedup deterministic"
 if command -v jq > /dev/null 2>&1; then
   for key in $required_keys; do
     jq -e --arg k "$key" 'has($k)' "$json" > /dev/null \
       || { echo "FAIL: $json lacks key '$key'"; exit 1; }
   done
-  jq -e '.schema >= 6' "$json" > /dev/null \
-    || { echo "FAIL: schema < 6"; exit 1; }
+  jq -e '.schema >= 7' "$json" > /dev/null \
+    || { echo "FAIL: schema < 7"; exit 1; }
   jq -e '.deterministic == true' "$json" > /dev/null \
     || { echo "FAIL: parallel sweep was not bit-identical to sequential"; exit 1; }
-  jq -e '.backend_invariant == true' "$json" > /dev/null \
-    || { echo "FAIL: coroutine and thread backends diverged"; exit 1; }
   jq -e '.alloc_counting_active == false or .allocs_per_step == 0' "$json" > /dev/null \
     || { echo "FAIL: steady-state steps allocated ($(jq -r '.allocs_per_step' "$json")/step)"; exit 1; }
   jobs=$(jq -r '.jobs' "$json")
@@ -78,12 +76,10 @@ doc = json.load(open(sys.argv[1]))
 missing = [k for k in sys.argv[2:] if k not in doc]
 if missing:
     sys.exit(f"FAIL: missing keys {missing}")
-if doc["schema"] < 6:
-    sys.exit(f"FAIL: schema {doc['schema']} < 6")
+if doc["schema"] < 7:
+    sys.exit(f"FAIL: schema {doc['schema']} < 7")
 if doc["deterministic"] is not True:
     sys.exit("FAIL: parallel sweep was not bit-identical to sequential")
-if doc["backend_invariant"] is not True:
-    sys.exit("FAIL: coroutine and thread backends diverged")
 if doc["alloc_counting_active"] and doc["allocs_per_step"] != 0:
     sys.exit(f"FAIL: steady-state steps allocated ({doc['allocs_per_step']}/step)")
 jobs, hc = doc["jobs"], doc["hardware_concurrency"]
@@ -99,10 +95,10 @@ if os.path.exists("BENCH_runtime.json"):
         print(f"WARN: sim_steps_per_sec={cur} is <50% of committed {ref} — re-measure on an idle machine")
 EOF
 else
+  grep -Eq '"schema": ([7-9]|[1-9][0-9]+),' "$json" \
+    || { echo "FAIL: schema < 7"; exit 1; }
   grep -q '"deterministic": true' "$json" \
     || { echo "FAIL: deterministic flag absent"; exit 1; }
-  grep -q '"backend_invariant": true' "$json" \
-    || { echo "FAIL: backend_invariant flag absent"; exit 1; }
 fi
 
 echo "bench smoke OK"

@@ -7,8 +7,8 @@
 # false termination invariant, crash-style and Byzantine-style — and replays
 # every minimized repro they wrote: the shrink -> JSON -> --replay round trip
 # end to end. Planted campaigns pass --expect-violations, since any campaign
-# that records a violation now exits 1. Wired into CTest under the "chaos"
-# label:
+# that records a violation now exits 1. First, a malformed numeric flag value
+# must be rejected by name. Wired into CTest under the "chaos" label:
 #     ctest -L chaos
 #
 # Env:
@@ -32,6 +32,16 @@ CHAOS="$BUILD_DIR/tools/chaos"
 OUT="$BUILD_DIR/chaos-smoke"
 rm -rf "$OUT"
 mkdir -p "$OUT"
+
+echo "== malformed numeric flag: --trials 2k must fail, naming the flag =="
+if err=$("$CHAOS" campaign --trials 2k --out "$OUT" 2>&1); then
+  echo "FAIL: chaos accepted --trials 2k"
+  exit 1
+fi
+case "$err" in
+  *--trials*) echo "$err" ;;
+  *) echo "FAIL: the error does not name --trials: $err"; exit 1 ;;
+esac
 
 echo "== safety campaign (seed 11, 40 trials; any violation is a bug) =="
 "$CHAOS" campaign --seed 11 --trials 40 --out "$OUT"

@@ -17,6 +17,7 @@
 #   4. `check replay` — the chaos bridge: a recorded chaos repro must
 #      rediscover the same oracle exhaustively, and a clean repro must stay
 #      clean across every fault placement the budget reaches.
+# Before those, a malformed numeric flag value must be rejected by name.
 # Wired into CTest under the "explore" label:
 #     ctest -L explore
 #
@@ -38,6 +39,16 @@ for bin in "$BUILD_DIR/tools/check"; do
 done
 
 CHECK="$BUILD_DIR/tools/check"
+
+echo "== malformed numeric flag: --max-runs abc must fail, naming the flag =="
+if err=$("$CHECK" run ac2 --max-runs abc 2>&1); then
+  echo "FAIL: check accepted --max-runs abc"
+  exit 1
+fi
+case "$err" in
+  *--max-runs*) echo "$err" ;;
+  *) echo "FAIL: the error does not name --max-runs: $err"; exit 1 ;;
+esac
 
 echo "== run all instances (DPOR; clean must exhaust, planted must trip) =="
 "$CHECK" run all

@@ -8,8 +8,9 @@
 # scenario's crash and fault-rule events, balanced send->deliver flow
 # arrows, and metadata naming. A second record with the same seed must be
 # byte-identical (the recording is a pure function of seed x config), and
-# `chaos show` on a planted repro must print the decoded trace tail. Wired
-# into CTest under the "obs" label:
+# `chaos show` on a planted repro must print the decoded trace tail, and a
+# malformed numeric flag value must be rejected by name. Wired into CTest
+# under the "obs" label:
 #     ctest -L obs
 #
 # Env:
@@ -33,6 +34,16 @@ CHAOS="$BUILD_DIR/tools/chaos"
 OUT="$BUILD_DIR/obs-smoke"
 rm -rf "$OUT"
 mkdir -p "$OUT"
+
+echo "== malformed numeric flag: --iters 1e9 must fail, naming the flag =="
+if err=$("$TRACE" record --seed 1 --iters 1e9 --out "$OUT/bad.json" 2>&1); then
+  echo "FAIL: trace accepted --iters 1e9"
+  exit 1
+fi
+case "$err" in
+  *--iters*) echo "$err" ;;
+  *) echo "FAIL: the error does not name --iters: $err"; exit 1 ;;
+esac
 
 echo "== record (chaos scenario, seed 1) =="
 "$TRACE" record --seed 1 --iters 200 --out "$OUT/rec.json"

@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
 # Sanitizer pass: rebuild under a sanitizer and run the runtime- and
-# exec-focused tests — the code that switches stacks (fiber backend), parks
-# threads (thread backend), and fans trials out across the worker pool.
+# exec-focused tests — the code that switches stacks (fibers), runs real
+# threads (ThreadRuntime), and fans trials out across the worker pool.
 # Wired into CTest under the "sanitize" / "tsan" labels:
 #     ctest -L sanitize        # ASan+UBSan
 #     ctest -L tsan            # ThreadSanitizer
 #
 # Modes (MM_SANITIZE env, mirroring the CMake cache var):
-#   address (default)  ASan+UBSan in build-sanitize. The fiber backend
-#                      participates in ASan's fake-stack bookkeeping through
-#                      the __sanitizer_*_switch_fiber hooks (fiber.cpp), so
+#   address (default)  ASan+UBSan in build-sanitize. Fibers participate in
+#                      ASan's fake-stack bookkeeping through the
+#                      __sanitizer_*_switch_fiber hooks (fiber.cpp), so
 #                      stack switching is fully instrumented, not suppressed.
 #   thread             TSan in build-tsan. Fibers register with the
-#                      __tsan_*_fiber API (fiber.cpp), so the coroutine
-#                      backend's stack switches keep TSan's shadow state
-#                      coherent; the worker pool and the thread backend's
-#                      semaphore handoffs are checked for real data races.
+#                      __tsan_*_fiber API (fiber.cpp), so their stack
+#                      switches keep TSan's shadow state coherent; the worker
+#                      pool and ThreadRuntime are checked for real data races.
 #
 # Env:
 #   MM_SANITIZE   address (default) | thread
@@ -32,13 +31,13 @@ case "$MODE" in
     # suite impractical, and the single-threaded analysis passes add nothing.
     # The explorer suites are in because their walkers recycle fiber stacks
     # on frontier worker threads.
-    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber*:BackendDiff.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"

@@ -7,10 +7,10 @@
 // them around a window (AllocCounts::operator-) and assert on the delta.
 // That delta covers only work done on the calling thread: a SimRuntime's
 // fibers run there, but allocations on other threads do not appear in it —
-// WorkerPool workers and the thread backend's per-process threads. A free
-// is charged to the thread that frees. Overhead is two thread-local adds per allocation and no shared
-// cache line, so the counters stay on in every binary that references this
-// header — which is what lets bench_micro publish
+// WorkerPool workers and ThreadRuntime's per-process threads. A free is
+// charged to the thread that frees. Overhead is two thread-local adds per
+// allocation and no shared cache line, so the counters stay on in every
+// binary that references this header — which is what lets bench_micro publish
 // allocs_per_step/bytes_per_step in BENCH_runtime.json.
 //
 // Under AddressSanitizer the replacement is compiled out (ASan owns operator

@@ -99,7 +99,6 @@ ConsensusTrialResult run_consensus_trial(const ConsensusTrialConfig& cfg) {
   sim.min_delay = cfg.min_delay;
   sim.max_delay = cfg.max_delay;
   sim.partition = cfg.partition;
-  sim.backend = cfg.backend;
   sim.crash_at.assign(n, std::nullopt);
   for (std::size_t p = 0; p < n; ++p)
     if (crash_set[p]) sim.crash_at[p] = rng.between(0, cfg.crash_window);
@@ -275,7 +274,6 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
   sim.seed = cfg.seed;
   sim.min_delay = cfg.min_delay;
   sim.max_delay = cfg.max_delay;
-  sim.backend = cfg.backend;
   sim.crash_at = cfg.crash_at;
   sim.byzantine = cfg.byzantine;  // validate() rejects crash-plan overlap
   sim.trace_capacity = cfg.trace_capacity;
@@ -371,7 +369,6 @@ OmegaTrialResult run_omega_trial(const OmegaTrialConfig& cfg) {
   sim.max_delay = cfg.max_delay;
   sim.timely = cfg.timely;
   sim.timely_bound = cfg.timely_bound;
-  sim.backend = cfg.backend;
   if (cfg.slow_weight != 1.0) {
     sim.sched_weight.assign(n, cfg.slow_weight);
     sim.sched_weight[cfg.timely.index()] = 1.0;

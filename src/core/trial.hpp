@@ -61,11 +61,6 @@ struct ConsensusTrialConfig {
   Step max_delay = 8;
   std::optional<runtime::Partition> partition;
 
-  /// Execution backend override; unset = SimConfig's resolution (environment
-  /// MM_SIM_BACKEND, then the coroutine default). Trajectories are
-  /// backend-invariant, so this only affects speed.
-  std::optional<runtime::SimBackend> backend;
-
   /// Reactive fault injector installed into the runtime for this run (see
   /// runtime/fault_hook.hpp; non-owning, may be null). Injectors are
   /// stateful per run, so sweeps — which copy this config per seed — require
@@ -130,7 +125,6 @@ struct ByzRegisterTrialConfig {
   /// neighbor every process, since the Bracha channel is then disabled).
   std::vector<std::uint8_t> byzantine;
   std::vector<std::optional<Step>> crash_at;  ///< crash plan (within f budget)
-  std::optional<runtime::SimBackend> backend;
   runtime::FaultInjector* injector = nullptr;
   /// Arm event tracing; see ConsensusTrialConfig::trace_capacity.
   std::size_t trace_capacity = 0;
@@ -184,9 +178,6 @@ struct OmegaTrialConfig {
   /// checks (checks run every check_every steps).
   Step check_every = 500;
   int stable_checks = 10;
-
-  /// Execution backend override; see ConsensusTrialConfig::backend.
-  std::optional<runtime::SimBackend> backend;
 
   /// Reactive fault injector; see ConsensusTrialConfig::injector.
   runtime::FaultInjector* injector = nullptr;

@@ -372,12 +372,6 @@ FiberStackPool::~FiberStackPool() {
 }
 
 void* FiberStackPool::acquire() {
-  if (!free_.empty()) {
-    void* lo = free_.back();
-    free_.pop_back();
-    unpoison_stack(lo, stack_bytes_);
-    return lo;
-  }
   if (next_in_chunk_ == per_chunk_) {
     // MAP_NORESERVE: a million-stack run reserves address space in the tens
     // of GB but commits pages only as fibers touch them.

@@ -1,13 +1,12 @@
-// Stackful symmetric-transfer fiber: the userspace context switch behind the
-// simulator's coroutine execution backend.
+// Stackful symmetric-transfer fiber: the userspace context switch that runs
+// every simulated process body (SimRuntime owns one fiber per process).
 //
 // Algorithm bodies are ordinary sequential C++ that calls Env::step() deep
 // inside a real call stack, so a stackless C++20 coroutine cannot host them
 // unchanged. A Fiber gives each process its own (small, guarded, lazily
 // committed) stack and swaps the callee-saved register state directly, which
-// makes a scheduler↔process handoff two userspace register swaps instead of
-// two semaphore round-trips across OS threads — no syscalls, no kernel
-// context switch, no scheduler latency.
+// makes a scheduler↔process handoff two userspace register swaps — no
+// syscalls, no kernel context switch, no scheduler latency.
 //
 // On x86-64 the switch is a hand-rolled assembly routine (callee-saved GPRs
 // only — no code run on these fibers alters the x87/SSE control words, so
@@ -15,7 +14,7 @@
 // are defined inline here so the scheduler's hot loop compiles down to a
 // direct call of that routine. Elsewhere it falls back to POSIX ucontext,
 // which is slower (swapcontext saves the signal mask via a syscall) but
-// portable; the thread backend remains the reference semantics either way.
+// portable.
 //
 // Exceptions must never propagate out of the entry function (the simulator's
 // process wrapper catches everything); control must never leave a fiber
@@ -169,7 +168,9 @@ class Fiber {
 // carves guardless stacks out of large MAP_NORESERVE chunks, so a million
 // 32 KiB stacks need only ~2k mappings and commit physical pages lazily as
 // each fiber first touches its stack. The trade: no overflow fault — pick
-// stack sizes with headroom. Released stacks are recycled LIFO.
+// stack sizes with headroom. A stack is handed out once and never reused:
+// the pool lives exactly as long as its runtime, whose fibers die with it,
+// and its destructor unmaps every chunk.
 //
 // Not thread-safe; one pool per owning runtime. The pool must outlive every
 // fiber whose stack it provided.
@@ -180,10 +181,8 @@ class FiberStackPool {
   FiberStackPool(const FiberStackPool&) = delete;
   FiberStackPool& operator=(const FiberStackPool&) = delete;
 
-  /// Lowest address of a fresh (or recycled) stack of stack_bytes().
+  /// Lowest address of a fresh stack of stack_bytes().
   [[nodiscard]] void* acquire();
-  /// Return a stack obtained from acquire() for reuse.
-  void release(void* stack_lo) { free_.push_back(stack_lo); }
 
   [[nodiscard]] std::size_t stack_bytes() const noexcept { return stack_bytes_; }
   /// Number of chunk mappings created so far (VMA budget introspection).
@@ -194,7 +193,6 @@ class FiberStackPool {
   std::size_t per_chunk_;
   std::size_t next_in_chunk_;  ///< slots handed out of the newest chunk
   std::vector<void*> chunks_;
-  std::vector<void*> free_;
 };
 
 /// Scoped per-thread recycler of guarded default-size fiber stacks.

@@ -32,10 +32,6 @@ struct Metrics {
   std::vector<std::uint64_t> remote_reads_by_proc;
   std::vector<std::uint64_t> remote_writes_by_proc;
 
-  /// Field-wise equality: the differential-backend tests assert coroutine
-  /// and thread executions produce identical counters.
-  friend bool operator==(const Metrics&, const Metrics&) = default;
-
   explicit Metrics(std::size_t n = 0)
       : steps_by_proc(n, 0),
         sends_by_proc(n, 0),

@@ -4,8 +4,8 @@
 // latencies, drain batch sizes, the destination's pending-heap size at each
 // delivering drain, and per-register touch counts. Everything a recorder
 // stores is a pure trajectory fact — virtual steps, counts, key bits — so
-// the ObsReport built from it is bit-identical at any backend and MM_JOBS,
-// exactly like Metrics.
+// the ObsReport built from it is bit-identical at any MM_JOBS, exactly like
+// Metrics.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,6 @@
 
 #include "common/ids.hpp"
 #include "graph/graph.hpp"
-#include "runtime/exec_backend.hpp"
 
 namespace mm::runtime {
 
@@ -90,11 +89,6 @@ struct SimConfig {
 
   std::uint64_t seed = 1;
 
-  /// Execution backend for process bodies (see runtime/exec_backend.hpp).
-  /// Unset: the MM_SIM_BACKEND environment default (coroutine). Trajectories
-  /// are bit-identical across backends; this only changes the handoff cost.
-  std::optional<SimBackend> backend;
-
   LinkType link_type = LinkType::kReliable;
   double drop_prob = 0.0;  ///< per-message drop probability (fair-lossy only)
 
@@ -154,16 +148,16 @@ struct SimConfig {
   /// structure, check::validate_explorable checks explorer soundness.
   std::optional<ExploreFaults> explore_faults;
 
-  /// Usable stack bytes per process fiber (coroutine backend only);
-  /// 0 = Fiber::kDefaultStackBytes. Million-process runs shrink this to keep
-  /// the footprint per process small — bodies there must be shallow.
+  /// Usable stack bytes per process fiber; 0 = Fiber::kDefaultStackBytes.
+  /// Million-process runs shrink this to keep the footprint per process
+  /// small — bodies there must be shallow.
   std::size_t fiber_stack_bytes = 0;
 
   /// Carve fiber stacks from pooled guardless mappings (FiberStackPool)
   /// instead of one guarded mmap per fiber. Required beyond n ≈ 3·10^4: the
   /// kernel's vm.max_map_count budget caps per-fiber mappings. The trade is
   /// losing the overflow guard page, so pair with a generous
-  /// fiber_stack_bytes. Ignored by the thread backend.
+  /// fiber_stack_bytes.
   bool pooled_fiber_stacks = false;
 
   [[nodiscard]] std::size_t n() const noexcept { return gsm.size(); }

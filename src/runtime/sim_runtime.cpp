@@ -80,12 +80,8 @@ std::uint64_t SimEnv::rand_below(std::uint64_t bound) {
                                  : rt_->env_rand_below<false>(self_, bound);
 }
 void SimEnv::step() {
-  if (fiber_ != nullptr) {
-    fiber_->yield();
-    if (*kill_flag_ != 0) throw ProcessKilled{};
-    return;
-  }
-  rt_->env_step(self_);
+  fiber_->yield();
+  if (*kill_flag_ != 0) throw ProcessKilled{};
 }
 Step SimEnv::now() const {
   return rt_->record_footprints_ ? rt_->env_now<true>(self_) : rt_->env_now<false>(self_);
@@ -100,7 +96,6 @@ bool SimEnv::stop_requested() const {
 
 SimRuntime::SimRuntime(SimConfig config)
     : config_(std::move(config)),
-      backend_(config_.backend.value_or(default_sim_backend())),
       sched_rng_(config_.seed * 0x9e3779b97f4a7c15ULL + 1),
       link_rng_(config_.seed * 0xc2b2ae3d27d4eb4fULL + 2),
       fault_rng_(config_.seed * 0xd6e8feb86659fd93ULL + 3),
@@ -165,37 +160,33 @@ void SimRuntime::start() {
   if (n <= 1024) {
     for (auto& pend : pending_) pend.reserve(32);
   }
-  ExecOptions exec_opts;
-  exec_opts.fiber_stack_bytes = config_.fiber_stack_bytes;
-  if (config_.pooled_fiber_stacks && backend_ == SimBackend::kCoroutine) {
-    stack_pool_ = std::make_unique<FiberStackPool>(
-        config_.fiber_stack_bytes == 0 ? Fiber::kDefaultStackBytes
-                                       : config_.fiber_stack_bytes);
-    exec_opts.stack_pool = stack_pool_.get();
-  }
+  const std::size_t stack_bytes = config_.fiber_stack_bytes == 0
+                                      ? Fiber::kDefaultStackBytes
+                                      : config_.fiber_stack_bytes;
+  if (config_.pooled_fiber_stacks) stack_pool_ = std::make_unique<FiberStackPool>(stack_bytes);
   for (std::size_t i = 0; i < n; ++i) {
     Proc& pr = procs_[i];
     pr.env = std::make_unique<SimEnv>(*this, Pid{static_cast<std::uint32_t>(i)});
     runnable_.push_back(i);
-    // The wrapper is the whole process lifecycle — kill check, body,
-    // exception capture, finished flag — so every backend runs identical
-    // code and differs only in how control is transferred.
-    pr.exec = make_proc_exec(
-        backend_,
-        [this, i] {
-          if (proc_kill_[i] == 0) {
-            try {
-              procs_[i].body(*procs_[i].env);
-            } catch (const ProcessKilled&) {
-              // Normal teardown path.
-            } catch (...) {
-              procs_[i].error = std::current_exception();
-            }
-          }
-          proc_finished_[i] = 1;
-        },
-        exec_opts);
-    fiber_[i] = pr.exec->fiber();
+    // The wrapper is the whole process lifecycle: kill check, body,
+    // exception capture, finished flag.
+    auto wrapper = [this, i] {
+      if (proc_kill_[i] == 0) {
+        try {
+          procs_[i].body(*procs_[i].env);
+        } catch (const ProcessKilled&) {
+          // Normal teardown path.
+        } catch (...) {
+          procs_[i].error = std::current_exception();
+        }
+      }
+      proc_finished_[i] = 1;
+    };
+    pr.fiber = stack_pool_ != nullptr
+                   ? std::make_unique<Fiber>(wrapper, stack_pool_->acquire(),
+                                             stack_pool_->stack_bytes())
+                   : std::make_unique<Fiber>(wrapper, stack_bytes);
+    fiber_[i] = pr.fiber.get();
     pr.env->fiber_ = fiber_[i];
     pr.env->kill_flag_ = proc_kill_.data() + i;
   }
@@ -211,7 +202,6 @@ void SimRuntime::shutdown() {
       // (rather than resuming once) tolerates bodies that swallow a kill.
       proc_kill_[i] = 1;
       while (proc_finished_[i] == 0) resume_proc(i);
-      procs_[i].exec->join();
     }
   }
 }
@@ -757,12 +747,7 @@ Step SimRuntime::run_fast(Step k) {
     const std::size_t pick = run_data[idx];
     ++steps_by_proc[pick];
     global_step_ = step;
-    Fiber* const f = fibers[pick];
-    if (f != nullptr) {
-      f->resume();
-    } else {
-      procs_[pick].exec->resume();
-    }
+    fibers[pick]->resume();
     if (finished_flags[pick] != 0) [[unlikely]] {
       proc_state_[pick] = static_cast<std::uint8_t>(ProcState::kFinished);
       remove_runnable(pick);
@@ -836,17 +821,12 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump()
 }
 
 // ---------------------------------------------------------------------------
-// Env backends — run on the (single) active process thread.
+// Env backends — run on the (single) active process fiber.
 // ---------------------------------------------------------------------------
 
 void SimRuntime::env_step(Pid self) {
   const std::size_t i = self.index();
-  Fiber* f = fiber_[i];
-  if (f != nullptr) {
-    f->yield();
-  } else {
-    procs_[i].exec->yield();
-  }
+  fiber_[i]->yield();
   if (proc_kill_[i] != 0) throw ProcessKilled{};
 }
 

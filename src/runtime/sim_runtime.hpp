@@ -1,14 +1,12 @@
 // Deterministic cooperative simulator for the m&m model.
 //
-// Each process body is a suspended execution context — a userspace fiber by
-// default, a parked OS thread under the reference backend (see
-// runtime/exec_backend.hpp) — and exactly one of {scheduler, process} is
-// ever running: control is handed back and forth through ProcExec
-// resume()/yield(). Algorithms therefore execute real sequential C++ (no
-// state-machine contortions) while the schedule — the interleaving of steps,
-// message delays, drops, partitions, and crashes — is a pure function of
-// (SimConfig.seed, config), independent of the backend. Every test failure
-// is replayable from its seed.
+// Each process body runs on its own userspace fiber (runtime/fiber.hpp), and
+// exactly one of {scheduler, process} is ever running: every handoff is a
+// direct Fiber::resume()/yield() switch on the calling thread. Algorithms
+// therefore execute real sequential C++ (no state-machine contortions) while
+// the schedule — the interleaving of steps, message delays, drops,
+// partitions, and crashes — is a pure function of (SimConfig.seed, config).
+// Every test failure is replayable from its seed.
 //
 // Adversary strength: by default every shared-register access yields to the
 // scheduler first (auto_step_on_shm), so interleavings are adversarial at
@@ -36,7 +34,6 @@
 
 #include "common/rng.hpp"
 #include "runtime/env.hpp"
-#include "runtime/exec_backend.hpp"
 #include "runtime/fault_hook.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/footprint.hpp"
@@ -81,9 +78,9 @@ class SimEnv final : public Env {
 
   SimRuntime* rt_;
   Pid self_;
-  /// Bound by SimRuntime::start() when this process is fiber-backed: step()
-  /// — the single hottest Env call — then needs no runtime indirection at
-  /// all, just the inline switch and one kill-flag load.
+  /// Bound by SimRuntime::start(): step() — the single hottest Env call —
+  /// then needs no runtime indirection at all, just the inline switch and
+  /// one kill-flag load.
   Fiber* fiber_ = nullptr;
   const std::uint8_t* kill_flag_ = nullptr;
 };
@@ -99,7 +96,7 @@ class SimRuntime {
   /// order, before start()).
   void add_process(std::function<void(Env&)> body);
 
-  /// Spawn the (parked) process threads. Implicit in the first run call.
+  /// Create the (suspended) process fibers. Implicit in the first run call.
   void start();
 
   /// Execute up to `k` scheduler steps. Returns the number executed, which
@@ -111,8 +108,9 @@ class SimRuntime {
   /// have elapsed since construction. True iff all are done.
   bool run_until_all_done(Step budget);
 
-  /// Kill parked processes and join all threads. Idempotent; also called by
-  /// the destructor. After shutdown the runtime can only be inspected.
+  /// Kill parked processes and drain their fibers to completion. Idempotent;
+  /// also called by the destructor. After shutdown the runtime can only be
+  /// inspected.
   void shutdown();
 
   /// Crash p at the next scheduling decision (dynamic injection).
@@ -173,13 +171,10 @@ class SimRuntime {
   [[nodiscard]] Step now() const noexcept { return global_step_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-  /// The execution backend this runtime resolved to (config override, else
-  /// the MM_SIM_BACKEND environment default).
-  [[nodiscard]] SimBackend backend() const noexcept { return backend_; }
 
   /// Register values indexed by RegId — i.e. in creation order, which is
-  /// itself part of the deterministic trajectory. Differential-backend tests
-  /// compare this table verbatim.
+  /// itself part of the deterministic trajectory. The trajectory pins fold
+  /// this table verbatim.
   [[nodiscard]] const std::vector<std::uint64_t>& register_values() const noexcept {
     return reg_values_;
   }
@@ -310,7 +305,7 @@ class SimRuntime {
   /// and trajectories are unchanged by arming (recording only observes).
   void set_observability(bool on) noexcept { record_obs_ = on; }
   [[nodiscard]] bool observability() const noexcept { return record_obs_; }
-  /// The report so far, bit-identical at any backend and MM_JOBS. Call
+  /// The report so far, bit-identical at any MM_JOBS. Call
   /// between run chunks.
   [[nodiscard]] ObsReport obs_report() const;
 
@@ -325,7 +320,7 @@ class SimRuntime {
   struct Proc {
     std::function<void(Env&)> body;
     std::unique_ptr<SimEnv> env;
-    std::unique_ptr<ProcExec> exec;  ///< backend-specific execution context
+    std::unique_ptr<Fiber> fiber;  ///< runs the wrapped body (see start())
     std::exception_ptr error;
   };
 
@@ -375,15 +370,7 @@ class SimRuntime {
   }
   /// Hand one step to process `pick` and park again, bookkeeping included.
   void activate(std::size_t pick);
-  /// Devirtualised handoff: direct inline fiber switch when fiber-backed.
-  void resume_proc(std::size_t i) {
-    Fiber* f = fiber_[i];
-    if (f != nullptr) {
-      f->resume();
-    } else {
-      procs_[i].exec->resume();
-    }
-  }
+  void resume_proc(std::size_t i) { fiber_[i]->resume(); }
   [[nodiscard]] bool runnable(std::size_t i) const {
     return proc_state_[i] == static_cast<std::uint8_t>(ProcState::kParked);
   }
@@ -416,7 +403,7 @@ class SimRuntime {
   [[nodiscard]] Step partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng);
   void enqueue_message(Pid to, Step deliver_at, Message m);
 
-  // Env backends (called from the running process thread; serialized by the
+  // Env backends (called from the running process fiber; serialized by the
   // handoff, so no locking is needed). Templated on the recording policy
   // and (for the drain and register calls) the observability policy: the
   // <false, false> instantiations — the uninstrumented hot path — contain
@@ -452,7 +439,7 @@ class SimRuntime {
   /// Fold one observation (tagged by kind) into `self`'s rolling observation
   /// hash and into the slice signature `sig` (for idle-slice collapse).
   void obs_note(Pid self, std::uint64_t tag, std::uint64_t value, std::uint64_t& sig);
-  /// Slice lifecycle around ProcExec::resume() while recording is armed.
+  /// Slice lifecycle around a process resume while recording is armed.
   void begin_slice(std::size_t pick);
   void end_slice(std::size_t pick);
   /// Hot-path tracing hook: a branch-predictable no-op unless enable_trace
@@ -468,7 +455,6 @@ class SimRuntime {
                         std::uint64_t seq);
 
   SimConfig config_;
-  SimBackend backend_;
   SchedulePolicy schedule_policy_;
   FaultInjector* injector_ = nullptr;
   /// Pooled fiber stacks (config_.pooled_fiber_stacks). Declared before
@@ -480,7 +466,7 @@ class SimRuntime {
   std::vector<std::uint8_t> proc_state_;     ///< ProcState values
   std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by env_step
   std::vector<std::uint8_t> proc_finished_;  ///< set by the wrapper before its final yield
-  std::vector<Fiber*> fiber_;  ///< devirtualised handoff; null under the thread backend
+  std::vector<Fiber*> fiber_;  ///< procs_[i].fiber, dense for the handoff
 
   /// Runnable pids in pid order, maintained incrementally (see
   /// remove_runnable) instead of being rebuilt by scanning every step.

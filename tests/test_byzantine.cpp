@@ -175,26 +175,6 @@ TEST(ByzAdversary, CrashOnlyScheduleNeverTouchesTheByzStream) {
   EXPECT_EQ(eng.adversary().rng_draws(), 0u);
 }
 
-TEST(ByzRegister, TrialsAreBackendInvariant) {
-  // Byzantine corruption happens at deterministic interposition points, so
-  // the coroutine and thread sim backends replay the same corrupted run.
-  auto run = [](runtime::SimBackend backend) {
-    FaultEngine eng{{byz_rule(1, kByzEquivocate | kByzCorrupt),
-                     byz_rule(4, kByzSilence, ~std::uint64_t{0})}};
-    core::ByzRegisterTrialConfig cfg = byz_cfg(7, 9, 2, false);
-    cfg.byzantine[1] = cfg.byzantine[4] = 1;
-    cfg.backend = backend;
-    cfg.injector = &eng;
-    return core::run_byz_register_trial(cfg);
-  };
-  const auto a = run(runtime::SimBackend::kCoroutine);
-  const auto b = run(runtime::SimBackend::kThread);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.steps_used, b.steps_used);
-  EXPECT_EQ(a.written, b.written);
-  EXPECT_EQ(a.adopted, b.adopted);
-}
-
 // ---------------------------------------------------------------------------
 // The register's resilience frontier
 // ---------------------------------------------------------------------------

@@ -7,21 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 
 #include "check/dpor.hpp"
 #include "check/instances.hpp"
 #include "graph/generators.hpp"
 #include "runtime/env.hpp"
 #include "runtime/fiber.hpp"
-#include "shm/adopt_commit.hpp"
 
 namespace mm::check {
 namespace {
 
 using runtime::Env;
 using runtime::RegKey;
-using runtime::SimBackend;
 using runtime::SimConfig;
 using runtime::SimRuntime;
 
@@ -69,55 +66,6 @@ TEST(Dpor, TenfoldReductionOnPinnedInstance) {
       << dpor.result.runs;
 }
 
-TEST(Dpor, DifferentialHoldsOnBothExecutionBackends) {
-  // The reduction argument lives above the execution backend: fibers and
-  // parked threads must yield the same verdicts, the same final-state sets,
-  // and the same run counts (trajectories are bit-identical by contract).
-  ExploreResult per_backend[2];
-  for (const SimBackend backend : {SimBackend::kCoroutine, SimBackend::kThread}) {
-    auto make = [backend]() {
-      SimConfig cfg;
-      cfg.gsm = graph::complete(2);
-      cfg.seed = 29;
-      cfg.backend = backend;
-      cfg.min_delay = 1;
-      cfg.max_delay = 1;
-      auto rt = std::make_unique<SimRuntime>(cfg);
-      for (std::uint32_t p = 0; p < 2; ++p)
-        rt->add_process([p](Env& env) {
-          const shm::AdoptCommit ac{RegKey::make(kTag, Pid{0}, 1), 2};
-          const shm::AcResult r = ac.propose(env, p);
-          runtime::write_key(env, RegKey::make_global(kTag, env.self()),
-                             1 + 2 * static_cast<std::uint64_t>(r.value) +
-                                 (r.committed ? 1 : 0));
-        });
-      return rt;
-    };
-    const auto verify = [](SimRuntime& rt) {
-      const auto r0 = rt.register_value(RegKey::make_global(kTag, Pid{0}));
-      const auto r1 = rt.register_value(RegKey::make_global(kTag, Pid{1}));
-      ASSERT_TRUE(r0.has_value() && r1.has_value());
-      // Published as 1 + 2*value + committed; coherence: any commit forces
-      // equal values on every propose.
-      if (((*r0 - 1) & 1) != 0 || ((*r1 - 1) & 1) != 0) {
-        EXPECT_EQ((*r0 - 1) >> 1, (*r1 - 1) >> 1);
-      }
-    };
-    ExploreOptions dfs_opts;
-    dfs_opts.collect_final_states = true;
-    const ExploreResult dfs = explore_schedules(make, verify, dfs_opts);
-    DporOptions dpor_opts;
-    const ExploreResult dpor = explore_dpor(make, verify, dpor_opts);
-    EXPECT_EQ(dfs.exhaustiveness, Exhaustiveness::kFull);
-    EXPECT_EQ(dpor.exhaustiveness, Exhaustiveness::kFull);
-    EXPECT_EQ(dfs.final_states, dpor.final_states);
-    EXPECT_LT(dpor.runs, dfs.runs);
-    per_backend[backend == SimBackend::kThread ? 1 : 0] = dpor;
-  }
-  EXPECT_EQ(per_backend[0].runs, per_backend[1].runs);
-  EXPECT_EQ(per_backend[0].final_states, per_backend[1].final_states);
-}
-
 // -- planted bugs: the explorer must FIND these ------------------------------
 
 TEST(Dpor, FindsPlantedAdoptCommitCoherenceBug) {
@@ -159,13 +107,10 @@ TEST(Dpor, FindsPlantedFalseTerminationBug) {
 // Each fault class gets one: the differential proves the class's dependency
 // rules (runtime/footprint.hpp) lose no reachable final state.
 
-std::unique_ptr<SimRuntime> make_fault_micro(runtime::ExploreFaults ef,
-                                             std::optional<SimBackend> backend,
-                                             int recv_iters) {
+std::unique_ptr<SimRuntime> make_fault_micro(runtime::ExploreFaults ef, int recv_iters) {
   SimConfig cfg;
   cfg.gsm = graph::complete(2);
   cfg.seed = 31;
-  cfg.backend = backend;
   cfg.min_delay = 1;
   cfg.max_delay = 1;
   cfg.explore_faults = std::move(ef);
@@ -200,31 +145,20 @@ std::unique_ptr<SimRuntime> make_fault_micro(runtime::ExploreFaults ef,
 
 void expect_fault_class_differential(const runtime::ExploreFaults& ef,
                                      int recv_iters = 4) {
-  // DFS and DPOR must agree on the reachable final-state set; and the whole
-  // argument lives above the execution backend, so both backends must yield
-  // byte-identical explorations.
-  ExploreResult per_backend[2];
-  for (const SimBackend backend : {SimBackend::kCoroutine, SimBackend::kThread}) {
-    const auto make = [&ef, backend, recv_iters]() {
-      return make_fault_micro(ef, backend, recv_iters);
-    };
-    const auto verify = [](SimRuntime&) {};
-    ExploreOptions dfs_opts;
-    dfs_opts.collect_final_states = true;
-    dfs_opts.max_runs = 500'000;
-    const ExploreResult dfs = explore_schedules(make, verify, dfs_opts);
-    DporOptions dpor_opts;
-    dpor_opts.collect_final_states = true;
-    const ExploreResult dpor = explore_dpor(make, verify, dpor_opts);
-    EXPECT_EQ(dfs.exhaustiveness, Exhaustiveness::kFull);
-    EXPECT_EQ(dpor.exhaustiveness, Exhaustiveness::kFull);
-    EXPECT_EQ(dfs.final_states, dpor.final_states)
-        << "DPOR lost or invented a fault placement";
-    EXPECT_LT(dpor.runs, dfs.runs) << "no reduction over the naive tree";
-    per_backend[backend == SimBackend::kThread ? 1 : 0] = dpor;
-  }
-  EXPECT_EQ(per_backend[0].runs, per_backend[1].runs);
-  EXPECT_EQ(per_backend[0].final_states, per_backend[1].final_states);
+  // DFS and DPOR must agree on the reachable final-state set.
+  const auto make = [&ef, recv_iters]() { return make_fault_micro(ef, recv_iters); };
+  const auto verify = [](SimRuntime&) {};
+  ExploreOptions dfs_opts;
+  dfs_opts.collect_final_states = true;
+  dfs_opts.max_runs = 500'000;
+  const ExploreResult dfs = explore_schedules(make, verify, dfs_opts);
+  DporOptions dpor_opts;
+  dpor_opts.collect_final_states = true;
+  const ExploreResult dpor = explore_dpor(make, verify, dpor_opts);
+  EXPECT_EQ(dfs.exhaustiveness, Exhaustiveness::kFull);
+  EXPECT_EQ(dpor.exhaustiveness, Exhaustiveness::kFull);
+  EXPECT_EQ(dfs.final_states, dpor.final_states) << "DPOR lost or invented a fault placement";
+  EXPECT_LT(dpor.runs, dfs.runs) << "no reduction over the naive tree";
 }
 
 TEST(DporFaults, CrashClassDifferential) {

@@ -1,8 +1,8 @@
-// Tests for the stackful fiber primitive underlying the coroutine execution
-// backend: resume/yield ordering, completion, stack integrity, many
-// concurrent fibers, nesting (fibers inside fibers, simulators inside
-// fibers — the shape the parallel trial engine produces), and the scoped
-// stack recycler the explorers run under.
+// Tests for the stackful fiber primitive every simulated process runs on:
+// resume/yield ordering, completion, stack integrity, many concurrent
+// fibers, nesting (fibers inside fibers, simulators inside fibers — the
+// shape the parallel trial engine produces), and the scoped stack recycler
+// the explorers run under.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -100,7 +100,7 @@ TEST(Fiber, ManyFibersInterleaved) {
 }
 
 // Recursion that touches a real call stack across yields — the reason the
-// backend uses stackful fibers rather than stackless coroutines.
+// simulator uses stackful fibers rather than stackless coroutines.
 std::uint64_t yielding_fib(Fiber& self, int n) {
   self.yield();
   if (n < 2) return static_cast<std::uint64_t>(n);
@@ -135,10 +135,10 @@ TEST(Fiber, NestedFibers) {
   EXPECT_TRUE(outer.done());
 }
 
-// The parallel trial engine runs whole simulators on worker threads; with the
-// coroutine backend that means fibers whose caller stack is a worker thread
-// and, in nested-simulation tests, fibers created inside fibers. Exercise a
-// full SimRuntime from inside a fiber to cover that composition.
+// The parallel trial engine runs whole simulators on worker threads, which
+// means fibers whose caller stack is a worker thread and, in
+// nested-simulation tests, fibers created inside fibers. Exercise a full
+// SimRuntime from inside a fiber to cover that composition.
 TEST(Fiber, SimRuntimeInsideFiber) {
   std::uint64_t delivered = 0;
   Fiber f{[&] {
@@ -171,13 +171,12 @@ TEST(Fiber, SimRuntimeInsideFiber) {
 
 // -- FiberStackRecycler ------------------------------------------------------
 
-/// Build, run and destroy a three-process coroutine runtime: three
-/// default-size fibers.
+/// Build, run and destroy a three-process runtime: three default-size
+/// fibers.
 void run_three_process_runtime() {
   SimConfig cfg;
   cfg.gsm = graph::complete(3);
   cfg.seed = 11;
-  cfg.backend = SimBackend::kCoroutine;
   SimRuntime rt{cfg};
   for (std::uint32_t p = 0; p < 3; ++p)
     rt.add_process([](Env& env) {

@@ -36,11 +36,13 @@
 
 #include "check/instances.hpp"
 #include "fault/explore_bridge.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace mm;
 using namespace mm::check;
+using mm::tools::parse_flag;
 
 int usage() {
   std::fprintf(stderr,
@@ -122,11 +124,11 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--dfs") use_dfs = true;
-    else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = std::strtoull(next(), nullptr, 10); have_max_runs = true; }
-    else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = std::strtoull(next(), nullptr, 10); have_max_steps = true; }
-    else if (a == "--bound") { const auto k = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10)); dpor_over.max_preemptions = k; dfs_over.max_preemptions = k; have_bound = true; }
-    else if (a == "--frontier") dpor_over.frontier_depth = std::strtoull(next(), nullptr, 10);
-    else if (a == "--jobs") dpor_over.jobs = std::strtoull(next(), nullptr, 10);
+    else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = parse_flag(a, next()); have_max_runs = true; }
+    else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
+    else if (a == "--bound") { const auto k = parse_flag<std::uint32_t>(a, next()); dpor_over.max_preemptions = k; dfs_over.max_preemptions = k; have_bound = true; }
+    else if (a == "--frontier") dpor_over.frontier_depth = parse_flag<std::size_t>(a, next());
+    else if (a == "--jobs") dpor_over.jobs = parse_flag<std::size_t>(a, next());
     else if (a == "--no-cache") no_cache = true;
     else if (a == "--no-sleep") no_sleep = true;
     else if (!a.empty() && a[0] == '-') return usage();
@@ -218,10 +220,10 @@ int cmd_replay(int argc, char** argv) {
       if (i + 1 >= argc) throw std::runtime_error{"missing value for " + a};
       return argv[++i];
     };
-    if (a == "--max-runs") { over.max_runs = std::strtoull(next(), nullptr, 10); have_max_runs = true; }
-    else if (a == "--max-steps") { over.max_steps_per_run = std::strtoull(next(), nullptr, 10); have_max_steps = true; }
-    else if (a == "--frontier") over.frontier_depth = std::strtoull(next(), nullptr, 10);
-    else if (a == "--jobs") over.jobs = std::strtoull(next(), nullptr, 10);
+    if (a == "--max-runs") { over.max_runs = parse_flag(a, next()); have_max_runs = true; }
+    else if (a == "--max-steps") { over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
+    else if (a == "--frontier") over.frontier_depth = parse_flag<std::size_t>(a, next());
+    else if (a == "--jobs") over.jobs = parse_flag<std::size_t>(a, next());
     else if (!a.empty() && a[0] == '-') return usage();
     else files.push_back(a);
   }

@@ -35,10 +35,12 @@
 #include "graph/graph.hpp"
 #include "obs/perfetto_trace.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace mm;
+using mm::tools::parse_flag;
 using fault::Json;
 using runtime::SimRuntime;
 
@@ -221,8 +223,8 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw std::runtime_error{"missing value for " + a};
         return argv[++i];
       };
-      if (a == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
-      else if (a == "--iters") opt.iters = std::atoi(next());
+      if (a == "--seed") opt.seed = parse_flag(a, next());
+      else if (a == "--iters") opt.iters = parse_flag<int>(a, next());
       else if (a == "--out") opt.out = next();
       else if (a == "--from") opt.from = next();
       else return usage();
