@@ -30,14 +30,15 @@ case "$MODE" in
     # Runtime + concurrency surface only: TSan's ~10x slowdown makes the full
     # suite impractical, and the single-threaded analysis passes add nothing.
     # The explorer suites are in because their walkers recycle fiber stacks
-    # on frontier worker threads.
-    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*'}
+    # on frontier worker threads; the walk pins drive the state cache's
+    # arenas through long walks.
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"

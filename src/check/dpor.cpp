@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -79,18 +81,187 @@ struct Sleeper {
   const StepFootprint* step;
 };
 
-struct CacheEntry {
-  std::uint64_t sleep_mask = 0;
-  Pid previous = Pid::none();
-  std::uint32_t preempt_used = 0;
-  bool open = true;  ///< the owning node is still on the exploration stack
-  std::vector<StepFootprint> agg;  ///< valid when closed
+/// Append-only storage in fixed-size chunks, addressed by a 32-bit index.
+/// Growth adds a chunk and never moves what is stored, so a walk's peak
+/// memory is what the cache holds rather than twice that during a copy.
+template <class T>
+class ChunkArena {
+ public:
+  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+  T& operator[](std::uint32_t i) noexcept { return chunks_[i >> kBits][i & kMask]; }
+  const T& operator[](std::uint32_t i) const noexcept { return chunks_[i >> kBits][i & kMask]; }
+
+  std::uint32_t push_back(const T& v) {
+    MM_ASSERT_MSG(size_ != kFull, "DPOR state cache arena exhausted (2^32 records)");
+    if ((size_ & kMask) == 0) chunks_.push_back(std::make_unique_for_overwrite<T[]>(kChunk));
+    (*this)[size_] = v;
+    return size_++;
+  }
+
+ private:
+  static constexpr std::uint32_t kBits = 12;
+  static constexpr std::uint32_t kChunk = 1U << kBits;
+  static constexpr std::uint32_t kMask = kChunk - 1;
+  static constexpr std::uint32_t kFull = ~std::uint32_t{0};
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::uint32_t size_ = 0;
+};
+
+/// The state cache: every decision point the walk opened, keyed by the
+/// canonical state hash. An open-addressing slot table (linear probing on
+/// the already-mixed low word, grown at half load) maps a state to its
+/// chain of entries, kept in insertion order so a probe meets them in the
+/// order they were opened. A closed entry packs its subtree's per-pid
+/// aggregate into two arenas: one record per pid with the destinations as a
+/// mask and the flags and fault masks inline, and the register keys, reads
+/// then writes, in a shared key arena.
+class StateCache {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Entry {
+    std::uint64_t sleep_mask = 0;
+    Pid previous = Pid::none();
+    std::uint32_t preempt_used = 0;
+    std::uint32_t next = kNone;  ///< the state's next entry, in insertion order
+    std::uint32_t agg = kNone;   ///< first packed footprint; kNone while open
+    std::uint32_t agg_size = 0;
+
+    /// The owning node is still on the exploration stack.
+    [[nodiscard]] bool open() const noexcept { return agg == kNone; }
+  };
+
+  StateCache() : slots_(kInitialSlots) {}
+
+  /// The slot holding `h`'s chain, or the empty slot where open() would
+  /// put it. Valid until the next open().
+  [[nodiscard]] std::size_t find(StateHash h) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(h.lo) & mask;
+    while (slots_[i].head != kNone && (slots_[i].lo != h.lo || slots_[i].hi != h.hi))
+      i = (i + 1) & mask;
+    return i;
+  }
+
+  /// First entry of the chain at `slot` (kNone for an unseen state).
+  [[nodiscard]] std::uint32_t head(std::size_t slot) const noexcept {
+    return slots_[slot].head;
+  }
+  [[nodiscard]] const Entry& entry(std::uint32_t e) const noexcept { return entries_[e]; }
+
+  /// Append an open entry to the chain at `slot`, which find(h) returned.
+  std::uint32_t open(std::size_t slot, StateHash h, const Entry& e) {
+    const std::uint32_t id = entries_.push_back(e);
+    Slot& s = slots_[slot];
+    if (s.head != kNone) {
+      entries_[s.tail].next = id;
+      s.tail = id;
+      return id;
+    }
+    s = Slot{h.lo, h.hi, id, id};
+    if (2 * ++used_ > slots_.size()) grow();
+    return id;
+  }
+
+  /// Close entry `e` with its subtree's per-pid aggregate.
+  void close(std::uint32_t e, const std::vector<StepFootprint>& agg) {
+    Entry& entry = entries_[e];
+    entry.agg = packed_.size();
+    entry.agg_size = static_cast<std::uint32_t>(agg.size());
+    for (const StepFootprint& f : agg) {
+      MM_ASSERT(f.pid.value() <= 0xffff);
+      Packed p{};
+      p.keys = keys_.size();
+      for (const runtime::RegKey k : f.reads) keys_.push_back(k);
+      for (const runtime::RegKey k : f.writes) keys_.push_back(k);
+      p.n_reads = static_cast<std::uint32_t>(f.reads.size());
+      p.n_writes = static_cast<std::uint32_t>(f.writes.size());
+      for (const Pid d : f.send_to) p.send_mask |= pid_bit(d);
+      p.crash_mask = f.crash_mask;
+      p.drop_mask = f.drop_mask;
+      p.part_mask = f.part_mask;
+      p.pid = static_cast<std::uint16_t>(f.pid.value());
+      p.flags = static_cast<std::uint8_t>(
+          (f.drained ? kDrained : 0) | (f.drew_rand ? kDrewRand : 0) |
+          (f.observed_clock ? kObservedClock : 0) | (f.finishes ? kFinishes : 0) |
+          (f.part_toggle ? kPartToggle : 0));
+      packed_.push_back(p);
+    }
+  }
+
+  /// Unpack closed entry `e`'s aggregate into `out`, whose elements keep
+  /// their vectors' capacity from one hit to the next.
+  std::span<const StepFootprint> unpack(std::uint32_t e,
+                                        std::vector<StepFootprint>& out) const {
+    const Entry& entry = entries_[e];
+    if (out.size() < entry.agg_size) out.resize(entry.agg_size);
+    for (std::uint32_t i = 0; i < entry.agg_size; ++i) {
+      const Packed& p = packed_[entry.agg + i];
+      StepFootprint& f = out[i];
+      f.clear(Pid{p.pid});
+      std::uint32_t k = p.keys;
+      for (const std::uint32_t end = k + p.n_reads; k != end; ++k)
+        f.reads.push_back(keys_[k]);
+      for (const std::uint32_t end = k + p.n_writes; k != end; ++k)
+        f.writes.push_back(keys_[k]);
+      for (std::uint64_t m = p.send_mask; m != 0; m &= m - 1)
+        f.send_to.push_back(Pid{static_cast<std::uint32_t>(std::countr_zero(m))});
+      f.drained = (p.flags & kDrained) != 0;
+      f.drew_rand = (p.flags & kDrewRand) != 0;
+      f.observed_clock = (p.flags & kObservedClock) != 0;
+      f.finishes = (p.flags & kFinishes) != 0;
+      f.part_toggle = (p.flags & kPartToggle) != 0;
+      f.crash_mask = p.crash_mask;
+      f.drop_mask = p.drop_mask;
+      f.part_mask = p.part_mask;
+    }
+    return {out.data(), entry.agg_size};
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::uint32_t head = kNone;  ///< kNone: empty
+    std::uint32_t tail = kNone;
+  };
+
+  /// One pid's aggregate footprint in a closed entry.
+  struct Packed {
+    std::uint64_t send_mask;
+    std::uint64_t crash_mask;
+    std::uint64_t drop_mask;
+    std::uint64_t part_mask;
+    std::uint32_t keys;  ///< first key in keys_: n_reads reads, then n_writes writes
+    std::uint32_t n_reads;
+    std::uint32_t n_writes;
+    std::uint16_t pid;
+    std::uint8_t flags;
+  };
+
+  static constexpr std::uint8_t kDrained = 1;
+  static constexpr std::uint8_t kDrewRand = 2;
+  static constexpr std::uint8_t kObservedClock = 4;
+  static constexpr std::uint8_t kFinishes = 8;
+  static constexpr std::uint8_t kPartToggle = 16;
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  void grow() {
+    const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+    for (const Slot& s : old)
+      if (s.head != kNone) slots_[find(StateHash{s.lo, s.hi})] = s;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;  ///< occupied slots
+  ChunkArena<Entry> entries_;
+  ChunkArena<Packed> packed_;
+  ChunkArena<runtime::RegKey> keys_;
 };
 
 /// One decision point on the exploration stack.
 struct Node {
-  std::vector<Pid> enabled;  ///< runnable pids at this point, pid order
-  std::uint64_t enabled_mask = 0;
+  std::uint64_t enabled_mask = 0;  ///< runnable pids at this point
   std::uint64_t backtrack_mask = 0;  ///< pids the race scan demands we try
   std::uint64_t done_mask = 0;       ///< pids whose branches are fully explored
   std::uint64_t sleep_entry_mask = 0;
@@ -101,10 +272,7 @@ struct Node {
   std::uint32_t preempt_used = 0;  ///< preemptions consumed before this decision
   StepFootprint step;              ///< footprint of executing `chosen` (this branch)
   std::vector<StepFootprint> agg;  ///< per-pid union over the explored subtree
-  /// The state's cache bucket (null without an entry), kept so closing the
-  /// entry needs no second lookup; map values never move.
-  std::vector<CacheEntry>* cache_bucket = nullptr;
-  std::size_t cache_slot = 0;
+  std::uint32_t cache_entry = StateCache::kNone;  ///< the state's entry, if it opened one
 };
 
 static_assert(std::is_nothrow_move_constructible_v<Node>,
@@ -123,7 +291,7 @@ void merge_agg(std::vector<StepFootprint>& agg, Footprint&& s) {
   agg.push_back(std::forward<Footprint>(s));
 }
 
-void merge_agg_all(std::vector<StepFootprint>& agg, const std::vector<StepFootprint>& other) {
+void merge_agg_all(std::vector<StepFootprint>& agg, std::span<const StepFootprint> other) {
   for (const StepFootprint& s : other) merge_agg(agg, s);
 }
 
@@ -203,7 +371,7 @@ class Walker {
     cur_sleep_.clear();
     pending_ = Pending::kNone;
     stop_ = Stop::kNone;
-    pruned_agg_ = nullptr;
+    pruned_agg_ = {};
     rt->set_schedule_policy([this](const std::vector<Pid>& runnable) { return decide(runnable); });
 
     const bool completed = rt->run_until_all_done(opt_.max_steps_per_run);
@@ -213,8 +381,7 @@ class Walker {
     } else if (stop_ == Stop::kCacheHit) {
       ++result_.runs_pruned_by_state_cache;
       // The pruned subtree counts as explored below the current node.
-      if (pruned_agg_ != nullptr && !stack_.empty())
-        merge_agg_all(stack_.back().agg, *pruned_agg_);
+      if (!stack_.empty()) merge_agg_all(stack_.back().agg, pruned_agg_);
     }
     finish_pending_step();
     StateHash final_state{};
@@ -269,7 +436,8 @@ class Walker {
 
   std::size_t decide_replay(const std::vector<Pid>& runnable, std::size_t d) {
     Node& node = stack_[d];
-    MM_ASSERT_MSG(node.enabled == runnable, "DPOR replay diverged: enabled set changed");
+    MM_ASSERT_MSG(node.enabled_mask == mask_of(runnable),
+                  "DPOR replay diverged: enabled set changed");
     // Refresh the arriving sleep set (identical for an unchanged prefix;
     // freshly computed for the branch being re-entered), then add this
     // node's retired siblings — they sleep for the current branch.
@@ -287,8 +455,7 @@ class Walker {
 
   std::size_t decide_extend(const std::vector<Pid>& runnable) {
     Node node;
-    node.enabled = runnable;
-    for (const Pid p : runnable) node.enabled_mask |= pid_bit(p);
+    node.enabled_mask = mask_of(runnable);
     node.previous = previous_;
     node.preempt_used = used_;
     node.sleep_entry_mask = sleep_mask();
@@ -301,9 +468,14 @@ class Walker {
       node.forced = true;
     }
 
+    StateHash state{};
+    std::size_t slot = 0;
     if (opt_.state_cache) {
-      auto& bucket = cache_[rt_->state_hash()];
-      for (CacheEntry& entry : bucket) {
+      state = rt_->state_hash();
+      slot = cache_.find(state);
+      for (std::uint32_t e = cache_.head(slot); e != StateCache::kNone;
+           e = cache_.entry(e).next) {
+        const StateCache::Entry& entry = cache_.entry(e);
         // The entry covers this node only if it explored at least as much:
         // its sleep set must be a subset of ours, and under a preemption
         // bound it must have had the same running process and at least as
@@ -316,12 +488,9 @@ class Walker {
         // the schedule cycled (e.g. a collapsed spin); its exploration is
         // this exploration. Closed entry: a finished subtree; replay its
         // aggregate footprints for race detection and stop.
-        return stop(Stop::kCacheHit, entry.open ? nullptr : &entry.agg);
+        if (entry.open()) return stop(Stop::kCacheHit, {});
+        return stop(Stop::kCacheHit, cache_.unpack(e, hit_agg_));
       }
-      node.cache_bucket = &bucket;
-      node.cache_slot = bucket.size();
-      bucket.push_back(CacheEntry{node.sleep_entry_mask, node.previous, node.preempt_used,
-                                  /*open=*/true, {}});
     }
 
     if (!node.forced) {
@@ -332,18 +501,15 @@ class Walker {
           break;
         }
       }
-      if (node.chosen.is_none()) {
-        // Every enabled process is asleep: each of their next steps was
-        // fully explored from an equivalent prefix. Nothing new below.
-        if (node.cache_bucket != nullptr) {
-          // The node never joins the stack; drop its just-opened entry so
-          // advance() bookkeeping stays one-to-one with stack nodes.
-          node.cache_bucket->pop_back();
-        }
-        return stop(Stop::kSleepBlocked, nullptr);
-      }
+      // Every enabled process is asleep: each of their next steps was fully
+      // explored from an equivalent prefix. Nothing new below, and no entry
+      // opens: the node never joins the stack.
+      if (node.chosen.is_none()) return stop(Stop::kSleepBlocked, {});
     }
     node.backtrack_mask = pid_bit(node.chosen);
+    if (opt_.state_cache)
+      node.cache_entry = cache_.open(
+          slot, state, {node.sleep_entry_mask, node.previous, node.preempt_used});
 
     const std::size_t idx = index_of(runnable, node.chosen);
     account_preemption(runnable, node.chosen);
@@ -377,12 +543,18 @@ class Walker {
   }
 
   /// End the replay: `agg` is the closed-entry aggregate to replay as
-  /// pseudo-steps in the race scan (null for sleep blocks and open-entry
+  /// pseudo-steps in the race scan (empty for sleep blocks and open-entry
   /// cycle prunes).
-  std::size_t stop(Stop why, const std::vector<StepFootprint>* agg) {
+  std::size_t stop(Stop why, std::span<const StepFootprint> agg) {
     stop_ = why;
     pruned_agg_ = agg;
     return SimRuntime::kStopRun;
+  }
+
+  static std::uint64_t mask_of(const std::vector<Pid>& runnable) {
+    std::uint64_t m = 0;
+    for (const Pid p : runnable) m |= pid_bit(p);
+    return m;
   }
 
   static std::size_t index_of(const std::vector<Pid>& runnable, Pid want) {
@@ -465,7 +637,7 @@ class Walker {
   /// decision. `pruned_agg`, when a closed cache entry ended the attempt,
   /// stands in for the pruned subtree: its per-pid aggregates are matched
   /// against every executed step with no transitivity filter (conservative).
-  void race_scan(const std::vector<StepFootprint>* pruned_agg) {
+  void race_scan(std::span<const StepFootprint> pruned_agg) {
     const std::size_t n_procs = procs_hint();
     Scan& sc = scan_;
     std::vector<StepRef>& steps = sc.steps;
@@ -623,12 +795,10 @@ class Walker {
       if (fp.part_toggle) toggles.push_back(static_cast<std::ptrdiff_t>(k));
     }
 
-    if (pruned_agg != nullptr) {
-      for (const StepFootprint& ghost : *pruned_agg) {
-        for (const StepRef& s : steps) {
-          if (s.fp->pid != ghost.pid && footprints_dependent(*s.fp, ghost))
-            flag_race(s, ghost.pid);
-        }
+    for (const StepFootprint& ghost : pruned_agg) {
+      for (const StepRef& s : steps) {
+        if (s.fp->pid != ghost.pid && footprints_dependent(*s.fp, ghost))
+          flag_race(s, ghost.pid);
       }
     }
   }
@@ -678,13 +848,7 @@ class Walker {
         break;
       }
       if (chose) return true;
-      if (node.cache_bucket != nullptr) {
-        // A copy, not a move: the copy is exact-size, while node.agg carries
-        // the slack of its merges, and the cache keeps every entry alive.
-        CacheEntry& entry = (*node.cache_bucket)[node.cache_slot];
-        entry.open = false;
-        entry.agg = node.agg;
-      }
+      if (node.cache_entry != StateCache::kNone) cache_.close(node.cache_entry, node.agg);
       std::vector<StepFootprint> agg = std::move(node.agg);
       stack_.pop_back();
       if (!stack_.empty()) merge_agg_all(stack_.back().agg, std::move(agg));
@@ -716,7 +880,8 @@ class Walker {
 
   ExploreResult result_;
   std::vector<Node> stack_;
-  std::unordered_map<StateHash, std::vector<CacheEntry>> cache_;
+  StateCache cache_;
+  std::vector<StepFootprint> hit_agg_;  ///< a closed entry's aggregate, unpacked
 
   // Per-attempt walk state.
   SimRuntime* rt_ = nullptr;
@@ -730,7 +895,7 @@ class Walker {
   std::size_t pending_index_ = 0;
   Pid pending_pid_ = Pid::none();
   Stop stop_ = Stop::kNone;
-  const std::vector<StepFootprint>* pruned_agg_ = nullptr;  ///< see stop()
+  std::span<const StepFootprint> pruned_agg_;  ///< see stop()
   Scan scan_;
   std::size_t n_procs_ = 0;
   std::size_t n_real_ = 0;

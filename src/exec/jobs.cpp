@@ -1,6 +1,11 @@
 #include "exec/jobs.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 
 namespace mm::exec {
@@ -12,13 +17,19 @@ std::size_t& override_slot() {
   return value;
 }
 
+/// MM_JOBS, or 0 when unset or empty. Anything but whole decimal digits
+/// that fit in size_t throws: a typo must not run the engine at some other
+/// width without a word.
 std::size_t env_jobs() {
   const char* raw = std::getenv("MM_JOBS");
   if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return 0;  // malformed: ignore
-  return static_cast<std::size_t>(parsed);
+  const char* const end = raw + std::strlen(raw);
+  std::size_t jobs = 0;
+  const auto [stop, err] = std::from_chars(raw, end, jobs);
+  if (err != std::errc{} || stop != end)
+    throw std::invalid_argument{
+        std::string{"MM_JOBS must be a whole number of workers, got \""} + raw + "\""};
+  return jobs;
 }
 
 }  // namespace

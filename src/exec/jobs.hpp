@@ -10,7 +10,10 @@
 
 namespace mm::exec {
 
-/// Resolved degree of trial-level parallelism (always >= 1).
+/// Resolved degree of trial-level parallelism (always >= 1). An unset,
+/// empty or 0 MM_JOBS means hardware concurrency; any other value that is
+/// not whole decimal digits fitting in size_t throws std::invalid_argument
+/// naming MM_JOBS and the text.
 [[nodiscard]] std::size_t default_jobs();
 
 /// Force the job count, ignoring MM_JOBS (0 clears the override). Intended

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -218,10 +217,3 @@ namespace detail {
 }
 
 }  // namespace mm::runtime
-
-template <>
-struct std::hash<mm::runtime::StateHash> {
-  std::size_t operator()(const mm::runtime::StateHash& h) const noexcept {
-    return static_cast<std::size_t>(h.lo ^ (h.hi * 0x9e3779b97f4a7c15ULL));
-  }
-};

@@ -15,7 +15,7 @@
 
 namespace mm::runtime {
 
-/// Accumulator owned by the runtime while observability is armed.
+/// Accumulator the runtime allocates when observability is first armed.
 struct ObsRecorder {
   LogHistogram delivery_latency;  ///< drain step − send step, per delivered message
   LogHistogram inbox_depth;       ///< messages handed over per non-empty drain

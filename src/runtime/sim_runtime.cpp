@@ -444,7 +444,14 @@ std::string SimRuntime::dump_trace(std::size_t last_n) const {
   return out;
 }
 
-ObsReport SimRuntime::obs_report() const { return build_obs_report(obs_); }
+void SimRuntime::set_observability(bool on) {
+  if (on && obs_ == nullptr) obs_ = std::make_unique<ObsRecorder>();
+  record_obs_ = on;
+}
+
+ObsReport SimRuntime::obs_report() const {
+  return obs_ != nullptr ? build_obs_report(*obs_) : ObsReport{};
+}
 
 void SimRuntime::activate(std::size_t pick) {
   ++metrics_.steps_by_proc[pick];
@@ -918,20 +925,20 @@ void SimRuntime::drain_pending(Pid to, Step now_step, std::vector<Message>& out)
   auto& pend = pending_[to.index()];
   // The cached pending_head_ guarantees this drain delivers at least one
   // message; the heap it found is the pending-depth sample.
-  if constexpr (Obs) obs_.pending_depth.add(pend.size());
+  if constexpr (Obs) obs_->pending_depth.add(pend.size());
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
     if constexpr (Obs)
-      obs_.delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
+      obs_->delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
     trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
-  if constexpr (Obs) obs_.inbox_depth.add(delivered);
+  if constexpr (Obs) obs_->inbox_depth.add(delivered);
   metrics_.msgs_delivered += delivered;
 }
 
@@ -1019,7 +1026,7 @@ std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
     ++metrics_.remote_reads_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
-  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   if constexpr (Recording) {
     scratch_.footprint.add_read(reg_keys_[r.index()]);
     obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
@@ -1044,7 +1051,7 @@ void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
     ++metrics_.remote_writes_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
-  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   if constexpr (Recording) scratch_.footprint.add_write(reg_keys_[r.index()]);
   reg_values_[r.index()] = v;
 }
@@ -1064,7 +1071,7 @@ std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
   ++metrics_.reg_cas_ops;
   if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
   trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
-  if constexpr (Obs) ++obs_.reg_touches[reg_keys_[r.index()].bits()];
+  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   const std::uint64_t old = reg_values_[r.index()];
   if constexpr (Recording) {
     // A CAS both observes and (potentially) mutates: read+write footprint,

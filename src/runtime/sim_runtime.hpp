@@ -303,10 +303,12 @@ class SimRuntime {
   /// footprint recording, the instrumentation exists only in the Obs=true
   /// instantiations of the Env backends — disabled runs execute none of it
   /// and trajectories are unchanged by arming (recording only observes).
-  void set_observability(bool on) noexcept { record_obs_ = on; }
+  /// The recorder is allocated on first arming, so a runtime that never
+  /// arms carries none.
+  void set_observability(bool on);
   [[nodiscard]] bool observability() const noexcept { return record_obs_; }
-  /// The report so far, bit-identical at any MM_JOBS. Call
-  /// between run chunks.
+  /// The report so far, bit-identical at any MM_JOBS (empty if
+  /// observability was never armed). Call between run chunks.
   [[nodiscard]] ObsReport obs_report() const;
 
  private:
@@ -537,7 +539,7 @@ class SimRuntime {
 
   // Sim-time observability (set_observability).
   bool record_obs_ = false;
-  ObsRecorder obs_;
+  std::unique_ptr<ObsRecorder> obs_;  ///< made on the first arming, kept after a disarm
 
   // Footprint / observation recording (see the model-checker hooks above).
   bool record_footprints_ = false;

@@ -6,7 +6,11 @@
 // skip schedules).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "check/dpor.hpp"
 #include "check/instances.hpp"
@@ -392,6 +396,124 @@ TEST(Dpor, WarmStackCacheLeavesTheWalkUnchanged) {
   EXPECT_EQ(warm.result.runs_pruned_by_sleep_set, cold.result.runs_pruned_by_sleep_set);
   EXPECT_EQ(warm.result.all_runs_completed, cold.result.all_runs_completed);
   EXPECT_EQ(warm.result.final_states, cold.result.final_states);
+}
+
+// -- walk pins ---------------------------------------------------------------
+
+// The walker's data structures may change shape, but the walk they drive may
+// not. Each pin holds one corpus walk to what the walker reported when it was
+// recorded: replay and prune counts, the verdict's strength, and the
+// reachable final-state set. A state-cache probe that meets entries in a
+// different order, a cached aggregate that loses a footprint bit or a
+// changed sleep-set filter moves at least one of them. A deliberate change
+// to the walk re-records the pins (each failure prints the new value) and
+// says so in CHANGES.md.
+
+struct WalkPin {
+  std::uint64_t runs;
+  std::uint64_t cache_pruned;
+  std::uint64_t sleep_pruned;
+  Exhaustiveness exhaustiveness;
+  std::size_t final_states;
+  std::uint64_t final_fold;  ///< fold of the sorted final-state hashes
+};
+
+std::uint64_t fold_final_states(const std::vector<runtime::StateHash>& states) {
+  std::uint64_t h = 0x6a09e667f3bcc909ULL;
+  const auto add = [&h](std::uint64_t v) {
+    std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    h = x;
+  };
+  for (const runtime::StateHash& s : states) {
+    add(s.lo);
+    add(s.hi);
+  }
+  return h;
+}
+
+void expect_walk(const char* name, std::optional<std::uint32_t> max_preemptions,
+                 const WalkPin& pin, std::optional<std::uint64_t> max_runs = std::nullopt) {
+  const Instance* inst = find_instance(name);
+  ASSERT_NE(inst, nullptr);
+  DporOptions o = inst->dpor;
+  o.collect_final_states = true;
+  if (max_preemptions.has_value()) o.max_preemptions = max_preemptions;
+  if (max_runs.has_value()) o.max_runs = *max_runs;
+  const InstanceVerdict v = check_instance_dpor(*inst, o);
+  ASSERT_FALSE(v.violation.has_value()) << name << ": " << *v.violation;
+  EXPECT_EQ(v.result.runs, pin.runs) << name;
+  EXPECT_EQ(v.result.runs_pruned_by_state_cache, pin.cache_pruned) << name;
+  EXPECT_EQ(v.result.runs_pruned_by_sleep_set, pin.sleep_pruned) << name;
+  EXPECT_EQ(v.result.exhaustiveness, pin.exhaustiveness) << name;
+  EXPECT_EQ(v.result.final_states.size(), pin.final_states) << name;
+  const std::uint64_t fold = fold_final_states(v.result.final_states);
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fold));
+  EXPECT_EQ(fold, pin.final_fold) << name << ": final-state fold is now " << hex;
+}
+
+TEST(DporWalkPins, Ac4) {
+  expect_walk("ac4", std::nullopt,
+              {2376, 1965, 1847, Exhaustiveness::kFull, 276, 0x9fce431976d85babULL});
+}
+
+TEST(DporWalkPins, Hbo3Crash) {
+  expect_walk("hbo3-crash", std::nullopt,
+              {304, 0, 114, Exhaustiveness::kFull, 304, 0xf3dd45790e9c0599ULL});
+}
+
+TEST(DporWalkPins, Abd4Drop) {
+  expect_walk("abd4-drop", std::nullopt,
+              {30910, 16636, 31272, Exhaustiveness::kFull, 2107, 0x26364d750d6efb88ULL});
+}
+
+TEST(DporWalkPins, Abd4Drop2) {
+  expect_walk("abd4-drop2", std::nullopt,
+              {67359, 41473, 65410, Exhaustiveness::kFull, 4338, 0x18f6b6785870cc49ULL});
+}
+
+TEST(DporWalkPins, Pingpart2) {
+  expect_walk("pingpart2", std::nullopt,
+              {13, 7, 4, Exhaustiveness::kFull, 6, 0x97e50c848bfcc6ebULL});
+}
+
+TEST(DporWalkPins, Omega2Part) {
+  expect_walk("omega2-part", std::nullopt,
+              {10, 3, 4, Exhaustiveness::kFull, 3, 0xf638a45a70802e40ULL});
+}
+
+// The whole hbo3-anycrash walk takes about 15 s; its first 20,000 replays are
+// the part a pin can afford. It is the only corpus walk whose outcome
+// depends on the destinations in cached aggregates, and the prefix already
+// shows it.
+TEST(DporWalkPins, Hbo3AnycrashFirst20kReplays) {
+  expect_walk(
+      "hbo3-anycrash", std::nullopt,
+      {20000, 10009, 5513, Exhaustiveness::kBudgetTruncated, 3577, 0xbe3643e530e45dfaULL},
+      20'000);
+}
+
+// Under a preemption bound a cache entry covers a node only with the same
+// running process and no more budget spent, so these three walks pin that
+// filter.
+TEST(DporWalkPins, Ac3PreemptionBound0) {
+  expect_walk("ac3", 0,
+              {1, 0, 0, Exhaustiveness::kWithinPreemptionBound, 1, 0xa062c8aa46bc1d92ULL});
+}
+
+TEST(DporWalkPins, Ac3PreemptionBound1) {
+  expect_walk("ac3", 1,
+              {13, 1, 4, Exhaustiveness::kWithinPreemptionBound, 6, 0xf0f0fd3d8d6b01d6ULL});
+}
+
+TEST(DporWalkPins, Ac3PreemptionBound2) {
+  expect_walk("ac3", 2,
+              {31, 6, 17, Exhaustiveness::kWithinPreemptionBound, 15, 0xd45b2a0f5acf22c9ULL});
 }
 
 // -- envelope validation -----------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "core/trial.hpp"
 #include "exec/jobs.hpp"
@@ -43,6 +44,40 @@ TEST(Jobs, OverrideBeatsEnvironment) {
   EXPECT_EQ(exec::default_jobs(), 3u);
   unsetenv("MM_JOBS");
   EXPECT_GE(exec::default_jobs(), 1u);
+}
+
+TEST(Jobs, EmptyAndZeroMeanHardwareConcurrency) {
+  unsetenv("MM_JOBS");
+  const std::size_t unset = exec::default_jobs();
+  for (const char* value : {"", "0"}) {
+    setenv("MM_JOBS", value, 1);
+    EXPECT_EQ(exec::default_jobs(), unset) << "MM_JOBS=\"" << value << "\"";
+  }
+  unsetenv("MM_JOBS");
+}
+
+TEST(Jobs, MalformedEnvironmentThrowsNamingTheValue) {
+  // Only resolution runs here: no pool is started with these values. Before,
+  // "2k" and "abc" fell back to hardware concurrency and "-1" wrapped to
+  // 2^64 - 1 workers.
+  for (const char* value : {"2k", "-1", "abc", "99999999999999999999", " 4", "+4"}) {
+    setenv("MM_JOBS", value, 1);
+    try {
+      (void)exec::default_jobs();
+      ADD_FAILURE() << "MM_JOBS=\"" << value << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MM_JOBS"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  }
+  // The override still wins over a malformed environment.
+  setenv("MM_JOBS", "2k", 1);
+  {
+    exec::ScopedJobs scoped{2};
+    EXPECT_EQ(exec::default_jobs(), 2u);
+  }
+  unsetenv("MM_JOBS");
 }
 
 TEST(ParallelMap, ResultsInIndexOrder) {

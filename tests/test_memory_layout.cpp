@@ -156,6 +156,16 @@ TEST(SlabPool, MinimumClassServesTinyRequests) {
   pool.release(p, bytes);
 }
 
+// -- SimRuntime object size -------------------------------------------------
+
+// The explorers build one runtime per schedule replay, so every construction
+// zeroes the whole object. Whatever only an armed feature uses, such as the
+// observability recorder's three 976-bucket histograms (23 KB), is allocated
+// when the feature is armed, not carried inline.
+TEST(SimRuntimeLayout, ObjectStaysUnderFourKilobytes) {
+  EXPECT_LT(sizeof(SimRuntime), 4096u);
+}
+
 // -- steady-state allocation invariant --------------------------------------
 
 // A four-process ring exchanging spilled (9-tuple) messages every step: after
