@@ -58,10 +58,8 @@ int main() {
       continue;
     }
 
-    DporOptions dpor_opts = inst.dpor;
-    dpor_opts.collect_final_states = true;
     bench::WallTimer dpor_timer;
-    const InstanceVerdict dpor = check_instance_dpor(inst, dpor_opts);
+    const InstanceVerdict dpor = check_instance_dpor(inst, inst.dpor);
     const double dpor_ms = dpor_timer.ms();
     if (dpor.violation.has_value()) ok = false;
     // Clean instances prove a universally quantified claim; a truncated

@@ -3,15 +3,15 @@
 // adopt-commit and consensus-object proposals, and a small end-to-end HBO.
 // These are the constants behind the experiment tables' wall-clock columns.
 //
-// In addition to the google-benchmark suite, main() measures the two
-// headline throughput numbers — scheduler steps/sec and trials/sec at
-// MM_JOBS=1 vs the parallel trial engine — and writes them to
+// In addition to the google-benchmark suite, main() measures the null-loop
+// scheduler steps/sec, fiber handoffs/sec, allocations per step and the
+// 2048-process ring's tracing overhead, and writes them to
 // BENCH_runtime.json (override the path with MM_BENCH_JSON; MM_BENCH_QUICK=1
 // shrinks the workload for smoke runs) so the perf trajectory is tracked
-// across PRs.
+// across changes. Trials/sec through the parallel engine is perfbench's
+// `sweep` workload.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +24,6 @@
 #include "common/slab.hpp"
 #include "core/hbo.hpp"
 #include "core/tags.hpp"
-#include "core/trial.hpp"
-#include "exec/jobs.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "runtime/fiber.hpp"
@@ -159,31 +157,6 @@ void BM_ExactExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactExpansion)->Arg(12)->Arg(16)->Arg(20)->Unit(benchmark::kMillisecond);
 
-// Full seeded consensus trials through the parallel engine; Arg = job count
-// (0 = MM_JOBS default). Items/sec is trials/sec.
-void BM_TrialSweep(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  exec::ScopedJobs scoped{jobs};
-  core::ConsensusTrialConfig cfg;
-  cfg.gsm = graph::chordal_ring(8);
-  cfg.algo = core::Algo::kHbo;
-  cfg.f = 2;
-  cfg.crash_pick = core::CrashPick::kRandom;
-  cfg.budget = 500'000;
-  cfg.seed = 7'000;
-  constexpr std::uint64_t kTrials = 8;
-  std::uint64_t sweeps = 0;
-  for (auto _ : state) {
-    const auto sweep = core::sweep_termination(cfg, kTrials);
-    benchmark::DoNotOptimize(sweep);
-    cfg.seed += kTrials;
-    ++sweeps;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(sweeps * kTrials));
-  state.SetLabel("jobs=" + std::to_string(jobs == 0 ? exec::default_jobs() : jobs));
-}
-BENCHMARK(BM_TrialSweep)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // BENCH_runtime.json: the tracked throughput record.
 // ---------------------------------------------------------------------------
@@ -274,34 +247,6 @@ AllocRates measure_alloc_rates(Step steps) {
           static_cast<double>(delta.bytes) / static_cast<double>(steps)};
 }
 
-struct SweepTiming {
-  core::TerminationSweep sweep;
-  double trials_per_sec = 0.0;
-  std::size_t jobs_used = 1;  ///< workers the engine actually ran with
-};
-
-SweepTiming measure_trials_per_sec(std::size_t jobs, std::uint64_t trials) {
-  exec::ScopedJobs scoped{jobs};
-  core::ConsensusTrialConfig cfg;
-  cfg.gsm = graph::chordal_ring(8);
-  cfg.algo = core::Algo::kHbo;
-  cfg.f = 2;
-  cfg.crash_pick = core::CrashPick::kRandom;
-  cfg.budget = 500'000;
-  cfg.seed = 9'000;
-  SweepTiming out;
-  // Resolve the worker count the same way the engine will: the scoped
-  // override (or environment/hardware default), clamped by the trial count —
-  // parallel_map never uses more workers than items. This is what the JSON's
-  // "jobs" field must report; the pre-override default_jobs() it used to
-  // record could silently disagree with the measured configuration.
-  out.jobs_used = std::min<std::size_t>(exec::default_jobs(), trials);
-  const auto start = std::chrono::steady_clock::now();
-  out.sweep = core::sweep_termination(cfg, trials);
-  out.trials_per_sec = static_cast<double>(trials) / seconds_since(start);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Observability tax (schema 6).
 // ---------------------------------------------------------------------------
@@ -365,18 +310,11 @@ RingRates measure_tracing_tax(Step steps) {
   return {total / untraced_s, total / traced_s};
 }
 
-bool identical(const core::TerminationSweep& a, const core::TerminationSweep& b) {
-  return a.termination_rate == b.termination_rate &&
-         a.mean_decided_round == b.mean_decided_round && a.mean_steps == b.mean_steps &&
-         a.safety_violations == b.safety_violations;
-}
-
 int write_bench_runtime_json() {
   const bool quick = std::getenv("MM_BENCH_QUICK") != nullptr;
   const char* path_env = std::getenv("MM_BENCH_JSON");
   const std::string path = path_env != nullptr ? path_env : "BENCH_runtime.json";
   const Step step_count = quick ? 100'000 : 1'000'000;
-  const std::uint64_t trials = quick ? 8 : 32;
 
   // The null-loop step rate sits on the raw fiber handoff floor.
   const double steps_per_sec = measure_steps_per_sec(step_count);
@@ -388,12 +326,6 @@ int write_bench_runtime_json() {
   const RingRates ring = measure_tracing_tax(quick ? 200'000 : 2'000'000);
   const double tracing_overhead_pct = 100.0 * (ring.untraced / ring.traced - 1.0);
 
-  (void)measure_trials_per_sec(0, trials > 8 ? 8 : trials);  // warm up
-  const SweepTiming seq = measure_trials_per_sec(1, trials);
-  const SweepTiming par = measure_trials_per_sec(0, trials);  // 0 = env/hw default
-  const std::size_t jobs = par.jobs_used;
-  const bool deterministic = identical(seq.sweep, par.sweep);
-
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -401,9 +333,8 @@ int write_bench_runtime_json() {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": 7,\n"
+               "  \"schema\": 8,\n"
                "  \"quick\": %s,\n"
-               "  \"jobs\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"sim_steps_per_sec\": %.1f,\n"
                "  \"handoffs_per_sec\": %.1f,\n"
@@ -412,19 +343,12 @@ int write_bench_runtime_json() {
                "  \"tracing_overhead_pct\": %.2f,\n"
                "  \"alloc_counting_active\": %s,\n"
                "  \"allocs_per_step\": %.6f,\n"
-               "  \"bytes_per_step\": %.4f,\n"
-               "  \"trials\": %llu,\n"
-               "  \"trials_per_sec_seq\": %.3f,\n"
-               "  \"trials_per_sec_par\": %.3f,\n"
-               "  \"parallel_speedup\": %.3f,\n"
-               "  \"deterministic\": %s\n"
+               "  \"bytes_per_step\": %.4f\n"
                "}\n",
-               quick ? "true" : "false", jobs, std::thread::hardware_concurrency(), steps_per_sec,
+               quick ? "true" : "false", std::thread::hardware_concurrency(), steps_per_sec,
                handoffs_per_sec, ring.untraced, ring.traced, tracing_overhead_pct,
                common::alloc_counting_active() ? "true" : "false", alloc_rates.allocs_per_step,
-               alloc_rates.bytes_per_step, static_cast<unsigned long long>(trials),
-               seq.trials_per_sec, par.trials_per_sec, par.trials_per_sec / seq.trials_per_sec,
-               deterministic ? "true" : "false");
+               alloc_rates.bytes_per_step);
   std::fclose(f);
   std::printf("\nBENCH_runtime.json -> %s\n", path.c_str());
   std::printf("  sim steps/sec      : %.0f\n", steps_per_sec);
@@ -434,11 +358,7 @@ int write_bench_runtime_json() {
   std::printf("  allocs/step        : %.6f (%.2f bytes/step%s)\n", alloc_rates.allocs_per_step,
               alloc_rates.bytes_per_step,
               common::alloc_counting_active() ? "" : "; counting inactive");
-  std::printf("  trials/sec (seq)   : %.2f\n", seq.trials_per_sec);
-  std::printf("  trials/sec (%zu job%s): %.2f  (speedup %.2fx, deterministic: %s)\n", jobs,
-              jobs == 1 ? "" : "s", par.trials_per_sec, par.trials_per_sec / seq.trials_per_sec,
-              deterministic ? "yes" : "NO");
-  return deterministic ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -385,13 +385,14 @@ class Walker {
     }
     finish_pending_step();
     StateHash final_state{};
-    const bool record_final = completed && opt_.collect_final_states;
-    if (record_final) final_state = rt->state_hash();
+    if (completed) final_state = rt->state_hash();
     rt->shutdown();
     rt->rethrow_process_error();
     if (!aborted) {
-      if (!completed) result_.all_runs_completed = false;
-      if (record_final) result_.final_states.push_back(final_state);
+      if (completed)
+        result_.final_states.push_back(final_state);
+      else
+        result_.all_runs_completed = false;
       verify_(*rt);
     }
     ++result_.runs;

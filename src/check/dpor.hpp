@@ -71,7 +71,6 @@ struct DporOptions {
   /// MM_JOBS / `jobs` value.
   std::size_t frontier_depth = 0;
   std::size_t jobs = 0;  ///< worker count for the frontier; 0 = MM_JOBS default
-  bool collect_final_states = true;
   /// Arm SimRuntime::set_idle_slice_collapse on every replay. Required for
   /// instances with busy-wait await loops (else spins never revisit a cached
   /// state and every run hits max_steps_per_run); only sound when those

@@ -84,8 +84,8 @@ struct ExploreResult {
   std::uint64_t runs_pruned_by_state_cache = 0;
   /// Branches never scheduled because every candidate was in the sleep set.
   std::uint64_t runs_pruned_by_sleep_set = 0;
-  /// Sorted, deduplicated final-state hashes of completed runs (empty unless
-  /// collect_final_states).
+  /// Sorted, deduplicated final-state hashes of completed runs. DPOR always
+  /// fills it; the DFS explorer only under collect_final_states.
   std::vector<runtime::StateHash> final_states;
 };
 

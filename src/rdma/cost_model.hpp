@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "common/ids.hpp"
 #include "runtime/metrics.hpp"
 
 namespace mm::rdma {

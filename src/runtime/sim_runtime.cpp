@@ -37,55 +37,34 @@ constexpr std::uint64_t kSliceSigSeed = 0x2545f4914f6cdd1dULL;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SimEnv — forwards to the runtime, tagged with the calling pid. Each call
-// dispatches once on the (footprint-recording, observability) flags to the
-// matching instantiation of the env backend; the <false, false>
-// instantiation carries no instrumentation at all.
+// SimEnv — forwards to the runtime, tagged with the calling pid. The register
+// calls take their auto-step yield here, before the backend reads the
+// recording flags (see the class comment).
 // ---------------------------------------------------------------------------
 
-// Four-way dispatch for the drain/register env calls. Template argument
-// order is <Recording, Obs>. Only one branch is ever evaluated, so
-// forwarding std::move'd arguments through every arm is safe.
-#define MM_ENV_DISPATCH(fn, ...)                                            \
-  do {                                                                      \
-    if (rt_->record_obs_) [[unlikely]] {                                    \
-      if (rt_->record_footprints_) return rt_->fn<true, true>(__VA_ARGS__); \
-      return rt_->fn<false, true>(__VA_ARGS__);                             \
-    }                                                                       \
-    if (rt_->record_footprints_) [[unlikely]]                               \
-      return rt_->fn<true, false>(__VA_ARGS__);                             \
-    return rt_->fn<false, false>(__VA_ARGS__);                              \
-  } while (0)
-
 std::size_t SimEnv::n() const { return rt_->config().n(); }
-void SimEnv::send(Pid to, Message m) {
-  if (rt_->record_footprints_) [[unlikely]]
-    return rt_->env_send<true>(self_, to, std::move(m));
-  rt_->env_send<false>(self_, to, std::move(m));
-}
-void SimEnv::drain_inbox(std::vector<Message>& out) { MM_ENV_DISPATCH(env_drain, self_, out); }
+void SimEnv::send(Pid to, Message m) { rt_->env_send(self_, to, std::move(m)); }
+void SimEnv::drain_inbox(std::vector<Message>& out) { rt_->env_drain(self_, out); }
 RegId SimEnv::reg(RegKey key) { return rt_->env_reg(self_, key); }
-std::uint64_t SimEnv::read(RegId r) { MM_ENV_DISPATCH(env_read, self_, r); }
-void SimEnv::write(RegId r, std::uint64_t v) { MM_ENV_DISPATCH(env_write, self_, r, v); }
+std::uint64_t SimEnv::read(RegId r) {
+  if (rt_->auto_step_on_shm_) step();
+  return rt_->env_read(self_, r);
+}
+void SimEnv::write(RegId r, std::uint64_t v) {
+  if (rt_->auto_step_on_shm_) step();
+  rt_->env_write(self_, r, v);
+}
 std::uint64_t SimEnv::cas(RegId r, std::uint64_t expected, std::uint64_t desired) {
-  MM_ENV_DISPATCH(env_cas, self_, r, expected, desired);
+  if (rt_->auto_step_on_shm_) step();
+  return rt_->env_cas(self_, r, expected, desired);
 }
-
-#undef MM_ENV_DISPATCH
-bool SimEnv::coin() {
-  return rt_->record_footprints_ ? rt_->env_coin<true>(self_) : rt_->env_coin<false>(self_);
-}
-std::uint64_t SimEnv::rand_below(std::uint64_t bound) {
-  return rt_->record_footprints_ ? rt_->env_rand_below<true>(self_, bound)
-                                 : rt_->env_rand_below<false>(self_, bound);
-}
+bool SimEnv::coin() { return rt_->env_coin(self_); }
+std::uint64_t SimEnv::rand_below(std::uint64_t bound) { return rt_->env_rand_below(self_, bound); }
 void SimEnv::step() {
   fiber_->yield();
   if (*kill_flag_ != 0) throw ProcessKilled{};
 }
-Step SimEnv::now() const {
-  return rt_->record_footprints_ ? rt_->env_now<true>(self_) : rt_->env_now<false>(self_);
-}
+Step SimEnv::now() const { return rt_->env_now(self_); }
 bool SimEnv::stop_requested() const {
   return rt_->stop_requested_.load(std::memory_order_relaxed);
 }
@@ -831,16 +810,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump()
 // Env backends — run on the (single) active process fiber.
 // ---------------------------------------------------------------------------
 
-void SimRuntime::env_step(Pid self) {
-  const std::size_t i = self.index();
-  fiber_[i]->yield();
-  if (proc_kill_[i] != 0) throw ProcessKilled{};
-}
-
-void SimRuntime::maybe_auto_step(Pid self) {
-  if (auto_step_on_shm_) env_step(self);
-}
-
 Step SimRuntime::partition_hold(Pid from, Pid to, Step deliver_at, Rng& rng) {
   if (!config_.partition.has_value()) return deliver_at;
   const Partition& part = *config_.partition;
@@ -859,7 +828,6 @@ void SimRuntime::enqueue_message(Pid to, Step deliver_at, Message m) {
   pending_head_[to.index()] = pend.front().deliver_at;
 }
 
-template <bool Recording>
 void SimRuntime::env_send(Pid from, Pid to, Message m) {
   MM_ASSERT(to.index() < config_.n());
   bool deliver = true;
@@ -867,7 +835,8 @@ void SimRuntime::env_send(Pid from, Pid to, Message m) {
     injector_->on_send(*this, from, to);
     deliver = injector_->on_byz_send(from, to, m);
   }
-  if constexpr (Recording) scratch_.footprint.add_send(to);
+  if (record_footprints_) [[unlikely]]
+    scratch_.footprint.add_send(to);
   ++metrics_.msgs_sent;
   ++metrics_.sends_by_proc[from.index()];
   if (!deliver) [[unlikely]] {  // Byzantine selective silence
@@ -920,29 +889,29 @@ void SimRuntime::env_send(Pid from, Pid to, Message m) {
   enqueue_message(to, deliver_at, std::move(m));
 }
 
-template <bool Obs>
 void SimRuntime::drain_pending(Pid to, Step now_step, std::vector<Message>& out) {
   auto& pend = pending_[to.index()];
   // The cached pending_head_ guarantees this drain delivers at least one
   // message; the heap it found is the pending-depth sample.
-  if constexpr (Obs) obs_->pending_depth.add(pend.size());
+  if (record_obs_) [[unlikely]]
+    obs_->pending_depth.add(pend.size());
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
-    if constexpr (Obs)
+    if (record_obs_) [[unlikely]]
       obs_->delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
     trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
-  if constexpr (Obs) obs_->inbox_depth.add(delivered);
+  if (record_obs_) [[unlikely]]
+    obs_->inbox_depth.add(delivered);
   metrics_.msgs_delivered += delivered;
 }
 
-template <bool Recording, bool Obs>
 void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
   // Pop eligible messages straight from the heap into the caller's buffer —
   // delivery order is (deliver_at, seq), exactly the heap's pop order, so no
@@ -951,8 +920,8 @@ void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
   // cached pending_head_ skips the heap entirely.
   out.clear();
   if (pending_head_[self.index()] <= global_step_)
-    drain_pending<Obs>(self, global_step_, out);
-  if constexpr (Recording) {
+    drain_pending(self, global_step_, out);
+  if (record_footprints_) [[unlikely]] {
     SliceScratch& sc = scratch_;
     // Even an empty drain is a channel touch: it would have observed any
     // message sent before it, so it must order against sends to `self`.
@@ -1013,9 +982,7 @@ void SimRuntime::check_register_access(Pid accessor, RegId r) const {
   }
 }
 
-template <bool Recording, bool Obs>
 std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
-  maybe_auto_step(self);
   check_register_access(self, r);
   check_memory_alive(r);
   ++metrics_.reg_reads;
@@ -1026,17 +993,16 @@ std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
     ++metrics_.remote_reads_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
-  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
-  if constexpr (Recording) {
+  if (record_obs_) [[unlikely]]
+    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
+  if (record_footprints_) [[unlikely]] {
     scratch_.footprint.add_read(reg_keys_[r.index()]);
     obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
   }
   return reg_values_[r.index()];
 }
 
-template <bool Recording, bool Obs>
 void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
-  maybe_auto_step(self);
   if (injector_ != nullptr) [[unlikely]] {
     injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
     injector_->on_byz_reg_write(self, reg_keys_[r.index()], v);
@@ -1051,15 +1017,15 @@ void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
     ++metrics_.remote_writes_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
-  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
-  if constexpr (Recording) scratch_.footprint.add_write(reg_keys_[r.index()]);
+  if (record_obs_) [[unlikely]]
+    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
+  if (record_footprints_) [[unlikely]]
+    scratch_.footprint.add_write(reg_keys_[r.index()]);
   reg_values_[r.index()] = v;
 }
 
-template <bool Recording, bool Obs>
 std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
                                   std::uint64_t desired) {
-  maybe_auto_step(self);
   // A CAS is a write-class mutation: fault rules keyed on register writes
   // (kOnFirstWrite / kOnRoundEntry) must see CAS-based object protocols too.
   if (injector_ != nullptr) [[unlikely]] {
@@ -1071,9 +1037,10 @@ std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
   ++metrics_.reg_cas_ops;
   if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
   trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
-  if constexpr (Obs) ++obs_->reg_touches[reg_keys_[r.index()].bits()];
+  if (record_obs_) [[unlikely]]
+    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   const std::uint64_t old = reg_values_[r.index()];
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     // A CAS both observes and (potentially) mutates: read+write footprint,
     // with the observed old value as the observation. Whether the swap hit
     // is a deterministic function of (old, expected), so old alone suffices.
@@ -1085,35 +1052,30 @@ std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
   return old;
 }
 
-template <bool Recording>
 bool SimRuntime::env_coin(Pid self) {
   const bool v = proc_rng_[self.index()].coin();
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     scratch_.footprint.drew_rand = true;
     obs_note(self, kObsCoin, v ? 1 : 0, scratch_.sig);
   }
   return v;
 }
 
-template <bool Recording>
 std::uint64_t SimRuntime::env_rand_below(Pid self, std::uint64_t bound) {
   const std::uint64_t v = proc_rng_[self.index()].below(bound);
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     scratch_.footprint.drew_rand = true;
     obs_note(self, kObsRand, v, scratch_.sig);
   }
   return v;
 }
 
-template <bool Recording>
 Step SimRuntime::env_now(Pid self) {
-  if constexpr (Recording) {
+  if (record_footprints_) [[unlikely]] {
     // Reading the clock makes the step depend on *every* other step (time
     // advances with each), so it is recorded as a global conflict.
     scratch_.footprint.observed_clock = true;
     obs_note(self, kObsNow, global_step_, scratch_.sig);
-  } else {
-    (void)self;
   }
   return global_step_;
 }

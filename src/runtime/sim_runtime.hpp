@@ -9,17 +9,19 @@
 // Every test failure is replayable from its seed.
 //
 // Adversary strength: by default every shared-register access yields to the
-// scheduler first (auto_step_on_shm), so interleavings are adversarial at
-// register-operation granularity — the granularity at which linearizability
-// of the register layer matters for the algorithms' safety proofs.
+// scheduler first (auto_step_on_shm, taken in SimEnv), so interleavings are
+// adversarial at register-operation granularity — the granularity at which
+// linearizability of the register layer matters for the algorithms' safety
+// proofs.
 //
 // Hot-path layout (docs/RUNTIME.md "Memory layout"): per-process scheduler
 // state lives in dense parallel arrays (proc_state_/proc_kill_/
 // proc_finished_/fiber_), registers in parallel arrays keyed by reg_index_,
 // and messages carry inline small-buffer payloads (runtime/message.hpp) —
-// a steady-state step performs zero heap allocations. Footprint recording
-// instrumentation is templated out of the non-recording Env backends (see
-// SimEnv below), so the no-checker code path contains none of it.
+// a steady-state step performs zero heap allocations. Footprint-recording
+// and observability instrumentation sits behind one [[unlikely]] flag test
+// at each point of use in the Env backends, so the no-checker path skips it
+// with branches that always go the same way.
 #pragma once
 
 #include <atomic>
@@ -47,14 +49,13 @@ class SimRuntime;
 
 /// Per-process Env implementation; a thin facade over the runtime.
 ///
-/// The runtime's Env backends are member templates over a `Recording`
-/// policy: the <false> instantiation — the only one the no-checker hot path
-/// executes — contains no footprint/observation code at all (compiled out,
-/// not branched around). This facade selects the instantiation with a single
-/// top-of-call branch on the runtime's recording flag, which keeps
-/// set_footprint_recording armable after a deterministic warmup prefix (the
-/// instance corpus relies on that) while the instrumentation itself stays
-/// out of the non-recording code path entirely.
+/// Each call forwards to one Env backend of the runtime. read, write and cas
+/// first take the auto-step yield (auto_step_on_shm) here, so SimEnv is the
+/// only place a process yields. The backends test the recording flags at the
+/// access itself, after that yield: a hook armed or disarmed while a process
+/// is parked applies to the access the process makes when it resumes, and
+/// recording stays armable after a deterministic warmup prefix (the instance
+/// corpus relies on that).
 class SimEnv final : public Env {
  public:
   SimEnv(SimRuntime& rt, Pid self) : rt_(&rt), self_(self) {}
@@ -219,11 +220,9 @@ class SimRuntime {
   // touched (runtime/footprint.hpp) and folds everything the process
   // *observed* (read values, drained messages, coin draws, clock reads) into
   // a per-process rolling observation hash. The DPOR explorer in check/dpor.*
-  // consumes both. Off by default, and cheap by default: the instrumented
-  // code exists only in the Recording=true instantiation of the Env
-  // backends, which the non-recording path never executes — arming simply
-  // flips which instantiation the SimEnv facade dispatches to, so recording
-  // may still be armed after a deterministic warmup prefix.
+  // consumes both. Off by default, and cheap by default: each Env backend
+  // tests the flag where it would record, at the access (see SimEnv), so
+  // recording may be armed after a deterministic warmup prefix.
 
   /// Arm/disarm per-step footprint + observation recording.
   void set_footprint_recording(bool on);
@@ -300,11 +299,10 @@ class SimRuntime {
   // -- sim-time observability (docs/RUNTIME.md "Observability") --------------
   /// Arm/disarm sim-time observability recording: delivery-latency,
   /// inbox-depth, pending-depth, and register-contention histograms. Like
-  /// footprint recording, the instrumentation exists only in the Obs=true
-  /// instantiations of the Env backends — disabled runs execute none of it
-  /// and trajectories are unchanged by arming (recording only observes).
-  /// The recorder is allocated on first arming, so a runtime that never
-  /// arms carries none.
+  /// footprint recording, the flag is tested at the access (see SimEnv):
+  /// disabled runs feed nothing, and trajectories are unchanged by arming
+  /// (recording only observes). The recorder is allocated on first arming,
+  /// so a runtime that never arms carries none.
   void set_observability(bool on);
   [[nodiscard]] bool observability() const noexcept { return record_obs_; }
   /// The report so far, bit-identical at any MM_JOBS (empty if
@@ -397,7 +395,6 @@ class SimRuntime {
   void check_memory_alive(RegId r) const;
   /// Pop every message for `to` eligible at `now_step` straight into `out`
   /// (delivery order), maintaining pending_head_.
-  template <bool Obs>
   void drain_pending(Pid to, Step now_step, std::vector<Message>& out);
   /// Apply the partition hold rule to a tentative delivery step; re-draws
   /// the post-window delay from `rng` (the link stream for originals, the
@@ -406,30 +403,19 @@ class SimRuntime {
   void enqueue_message(Pid to, Step deliver_at, Message m);
 
   // Env backends (called from the running process fiber; serialized by the
-  // handoff, so no locking is needed). Templated on the recording policy
-  // and (for the drain and register calls) the observability policy: the
-  // <false, false> instantiations — the uninstrumented hot path — contain
-  // no footprint/observation code and no histogram feeds at all (compiled
-  // out, not branched around).
-  template <bool Recording>
+  // handoff, so no locking is needed). Each is one function: it tests
+  // record_footprints_ / record_obs_ ([[unlikely]]) where it would record,
+  // so the flags are read at the access. The register calls never yield;
+  // SimEnv takes the auto-step before calling them.
   void env_send(Pid from, Pid to, Message m);
-  template <bool Recording, bool Obs>
   void env_drain(Pid self, std::vector<Message>& out);
   RegId env_reg(Pid self, RegKey key);
-  template <bool Recording, bool Obs>
   std::uint64_t env_read(Pid self, RegId r);
-  template <bool Recording, bool Obs>
   void env_write(Pid self, RegId r, std::uint64_t v);
-  template <bool Recording, bool Obs>
   std::uint64_t env_cas(Pid self, RegId r, std::uint64_t expected, std::uint64_t desired);
-  void env_step(Pid self);
-  template <bool Recording>
   bool env_coin(Pid self);
-  template <bool Recording>
   std::uint64_t env_rand_below(Pid self, std::uint64_t bound);
-  template <bool Recording>
   Step env_now(Pid self);
-  void maybe_auto_step(Pid self);
 
   /// Scratch for the recording state of the slice in flight.
   struct SliceScratch {
@@ -466,7 +452,7 @@ class SimRuntime {
 
   // Per-process scheduler state, struct-of-arrays (hot; indexed by pid).
   std::vector<std::uint8_t> proc_state_;     ///< ProcState values
-  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by env_step
+  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by SimEnv::step
   std::vector<std::uint8_t> proc_finished_;  ///< set by the wrapper before its final yield
   std::vector<Fiber*> fiber_;  ///< procs_[i].fiber, dense for the handoff
 

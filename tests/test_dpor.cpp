@@ -40,10 +40,8 @@ TEST(Dpor, DifferentialOnInstanceCorpus) {
     ASSERT_TRUE(inst->dfs_feasible);
     ExploreOptions dfs_opts = inst->dfs;
     dfs_opts.collect_final_states = true;
-    DporOptions dpor_opts = inst->dpor;
-    dpor_opts.collect_final_states = true;
     const InstanceVerdict dfs = check_instance_dfs(*inst, dfs_opts);
-    const InstanceVerdict dpor = check_instance_dpor(*inst, dpor_opts);
+    const InstanceVerdict dpor = check_instance_dpor(*inst, inst->dpor);
     EXPECT_FALSE(dfs.violation.has_value()) << inst->name << ": " << *dfs.violation;
     EXPECT_FALSE(dpor.violation.has_value()) << inst->name << ": " << *dpor.violation;
     EXPECT_EQ(dfs.result.exhaustiveness, Exhaustiveness::kFull) << inst->name;
@@ -156,9 +154,7 @@ void expect_fault_class_differential(const runtime::ExploreFaults& ef,
   dfs_opts.collect_final_states = true;
   dfs_opts.max_runs = 500'000;
   const ExploreResult dfs = explore_schedules(make, verify, dfs_opts);
-  DporOptions dpor_opts;
-  dpor_opts.collect_final_states = true;
-  const ExploreResult dpor = explore_dpor(make, verify, dpor_opts);
+  const ExploreResult dpor = explore_dpor(make, verify, DporOptions{});
   EXPECT_EQ(dfs.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_EQ(dpor.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_EQ(dfs.final_states, dpor.final_states) << "DPOR lost or invented a fault placement";
@@ -241,7 +237,6 @@ TEST(DporFaults, FaultFrontierIdenticalAcrossJobCounts) {
   ExploreResult parts[2];
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     DporOptions o = inst->dpor;
-    o.collect_final_states = true;
     o.frontier_depth = 2;
     o.jobs = jobs;
     const InstanceVerdict v = check_instance_dpor(*inst, o);
@@ -379,7 +374,6 @@ TEST(Dpor, WarmStackCacheLeavesTheWalkUnchanged) {
   ASSERT_NE(ac4, nullptr);
   DporOptions o = ac4->dpor;
   o.frontier_depth = 0;  // one thread: the cache is per thread
-  o.collect_final_states = true;
   const InstanceVerdict cold = check_instance_dpor(*ac4, o);
   ASSERT_FALSE(cold.violation.has_value());
   ASSERT_EQ(cold.result.exhaustiveness, Exhaustiveness::kFull);
@@ -441,7 +435,6 @@ void expect_walk(const char* name, std::optional<std::uint32_t> max_preemptions,
   const Instance* inst = find_instance(name);
   ASSERT_NE(inst, nullptr);
   DporOptions o = inst->dpor;
-  o.collect_final_states = true;
   if (max_preemptions.has_value()) o.max_preemptions = max_preemptions;
   if (max_runs.has_value()) o.max_runs = *max_runs;
   const InstanceVerdict v = check_instance_dpor(*inst, o);

@@ -225,11 +225,10 @@ TEST(AllocInvariant, SteadyStateStepsAreHeapFree) {
   rt.run_until_all_done(100'000);
 }
 
-// Observability compiled in but DISARMED must stay off the heap too: the
-// recording instrumentation lives only in the Obs=true template
-// instantiations, so after arming (which allocates histograms and event
-// vectors) and disarming again, steady-state steps dispatch back onto the
-// Obs=false path and must allocate nothing.
+// Observability compiled in but DISARMED must stay off the heap too: each
+// Env backend tests the flag at the access, so after arming (which
+// allocates histograms and event vectors) and disarming again, steady-state
+// steps skip every histogram feed and must allocate nothing.
 TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
   if (!common::alloc_counting_active())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";

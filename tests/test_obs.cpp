@@ -128,14 +128,15 @@ TEST(TraceRing, WraparoundKeepsExactlyTheLastCapacityEvents) {
 // ---------------------------------------------------------------------------
 
 /// n = 8 in four disjoint GSM pairs, ring messaging plus partner-register
-/// traffic and a link-burst fault schedule, with observability armed.
+/// traffic and a link-burst fault schedule, with observability armed and,
+/// if `recording`, footprint recording beside it.
 struct ObsCell {
   ObsReport report;
   std::uint64_t cas_local = 0;
   std::uint64_t cas_total = 0;
 };
 
-ObsCell run_obs_cell(std::uint64_t seed) {
+ObsCell run_obs_cell(std::uint64_t seed, bool recording = false) {
   constexpr std::uint32_t kN = 8;
   constexpr int kIters = 80;
   graph::Graph g{kN};
@@ -147,6 +148,7 @@ ObsCell run_obs_cell(std::uint64_t seed) {
   cfg.max_delay = 9;
   SimRuntime rt{cfg};
   rt.set_observability(true);
+  rt.set_footprint_recording(recording);
   for (std::uint32_t p = 0; p < kN; ++p) {
     rt.add_process([p](Env& env) {
       const Pid partner{p % 2 == 0 ? p + 1 : p - 1};
@@ -211,6 +213,12 @@ TEST(ObsGrid, PendingDepthLocalityAndSeedSensitivity) {
   // owner-local.
   EXPECT_GT(base.cas_local, 0u);
   EXPECT_EQ(base.cas_local * 2, base.cas_total);
+
+  // Footprint recording only observes: with both hooks armed the report is
+  // the same.
+  const ObsCell both = run_obs_cell(42, /*recording=*/true);
+  EXPECT_EQ(both.report, base.report);
+  EXPECT_EQ(both.cas_total, base.cas_total);
 
   // A different seed must move the histograms.
   const ObsCell other = run_obs_cell(43);

@@ -1,112 +1,10 @@
-// Tests for the simulated RDMA layer: regions, verbs, cost model.
+// Tests for the RDMA cost model that E7 uses.
 #include <gtest/gtest.h>
 
-#include <atomic>
-
-#include "graph/generators.hpp"
 #include "rdma/cost_model.hpp"
-#include "rdma/region.hpp"
-#include "rdma/verbs.hpp"
-#include "runtime/sim_runtime.hpp"
-#include "runtime/thread_runtime.hpp"
 
 namespace mm::rdma {
 namespace {
-
-using runtime::Env;
-using runtime::SimConfig;
-using runtime::SimRuntime;
-
-constexpr std::uint8_t kTag = 0x30;
-
-TEST(Region, KeyMapsOwnerAndOffset) {
-  const MemoryRegion region{Pid{3}, kTag, 8};
-  EXPECT_EQ(region.owner(), Pid{3});
-  EXPECT_EQ(region.size_words(), 8u);
-  const auto k = region.key(5);
-  EXPECT_EQ(k.owner(), Pid{3});
-  EXPECT_EQ(k.round(), 5u);
-  EXPECT_EQ(k.tag(), kTag);
-}
-
-TEST(Verbs, ReadWriteCasRoundTrip) {
-  SimConfig cfg;
-  cfg.gsm = graph::complete(2);
-  cfg.seed = 1;
-  SimRuntime rt{cfg};
-  rt.add_process([](Env& env) {
-    const MemoryRegion region{Pid{0}, kTag, 4};
-    Verbs::write(env, region, 2, 99);
-    EXPECT_EQ(Verbs::read(env, region, 2), 99u);
-    EXPECT_EQ(Verbs::cas(env, region, 2, 99, 100), 99u);
-    EXPECT_EQ(Verbs::read(env, region, 2), 100u);
-    EXPECT_EQ(Verbs::cas(env, region, 2, 99, 0), 100u);  // failed CAS
-    EXPECT_EQ(Verbs::read(env, region, 2), 100u);
-  });
-  rt.add_process([](Env&) {});
-  ASSERT_TRUE(rt.run_until_all_done(100'000));
-  rt.rethrow_process_error();
-}
-
-TEST(Verbs, RemoteAccessCountsAsRemote) {
-  SimConfig cfg;
-  cfg.gsm = graph::complete(2);
-  cfg.seed = 2;
-  SimRuntime rt{cfg};
-  rt.set_auto_step_on_shm(false);
-  rt.add_process([](Env& env) {
-    const MemoryRegion mine{Pid{0}, kTag, 1};
-    Verbs::write(env, mine, 0, 1);  // local
-  });
-  rt.add_process([](Env& env) {
-    const MemoryRegion theirs{Pid{0}, kTag, 1};
-    (void)Verbs::read(env, theirs, 0);  // remote
-  });
-  ASSERT_TRUE(rt.run_until_all_done(100'000));
-  const auto& m = rt.metrics();
-  EXPECT_EQ(m.reg_writes_local, 1u);
-  EXPECT_EQ(m.remote_reads_by_proc[1], 1u);
-}
-
-TEST(Verbs, FetchAddExactUnderContention) {
-  runtime::ThreadRuntime::Config cfg;
-  cfg.gsm = graph::complete(4);
-  cfg.seed = 3;
-  runtime::ThreadRuntime rt{cfg};
-  constexpr std::uint64_t kAdds = 500;
-  std::atomic<int> done{0};
-  std::atomic<std::uint64_t> final_value{0};
-  for (int p = 0; p < 3; ++p)
-    rt.add_process([&done](Env& env) {
-      const MemoryRegion region{Pid{0}, kTag, 1};
-      for (std::uint64_t i = 0; i < kAdds; ++i) (void)Verbs::fetch_add(env, region, 0, 2);
-      done.fetch_add(1);
-    });
-  rt.add_process([&](Env& env) {
-    const MemoryRegion region{Pid{0}, kTag, 1};
-    while (done.load() < 3) env.step();
-    final_value.store(Verbs::read(env, region, 0));
-  });
-  rt.start();
-  rt.join_all();
-  rt.rethrow_process_error();
-  EXPECT_EQ(final_value.load(), 3 * kAdds * 2);
-}
-
-TEST(Verbs, AccessControlAppliesToRegions) {
-  SimConfig cfg;
-  cfg.gsm = graph::path(3);
-  cfg.seed = 4;
-  SimRuntime rt{cfg};
-  rt.add_process([](Env& env) { env.step(); });
-  rt.add_process([](Env& env) { env.step(); });
-  rt.add_process([](Env& env) {
-    const MemoryRegion far{Pid{0}, kTag, 1};
-    (void)Verbs::read(env, far, 0);  // p2 is not adjacent to p0
-  });
-  rt.run_until_all_done(10'000);
-  EXPECT_THROW(rt.rethrow_process_error(), ModelViolation);
-}
 
 TEST(CostModel, LocalCheaperThanRemote) {
   runtime::Metrics m{2};

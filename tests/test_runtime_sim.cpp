@@ -573,6 +573,40 @@ TEST(SimRuntime, AutoStepInterleavesRegisterOps) {
 }
 
 // ---------------------------------------------------------------------------
+// SimEnv — a hook applies to the access it observes
+// ---------------------------------------------------------------------------
+
+// Each test runs two processes on complete(2) under a policy that always
+// schedules p0. The first slice parks p0 inside the auto-step of its one
+// register access, so a hook toggled before the next slice must apply to
+// that access.
+
+TEST(SimEnv, ArmingRecordingMidAccessRecordsTheAccess) {
+  SimRuntime rt{base_config(2, 25)};
+  rt.add_process([](Env& env) { (void)env.read(env.reg(key_of(Pid{0}))); });
+  rt.add_process([](Env& env) { env.step(); });
+  rt.set_schedule_policy([](const std::vector<Pid>&) -> std::size_t { return 0; });
+  ASSERT_EQ(rt.run_steps(1), 1u);  // p0 parks inside the read's auto-step
+  rt.set_footprint_recording(true);
+  ASSERT_EQ(rt.run_steps(1), 1u);  // the read itself
+  EXPECT_TRUE(rt.finished(Pid{0}));
+  EXPECT_EQ(rt.last_footprint().reads, std::vector<RegKey>{key_of(Pid{0})});
+}
+
+TEST(SimEnv, DisarmingObservabilityMidAccessSkipsTheAccess) {
+  SimRuntime rt{base_config(2, 26)};
+  rt.set_observability(true);
+  rt.add_process([](Env& env) { env.write(env.reg(key_of(Pid{0})), 1); });
+  rt.add_process([](Env& env) { env.step(); });
+  rt.set_schedule_policy([](const std::vector<Pid>&) -> std::size_t { return 0; });
+  ASSERT_EQ(rt.run_steps(1), 1u);  // p0 parks inside the write's auto-step
+  rt.set_observability(false);
+  ASSERT_EQ(rt.run_steps(1), 1u);  // the write itself
+  EXPECT_EQ(rt.register_value(key_of(Pid{0})).value_or(0), 1u);
+  EXPECT_EQ(rt.obs_report().reg_contention.total(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // SimConfig::validate — malformed configs fail loudly at construction
 // ---------------------------------------------------------------------------
 

@@ -183,10 +183,8 @@ int cmd_diff(int argc, char** argv) {
     std::printf("%s\n", inst->name.c_str());
     ExploreOptions dfs_opts = inst->dfs;
     dfs_opts.collect_final_states = true;
-    DporOptions dpor_opts = inst->dpor;
-    dpor_opts.collect_final_states = true;
     const InstanceVerdict a = check_instance_dfs(*inst, dfs_opts);
-    const InstanceVerdict b = check_instance_dpor(*inst, dpor_opts);
+    const InstanceVerdict b = check_instance_dpor(*inst, inst->dpor);
     print_result("dfs", a);
     print_result("dpor", b);
     if (a.violation.has_value() != b.violation.has_value()) {
