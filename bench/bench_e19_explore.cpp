@@ -64,7 +64,7 @@ int main() {
     if (dpor.violation.has_value()) ok = false;
     // Clean instances prove a universally quantified claim; a truncated
     // exploration proves nothing. Fault-bearing instances included: "clean
-    // on every fault placement" requires the full frontier to drain.
+    // on every fault placement" requires the whole tree to drain.
     if (dpor.result.exhaustiveness != Exhaustiveness::kFull) ok = false;
 
     std::string dfs_runs = "-", reduction = "-", dfs_ms = "-";

@@ -7,8 +7,11 @@
 #   unit       the gtest suite (everything without a stage label) — tier 1
 #   smoke      bench smoke: trimmed microbench + engine bench + perf record
 #   chaos      fault-injection campaigns: safety, Byzantine, planted+replay
-#   explore    model checker: DFS/DPOR differential + frontier determinism
+#   explore    model checker: DFS/DPOR differential + chaos bridge replay
 #   obs        observability: trace record/export/summarize round trip
+#   bench      the repo's benchmark (perfbench/): builds it into .bench_build/
+#              and runs each workload for one second; it fails on a build
+#              error or a digest mismatch, never on a speed
 #   tsan       ThreadSanitizer rebuild of the runtime/exec surface (optional:
 #              arm with MM_CI_TSAN=1; skipped by default — it is a full
 #              side-tree rebuild and the slowest stage by far)
@@ -53,6 +56,13 @@ build_stage() {
   cmake --build "$BUILD_DIR" -j
 }
 
+bench_stage() {
+  local w
+  for w in sweep chaos dpor; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 || return 1
+  done
+}
+
 ctest_label() {
   # -L runs one stage's label; unit excludes all stage labels instead.
   # -j needs an explicit value: a bare `-j` would swallow the -L/-LE flag.
@@ -65,6 +75,7 @@ run_stage smoke ctest_label -L smoke
 run_stage chaos ctest_label -L chaos
 run_stage explore ctest_label -L explore
 run_stage obs ctest_label -L obs
+run_stage bench bench_stage
 if [ "${MM_CI_TSAN:-0}" = "1" ]; then
   # The label-registered test is DISABLED unless configured with
   # -DMM_SANITIZE_TEST=ON, so invoke the script directly.

@@ -29,9 +29,9 @@ case "$MODE" in
     BUILD_DIR=${BUILD_DIR:-build-tsan}
     # Runtime + concurrency surface only: TSan's ~10x slowdown makes the full
     # suite impractical, and the single-threaded analysis passes add nothing.
-    # The explorer suites are in because their walkers recycle fiber stacks
-    # on frontier worker threads; the walk pins drive the state cache's
-    # arenas through long walks.
+    # The explorer suites are in because their walkers switch between fibers
+    # on recycled stacks, which TSan's fiber annotations must follow; the
+    # walk pins drive the state cache's arenas through long walks.
     FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;

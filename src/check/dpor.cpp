@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "exec/parallel_map.hpp"
 #include "runtime/fiber.hpp"
 
 namespace mm::check {
@@ -327,15 +326,27 @@ using MakeFn = std::function<std::unique_ptr<SimRuntime>()>;
 using VerifyFn = std::function<void(SimRuntime&)>;
 
 // ---------------------------------------------------------------------------
-// Sequential DPOR walker (one frontier task)
+// The DPOR walker
 // ---------------------------------------------------------------------------
 
 class Walker {
  public:
+  /// `n_procs` is the schedule width (real processes, then fault
+  /// pseudo-processes). `fault_fps` holds the static footprints of the
+  /// pseudo-processes, indexed by pseudo offset (pid = n_real + offset):
+  /// what a fault WOULD touch is known without executing it, which is what
+  /// lets the race scan schedule never-fired faults (see the
+  /// enabled-and-dependent clause in race_scan).
   Walker(const MakeFn& make, const VerifyFn& verify, const DporOptions& opt,
-         std::vector<Pid> base_prefix)
-      : make_(make), verify_(verify), opt_(opt), base_prefix_(std::move(base_prefix)) {
-    base_steps_.resize(base_prefix_.size());
+         std::size_t n_procs, std::size_t n_real, std::vector<StepFootprint> fault_fps)
+      : make_(make),
+        verify_(verify),
+        opt_(opt),
+        n_procs_(n_procs),
+        n_real_(n_real),
+        fault_fps_(std::move(fault_fps)) {
+    for (std::size_t j = 0; j < fault_fps_.size(); ++j)
+      pseudo_mask_ |= 1ULL << (n_real_ + j);
   }
 
   ExploreResult run() {
@@ -364,12 +375,11 @@ class Walker {
     rt->set_footprint_recording(true);
     if (opt_.idle_slice_collapse) rt->set_idle_slice_collapse(true);
     rt_ = rt.get();
-    pos_ = 0;
     depth_ = 0;
     used_ = 0;
     previous_ = Pid::none();
     cur_sleep_.clear();
-    pending_ = Pending::kNone;
+    pending_ = false;
     stop_ = Stop::kNone;
     pruned_agg_ = {};
     rt->set_schedule_policy([this](const std::vector<Pid>& runnable) { return decide(runnable); });
@@ -411,28 +421,14 @@ class Walker {
     rt_ = nullptr;
   }
 
-  /// The schedule policy: replay the base prefix, then the stack's chosen
-  /// branches, then extend with fresh nodes until done or pruned. A prune
-  /// returns SimRuntime::kStopRun, which abandons the replay; stop_ records
-  /// why.
+  /// The schedule policy: replay the stack's chosen branches, then extend
+  /// with fresh nodes until done or pruned. A prune returns
+  /// SimRuntime::kStopRun, which abandons the replay; stop_ records why.
   std::size_t decide(const std::vector<Pid>& runnable) {
     finish_pending_step();
-    if (pos_ < base_prefix_.size()) return decide_base(runnable);
     const std::size_t d = depth_;
     if (d < stack_.size()) return decide_replay(runnable, d);
     return decide_extend(runnable);
-  }
-
-  std::size_t decide_base(const std::vector<Pid>& runnable) {
-    const Pid want = base_prefix_[pos_];
-    const std::size_t idx = index_of(runnable, want);
-    MM_ASSERT_MSG(idx < runnable.size(), "frontier prefix replay diverged");
-    account_preemption(runnable, want);
-    pending_ = Pending::kBase;
-    pending_index_ = pos_;
-    pending_pid_ = want;
-    ++pos_;
-    return idx;
   }
 
   std::size_t decide_replay(const std::vector<Pid>& runnable, std::size_t d) {
@@ -447,9 +443,7 @@ class Walker {
     const std::size_t idx = index_of(runnable, node.chosen);
     MM_ASSERT_MSG(idx < runnable.size(), "DPOR replay diverged: chosen pid not runnable");
     account_preemption(runnable, node.chosen);
-    pending_ = Pending::kNode;
-    pending_index_ = d;
-    pending_pid_ = node.chosen;
+    pending_ = true;
     ++depth_;
     return idx;
   }
@@ -514,27 +508,23 @@ class Walker {
 
     const std::size_t idx = index_of(runnable, node.chosen);
     account_preemption(runnable, node.chosen);
-    pending_ = Pending::kNode;
-    pending_index_ = stack_.size();
-    pending_pid_ = node.chosen;
+    pending_ = true;
     stack_.push_back(std::move(node));
     ++depth_;
     return idx;
   }
 
   /// Record the footprint of the slice that just ran (the previous
-  /// decision's branch) and filter the sleep set: the executed step wakes
-  /// every sleeper whose recorded step depends on it.
+  /// decision's branch, stack_[depth_ - 1]) and filter the sleep set: the
+  /// executed step wakes every sleeper whose recorded step depends on it.
   void finish_pending_step() {
-    if (pending_ == Pending::kNone) return;
-    StepFootprint& slot =
-        pending_ == Pending::kBase ? base_steps_[pending_index_] : stack_[pending_index_].step;
-    slot = rt_->last_footprint();
-    const Pid p = pending_pid_;
+    if (!pending_) return;
+    pending_ = false;
+    Node& node = stack_[depth_ - 1];
+    node.step = rt_->last_footprint();
     std::erase_if(cur_sleep_, [&](const Sleeper& e) {
-      return e.pid == p || footprints_dependent(slot, *e.step);
+      return e.pid == node.chosen || footprints_dependent(node.step, *e.step);
     });
-    pending_ = Pending::kNone;
   }
 
   [[nodiscard]] std::uint64_t sleep_mask() const {
@@ -578,11 +568,6 @@ class Walker {
 
   // -- race detection --------------------------------------------------------
 
-  struct StepRef {
-    const StepFootprint* fp;
-    std::ptrdiff_t node;  ///< stack index, or -1 for a frontier-prefix step
-  };
-
   /// race_scan's working state, kept across attempts so each scan reuses
   /// the previous one's buffers instead of allocating its own.
   struct Scan {
@@ -595,7 +580,6 @@ class Walker {
       std::vector<std::ptrdiff_t> reads_since;
     };
 
-    std::vector<StepRef> steps;
     std::vector<std::uint32_t> clocks;  ///< vector clock per step, n_procs wide
     std::vector<std::ptrdiff_t> prog_pred;
     std::vector<std::uint32_t> own_count;
@@ -632,25 +616,22 @@ class Walker {
     }
   };
 
-  /// Forward scan over this attempt's executed steps: find dependent pairs
-  /// not already ordered transitively (vector clocks over per-object last
-  /// accesses) and mark the later step's pid for backtracking at the earlier
-  /// decision. `pruned_agg`, when a closed cache entry ended the attempt,
-  /// stands in for the pruned subtree: its per-pid aggregates are matched
-  /// against every executed step with no transitivity filter (conservative).
+  /// Forward scan over this attempt's executed steps (step k is
+  /// stack_[k].step): find dependent pairs not already ordered transitively
+  /// (vector clocks over per-object last accesses) and mark the later step's
+  /// pid for backtracking at the earlier decision. `pruned_agg`, when a
+  /// closed cache entry ended the attempt, stands in for the pruned subtree:
+  /// its per-pid aggregates are matched against every executed step with no
+  /// transitivity filter (conservative).
   void race_scan(std::span<const StepFootprint> pruned_agg) {
-    const std::size_t n_procs = procs_hint();
+    const std::size_t n_procs = n_procs_;
+    const std::size_t n_steps = stack_.size();
     Scan& sc = scan_;
-    std::vector<StepRef>& steps = sc.steps;
-    steps.clear();
-    for (std::size_t i = 0; i < pos_; ++i) steps.push_back({&base_steps_[i], -1});
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-      steps.push_back({&stack_[i].step, static_cast<std::ptrdiff_t>(i)});
 
     bool any_clock = false;
-    for (const StepRef& s : steps) any_clock = any_clock || s.fp->observed_clock;
+    for (const Node& nd : stack_) any_clock = any_clock || nd.step.observed_clock;
 
-    sc.reset(n_procs, steps.size());
+    sc.reset(n_procs, n_steps);
     std::uint32_t* const clocks = sc.clocks.data();
     std::vector<std::ptrdiff_t>& prog_pred = sc.prog_pred;
     std::vector<std::ptrdiff_t>& last_send = sc.last_send;
@@ -665,15 +646,15 @@ class Walker {
     std::vector<std::ptrdiff_t>& toggles = sc.toggles;
     std::vector<std::ptrdiff_t>& cands = sc.cands;
 
-    for (std::size_t k = 0; k < steps.size(); ++k) {
-      const StepFootprint& fp = *steps[k].fp;
+    for (std::size_t k = 0; k < n_steps; ++k) {
+      const StepFootprint& fp = stack_[k].step;
       const std::size_t p = fp.pid.index();
       cands.clear();
       if (any_clock) {
         // Rare fallback (a body called Env::now()): a clock observation
         // depends on everything, so enumerate dependent pairs directly.
         for (std::size_t j = 0; j < k; ++j)
-          if (footprints_dependent(*steps[j].fp, fp)) cands.push_back(static_cast<std::ptrdiff_t>(j));
+          if (footprints_dependent(stack_[j].step, fp)) cands.push_back(static_cast<std::ptrdiff_t>(j));
       } else {
         for (const runtime::RegKey r : fp.reads) {
           const Scan::RegIndex& reg = sc.reg(r);
@@ -712,11 +693,11 @@ class Walker {
           // A toggle fires at most once per run: pair it against every
           // earlier step directly instead of growing the index structures.
           for (std::size_t j = 0; j < k; ++j)
-            if (footprints_dependent(*steps[j].fp, fp))
+            if (footprints_dependent(stack_[j].step, fp))
               cands.push_back(static_cast<std::ptrdiff_t>(j));
         } else {
           for (const std::ptrdiff_t t : toggles)
-            if (footprints_dependent(*steps[static_cast<std::size_t>(t)].fp, fp))
+            if (footprints_dependent(stack_[static_cast<std::size_t>(t)].step, fp))
               cands.push_back(t);
         }
       }
@@ -730,9 +711,9 @@ class Walker {
         std::fill_n(clk, n_procs, 0U);
       }
       for (const std::ptrdiff_t j : cands) {
-        const StepRef& pre = steps[static_cast<std::size_t>(j)];
-        if (pre.fp->pid == fp.pid) continue;
-        const std::uint32_t* const pre_clk = clocks + static_cast<std::size_t>(j) * n_procs;
+        const auto pre = static_cast<std::size_t>(j);
+        if (stack_[pre].step.pid == fp.pid) continue;
+        const std::uint32_t* const pre_clk = clocks + pre * n_procs;
         // Not ordered through program order + earlier conflicts alone ⇒ the
         // pair is a reversible race: demand the alternative order.
         if (!clock_leq(pre_clk, clk, n_procs)) flag_race(pre, fp.pid);
@@ -749,15 +730,13 @@ class Walker {
       // independent steps, and enablement only ever ends at a dependent
       // step or at run end (terminal placements are demanded in attempt()),
       // so anchoring at dependent steps covers every distinct placement.
-      if (pseudo_mask_ != 0 && steps[k].node >= 0) {
-        const Node& nd = stack_[static_cast<std::size_t>(steps[k].node)];
-        std::uint64_t pm = nd.enabled_mask & pseudo_mask_;
+      if (pseudo_mask_ != 0) {
+        std::uint64_t pm = stack_[k].enabled_mask & pseudo_mask_;
         while (pm != 0) {
           const auto q = static_cast<std::uint32_t>(std::countr_zero(pm));
           pm &= pm - 1;
           if (q == fp.pid.index()) continue;
-          if (footprints_dependent(fault_fps_[q - n_real_], fp))
-            flag_race(steps[k], Pid{q});
+          if (footprints_dependent(fault_fps_[q - n_real_], fp)) flag_race(k, Pid{q});
         }
       }
 
@@ -797,16 +776,17 @@ class Walker {
     }
 
     for (const StepFootprint& ghost : pruned_agg) {
-      for (const StepRef& s : steps) {
-        if (s.fp->pid != ghost.pid && footprints_dependent(*s.fp, ghost))
-          flag_race(s, ghost.pid);
+      for (std::size_t k = 0; k < n_steps; ++k) {
+        const StepFootprint& s = stack_[k].step;
+        if (s.pid != ghost.pid && footprints_dependent(s, ghost)) flag_race(k, ghost.pid);
       }
     }
   }
 
-  void flag_race(const StepRef& at, Pid later_pid) {
-    if (at.node < 0) return;  // frontier prefix: all siblings expanded anyway
-    Node& node = stack_[static_cast<std::size_t>(at.node)];
+  /// Demand `later_pid` as a branch at decision `at`, or every enabled pid
+  /// when `later_pid` is not enabled there.
+  void flag_race(std::size_t at, Pid later_pid) {
+    Node& node = stack_[at];
     if (node.forced) return;  // bound-collapsed decisions never branch
     if ((node.enabled_mask & pid_bit(later_pid)) != 0) {
       node.backtrack_mask |= pid_bit(later_pid);
@@ -814,8 +794,6 @@ class Walker {
       node.backtrack_mask |= node.enabled_mask;
     }
   }
-
-  [[nodiscard]] std::size_t procs_hint() const { return n_procs_; }
 
   // -- backtracking ----------------------------------------------------------
 
@@ -857,27 +835,13 @@ class Walker {
     return false;
   }
 
- public:
-  void set_procs_hint(std::size_t n) { n_procs_ = n; }
-
-  /// Static footprints of the fault pseudo-processes, indexed by pseudo
-  /// offset (pid = n_real + offset). What a fault WOULD touch is known
-  /// without executing it — that is what lets the race scan schedule
-  /// never-fired faults (see the enabled-and-dependent clause below).
-  void set_fault_model(std::size_t n_real, std::vector<StepFootprint> fault_fps) {
-    n_real_ = n_real;
-    fault_fps_ = std::move(fault_fps);
-    pseudo_mask_ = 0;
-    for (std::size_t j = 0; j < fault_fps_.size(); ++j)
-      pseudo_mask_ |= 1ULL << (n_real_ + j);
-  }
-
- private:
   const MakeFn& make_;
   const VerifyFn& verify_;
   const DporOptions& opt_;
-  std::vector<Pid> base_prefix_;
-  std::vector<StepFootprint> base_steps_;
+  const std::size_t n_procs_;
+  const std::size_t n_real_;
+  const std::vector<StepFootprint> fault_fps_;  ///< static, by pseudo offset
+  std::uint64_t pseudo_mask_ = 0;
 
   ExploreResult result_;
   std::vector<Node> stack_;
@@ -886,110 +850,15 @@ class Walker {
 
   // Per-attempt walk state.
   SimRuntime* rt_ = nullptr;
-  std::size_t pos_ = 0;    ///< base prefix decisions taken
   std::size_t depth_ = 0;  ///< stack decisions taken
   std::uint32_t used_ = 0;
   Pid previous_ = Pid::none();
   std::vector<Sleeper> cur_sleep_;
-  enum class Pending : std::uint8_t { kNone, kBase, kNode };
-  Pending pending_ = Pending::kNone;
-  std::size_t pending_index_ = 0;
-  Pid pending_pid_ = Pid::none();
+  bool pending_ = false;  ///< stack_[depth_ - 1]'s slice ran, its footprint unread
   Stop stop_ = Stop::kNone;
   std::span<const StepFootprint> pruned_agg_;  ///< see stop()
   Scan scan_;
-  std::size_t n_procs_ = 0;
-  std::size_t n_real_ = 0;
-  std::vector<StepFootprint> fault_fps_;  ///< static, by pseudo offset
-  std::uint64_t pseudo_mask_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Frontier expansion
-// ---------------------------------------------------------------------------
-
-struct Capture {
-  std::vector<Pid> enabled;
-  bool run_ended = true;
-  bool forced = false;
-  Pid forced_pid = Pid::none();
-};
-
-/// Replay `prefix` and report the decision point right after it: the
-/// enabled set, or that the run ended inside the prefix, or that the
-/// preemption bound forces a single continuation.
-Capture probe_prefix(const MakeFn& make, const DporOptions& opt,
-                     const std::vector<Pid>& prefix) {
-  auto rt = make();
-  Capture cap;
-  std::size_t pos = 0;
-  std::uint32_t used = 0;
-  Pid previous = Pid::none();
-  rt->set_schedule_policy([&](const std::vector<Pid>& runnable) -> std::size_t {
-    if (pos < prefix.size()) {
-      const Pid want = prefix[pos];
-      std::size_t idx = runnable.size();
-      for (std::size_t i = 0; i < runnable.size(); ++i)
-        if (runnable[i] == want) idx = i;
-      MM_ASSERT_MSG(idx < runnable.size(), "frontier expansion replay diverged");
-      if (!previous.is_none() && want != previous) {
-        for (const Pid p : runnable)
-          if (p == previous) {
-            ++used;
-            break;
-          }
-      }
-      previous = want;
-      ++pos;
-      return idx;
-    }
-    cap.run_ended = false;
-    cap.enabled = runnable;
-    if (opt.max_preemptions.has_value() && used >= *opt.max_preemptions &&
-        !previous.is_none()) {
-      for (const Pid p : runnable) {
-        if (p == previous) {
-          cap.forced = true;
-          cap.forced_pid = previous;
-          break;
-        }
-      }
-    }
-    return SimRuntime::kStopRun;
-  });
-  (void)rt->run_until_all_done(opt.max_steps_per_run);
-  rt->shutdown();
-  return cap;
-}
-
-std::vector<std::vector<Pid>> expand_frontier(const MakeFn& make, const DporOptions& opt) {
-  std::vector<std::vector<Pid>> tasks;
-  std::vector<std::vector<Pid>> frontier{{}};
-  for (std::size_t d = 0; d < opt.frontier_depth; ++d) {
-    std::vector<std::vector<Pid>> next;
-    for (const std::vector<Pid>& prefix : frontier) {
-      const Capture cap = probe_prefix(make, opt, prefix);
-      if (cap.run_ended) {
-        tasks.push_back(prefix);  // the whole run fits inside the prefix
-        continue;
-      }
-      if (cap.forced) {
-        std::vector<Pid> child = prefix;
-        child.push_back(cap.forced_pid);
-        next.push_back(std::move(child));
-        continue;
-      }
-      for (const Pid p : cap.enabled) {
-        std::vector<Pid> child = prefix;
-        child.push_back(p);
-        next.push_back(std::move(child));
-      }
-    }
-    frontier = std::move(next);
-  }
-  tasks.insert(tasks.end(), frontier.begin(), frontier.end());
-  return tasks;
-}
 
 }  // namespace
 
@@ -1032,41 +901,10 @@ ExploreResult explore_dpor(const MakeFn& make, const VerifyFn& verify,
     }
   }
 
-  const auto run_task = [&](std::vector<Pid> prefix) {
-    // Every replay builds and destroys a SimRuntime: recycle its fiber
-    // stacks on this (worker) thread for the whole walk.
-    const FiberStackRecycler stacks;
-    Walker w(make, verify, options, std::move(prefix));
-    w.set_procs_hint(n_procs);
-    w.set_fault_model(n_real, fault_fps);
-    return w.run();
-  };
-
-  if (options.frontier_depth == 0) return run_task({});
-
-  const std::vector<std::vector<Pid>> tasks = expand_frontier(make, options);
-  MM_ASSERT_MSG(!tasks.empty(), "frontier expansion produced no tasks");
-  const std::vector<ExploreResult> parts = exec::parallel_map(
-      tasks.size(), [&](std::uint64_t i) { return run_task(tasks[static_cast<std::size_t>(i)]); },
-      options.jobs);
-
-  // Deterministic reduction in lexicographic prefix order: independent of
-  // job count by construction (each task's result is a pure function of its
-  // prefix).
-  ExploreResult total;
-  total.exhaustive = true;
-  total.all_runs_completed = true;
-  for (const ExploreResult& part : parts) {
-    total.runs += part.runs;
-    total.runs_pruned_by_state_cache += part.runs_pruned_by_state_cache;
-    total.runs_pruned_by_sleep_set += part.runs_pruned_by_sleep_set;
-    total.exhaustive = total.exhaustive && part.exhaustive;
-    total.all_runs_completed = total.all_runs_completed && part.all_runs_completed;
-    total.final_states.insert(total.final_states.end(), part.final_states.begin(),
-                              part.final_states.end());
-  }
-  finalize_result(total, options.max_preemptions.has_value());
-  return total;
+  // Every replay builds and destroys a SimRuntime: recycle its fiber stacks
+  // for the whole walk.
+  const FiberStackRecycler stacks;
+  return Walker(make, verify, options, n_procs, n_real, std::move(fault_fps)).run();
 }
 
 }  // namespace mm::check

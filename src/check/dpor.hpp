@@ -35,10 +35,13 @@
 // toggle — runtime/footprint.hpp), so the race scan, sleep sets, and state
 // cache handle fault timing with no special cases, and an exhaustive
 // verdict covers every fault placement the plan allows, including "never
-// fires". Within that envelope a finished exploration is a proof over
-// EVERY schedule, reported through the same ExploreResult/Exhaustiveness
-// contract as the DFS baseline — which stays the differential oracle (same
-// verdict, same reachable final-state set, fewer runs).
+// fires". Within that envelope a finished exploration is meant to be a
+// proof over EVERY schedule, reported through the same
+// ExploreResult/Exhaustiveness contract as the DFS baseline — which stays
+// the differential oracle (same verdict, same reachable final-state set,
+// fewer runs). It is not one yet: the walk misses reachable final states
+// on some instances, through sleeping backtrack candidates and cache
+// cycles (DporCompleteness.Ac3; ROADMAP item 3).
 #pragma once
 
 #include <cstdint>
@@ -54,8 +57,7 @@ namespace mm::check {
 
 struct DporOptions {
   /// Replay budget: counts every schedule replay, including attempts the
-  /// sleep set or state cache aborts early. In frontier mode the budget
-  /// applies per frontier task (keeps the reduction deterministic).
+  /// sleep set or state cache aborts early.
   std::uint64_t max_runs = 1'000'000;
   Step max_steps_per_run = 100'000;  ///< per-run step budget (livelock guard)
   /// CHESS-style preemption bound; same semantics as ExploreOptions. Bounded
@@ -63,14 +65,18 @@ struct DporOptions {
   /// no backtrack points.
   std::optional<std::uint32_t> max_preemptions;
   bool state_cache = true;
+  /// false switches off one use of sleep sets: the skip, without a replay,
+  /// of a backtrack candidate that was asleep when its node was entered.
+  /// Sleep sets are still tracked, a new decision still picks the first
+  /// process that is awake, a replay that reaches a decision where every
+  /// enabled process sleeps still stops (sleep-pruned), and cache entries
+  /// still compare sleep sets. The default walk misses reachable final
+  /// states that this walk reaches (DporCompleteness.Ac3, ROADMAP item 3).
   bool sleep_sets = true;
-  /// Fan the subtrees below every schedule prefix of this depth over
-  /// mm::exec::parallel_map. 0 = fully sequential. Prefixes are fully
-  /// expanded (trivially persistent) and reduced in lexicographic order, so
-  /// verdict, run counts, and final-state set are byte-identical for any
-  /// MM_JOBS / `jobs` value.
-  std::size_t frontier_depth = 0;
-  std::size_t jobs = 0;  ///< worker count for the frontier; 0 = MM_JOBS default
+  /// Always 0, and nothing can set it: the walk is one sequential walker.
+  /// It stays only because perfbench's `dpor` workload checks it, and goes
+  /// with the next benchmark change (ROADMAP item 1).
+  static constexpr std::size_t frontier_depth = 0;
   /// Arm SimRuntime::set_idle_slice_collapse on every replay. Required for
   /// instances with busy-wait await loops (else spins never revisit a cached
   /// state and every run hits max_steps_per_run); only sound when those
@@ -85,8 +91,7 @@ void validate_explorable(const runtime::SimConfig& config);
 /// Same harness contract as explore_schedules: `make` builds a fresh
 /// runtime (bodies attached, not started; its config must pass
 /// validate_explorable), `verify` runs after every non-pruned run and
-/// throws/asserts on violations. `verify` must be thread-safe when
-/// frontier_depth > 0.
+/// throws/asserts on violations. One sequential walk on the calling thread.
 [[nodiscard]] ExploreResult explore_dpor(
     const std::function<std::unique_ptr<runtime::SimRuntime>()>& make,
     const std::function<void(runtime::SimRuntime&)>& verify,

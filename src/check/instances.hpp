@@ -1,14 +1,13 @@
 // Canonical protocol instances for the model checker — the E19 corpus.
 //
 // Each instance packages a full protocol configuration (processes, graph,
-// inputs, planted faults) behind the explorer harness contract: a
-// thread-safe `make` that builds a fresh runtime, and a schedule-independent
-// `check` oracle that inspects ONLY the finished runtime. Process bodies
-// publish their results to well-known global result registers
-// (RegKey::make_global), so oracles read them back through
-// SimRuntime::register_value — no shared mutable state between the harness
-// and the bodies, which is what lets the parallel frontier replay an
-// instance from many threads at once.
+// inputs, planted faults) behind the explorer harness contract: a `make`
+// that builds a fresh runtime, and a schedule-independent `check` oracle
+// that inspects ONLY the finished runtime. Process bodies publish their
+// results to well-known global result registers (RegKey::make_global), so
+// oracles read them back through SimRuntime::register_value — no shared
+// mutable state between the harness and the bodies, so no replay can see
+// what an earlier one left behind.
 //
 // The registry spans three roles:
 //   * clean algebra instances (steppers2, pingpong2, ac2/ac3, cas2) — the
@@ -39,7 +38,6 @@ struct Instance {
   std::string name;
   std::string description;
   /// Fresh runtime with bodies attached (config passes validate_explorable).
-  /// Thread-safe: called concurrently under the parallel frontier.
   std::function<std::unique_ptr<runtime::SimRuntime>()> make;
   /// Safety oracle over one finished (or step-budget-truncated) run: the
   /// violation message, or nullopt if the run is clean. Reads only `rt`.

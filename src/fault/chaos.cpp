@@ -34,8 +34,6 @@ std::optional<Topology> topology_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-namespace {
-
 graph::Graph make_topology(Topology t, std::size_t n) {
   switch (t) {
     case Topology::kComplete: return graph::complete(n);
@@ -47,6 +45,8 @@ graph::Graph make_topology(Topology t, std::size_t n) {
   }
   return graph::edgeless(n);
 }
+
+namespace {
 
 std::optional<core::Algo> algo_from_string(std::string_view s) noexcept {
   for (auto a : {core::Algo::kHbo, core::Algo::kBenOr, core::Algo::kSmConsensus})

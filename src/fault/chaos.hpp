@@ -18,6 +18,7 @@
 #include "fault/json.hpp"
 #include "fault/oracle.hpp"
 #include "fault/rule.hpp"
+#include "graph/graph.hpp"
 
 namespace mm::fault {
 
@@ -35,6 +36,10 @@ enum class Topology : std::uint8_t {
 };
 [[nodiscard]] const char* to_string(Topology t) noexcept;
 [[nodiscard]] std::optional<Topology> topology_from_string(std::string_view s) noexcept;
+/// The GSM a case with this topology runs on. The explore bridge builds its
+/// runtimes from the same function, so a bridged repro explores the graph
+/// the case ran on.
+[[nodiscard]] graph::Graph make_topology(Topology t, std::size_t n);
 
 struct ChaosCase {
   CaseKind kind = CaseKind::kConsensus;

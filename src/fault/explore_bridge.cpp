@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/hbo.hpp"
-#include "graph/generators.hpp"
 #include "runtime/env.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "shm/consensus_object.hpp"
@@ -37,18 +36,6 @@ void publish(Env& env, std::uint64_t value) {
 
 std::optional<std::uint64_t> published(const SimRuntime& rt, std::size_t p) {
   return rt.register_value(res_key(Pid{static_cast<std::uint32_t>(p)}));
-}
-
-graph::Graph bridge_topology(Topology t, std::size_t n) {
-  switch (t) {
-    case Topology::kComplete: return graph::complete(n);
-    case Topology::kRing: return graph::ring(n);
-    case Topology::kChordalRing:
-      return (n >= 4 && n % 2 == 0) ? graph::chordal_ring(n) : graph::ring(n);
-    case Topology::kStar: return graph::star(n);
-    case Topology::kEdgeless: return graph::edgeless(n);
-  }
-  return graph::edgeless(n);
 }
 
 [[noreturn]] void reject(const std::string& what) {
@@ -148,13 +135,13 @@ check::Instance instance_from_chaos(const ChaosCase& c, const Violation* recorde
 
   in.make = [n, seed, topo, max_rounds, ef]() {
     SimConfig cfg;
-    cfg.gsm = bridge_topology(topo, n);
+    cfg.gsm = make_topology(topo, n);
     cfg.seed = seed;
     cfg.min_delay = 1;  // unit fixed delay: the explorer's soundness envelope
     cfg.max_delay = 1;
     cfg.explore_faults = ef;
     auto rt = std::make_unique<SimRuntime>(cfg);
-    auto gsm = std::make_shared<graph::Graph>(bridge_topology(topo, n));
+    auto gsm = std::make_shared<graph::Graph>(make_topology(topo, n));
     for (std::uint32_t p = 0; p < n; ++p)
       rt->add_process([gsm, p, max_rounds](Env& env) {
         core::HboConsensus::Config hc;

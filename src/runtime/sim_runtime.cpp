@@ -759,6 +759,7 @@ Step SimRuntime::run_steps(Step k) {
 
 bool SimRuntime::run_until_all_done(Step budget) {
   start();
+  MM_ASSERT_MSG(!shut_down_, "runtime already shut down");
   if (fast_path_eligible()) {
     if (budget > global_step_) run_fast(budget - global_step_);
     return all_done();

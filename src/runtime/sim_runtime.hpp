@@ -111,7 +111,7 @@ class SimRuntime {
 
   /// Kill parked processes and drain their fibers to completion. Idempotent;
   /// also called by the destructor. After shutdown the runtime can only be
-  /// inspected.
+  /// inspected: a run call aborts.
   void shutdown();
 
   /// Crash p at the next scheduling decision (dynamic injection).

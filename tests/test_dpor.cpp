@@ -6,6 +6,7 @@
 // skip schedules).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -229,27 +230,6 @@ TEST(DporFaults, FindsPlantedDropMaskedValidityBug) {
   EXPECT_NE(d.violation->find("lost its VALUE"), std::string::npos) << *d.violation;
 }
 
-TEST(DporFaults, FaultFrontierIdenticalAcrossJobCounts) {
-  // Fault pseudo-events ride the same deterministic frontier split as real
-  // pids: byte-identical reduction at any worker count.
-  const Instance* inst = find_instance("pingpart2");
-  ASSERT_NE(inst, nullptr);
-  ExploreResult parts[2];
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    DporOptions o = inst->dpor;
-    o.frontier_depth = 2;
-    o.jobs = jobs;
-    const InstanceVerdict v = check_instance_dpor(*inst, o);
-    EXPECT_FALSE(v.violation.has_value());
-    EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kFull);
-    parts[jobs == 1 ? 0 : 1] = v.result;
-  }
-  EXPECT_EQ(parts[0].runs, parts[1].runs);
-  EXPECT_EQ(parts[0].runs_pruned_by_state_cache, parts[1].runs_pruned_by_state_cache);
-  EXPECT_EQ(parts[0].runs_pruned_by_sleep_set, parts[1].runs_pruned_by_sleep_set);
-  EXPECT_EQ(parts[0].final_states, parts[1].final_states);
-}
-
 // -- preemption-bound soundness ----------------------------------------------
 
 TEST(Dpor, UnsetPreemptionBoundEqualsUnbounded) {
@@ -273,9 +253,11 @@ TEST(Dpor, UnsetPreemptionBoundEqualsUnbounded) {
 }
 
 TEST(Dpor, PreemptionBoundMonotoneInRunsAndStates) {
-  // Raising the bound only adds schedules. DPOR's sleep/cache interact with
-  // bound context, so monotonicity is asserted on the plain persistent-set
-  // walk (no cache, no sleep sets), where the tree nesting argument holds.
+  // Raising the bound only adds schedules. The state cache and sleep sets
+  // interact with bound context, so monotonicity is asserted on the walk
+  // that uses them least: no cache, and sleep_sets off. That walk still
+  // tracks sleep sets and ends sleep-blocked replays (dpor.hpp); it only
+  // keeps every backtrack candidate that was asleep on entry.
   const Instance* ac2 = find_instance("ac2");
   ASSERT_NE(ac2, nullptr);
   DporOptions base = ac2->dpor;
@@ -300,37 +282,6 @@ TEST(Dpor, PreemptionBoundMonotoneInRunsAndStates) {
   EXPECT_EQ(full.result.exhaustiveness, Exhaustiveness::kFull);
 }
 
-// -- parallel frontier: determinism across worker counts ---------------------
-
-TEST(Dpor, FrontierResultsIdenticalAcrossJobCounts) {
-  const Instance* inst = find_instance("hbo3-crash");
-  ASSERT_NE(inst, nullptr);
-  DporOptions seq = inst->dpor;  // frontier off: the reference reduction
-  const InstanceVerdict reference = check_instance_dpor(*inst, seq);
-  ASSERT_FALSE(reference.violation.has_value());
-  ASSERT_EQ(reference.result.exhaustiveness, Exhaustiveness::kFull);
-
-  ExploreResult parts[2];
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    DporOptions o = inst->dpor;
-    o.frontier_depth = 3;
-    o.jobs = jobs;
-    const InstanceVerdict v = check_instance_dpor(*inst, o);
-    EXPECT_FALSE(v.violation.has_value());
-    EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kFull);
-    // Per-task walkers cover their subtrees independently (separate caches,
-    // separate budgets), so run counts exceed the sequential walk — but the
-    // reachable final-state set is the same proof.
-    EXPECT_EQ(v.result.final_states, reference.result.final_states);
-    parts[jobs == 1 ? 0 : 1] = v.result;
-  }
-  // Byte-identical reduction at any worker count.
-  EXPECT_EQ(parts[0].runs, parts[1].runs);
-  EXPECT_EQ(parts[0].runs_pruned_by_state_cache, parts[1].runs_pruned_by_state_cache);
-  EXPECT_EQ(parts[0].runs_pruned_by_sleep_set, parts[1].runs_pruned_by_sleep_set);
-  EXPECT_EQ(parts[0].final_states, parts[1].final_states);
-}
-
 // -- state cache observability (the ExploreResult contract fix) --------------
 
 TEST(Dpor, StateCachePruningIsSurfacedAndSound) {
@@ -349,6 +300,31 @@ TEST(Dpor, StateCachePruningIsSurfacedAndSound) {
   EXPECT_FALSE(plain.violation.has_value());
   EXPECT_EQ(plain.result.runs_pruned_by_state_cache, 0u);
   EXPECT_EQ(plain.result.final_states, cached.result.final_states);
+}
+
+// -- completeness ------------------------------------------------------------
+
+TEST(DporCompleteness, Ac3) {
+  // Exhaustive DFS over ac3 (158M runs, too many for a test) reaches 48
+  // final states, and so does the sleep_sets = false walk. The default walk
+  // misses some of them (ROADMAP item 3), so for now it is held only to a
+  // subset of that walk's set; once the walk is sound, make it equality.
+  const Instance* ac3 = find_instance("ac3");
+  ASSERT_NE(ac3, nullptr);
+  DporOptions no_skip = ac3->dpor;
+  no_skip.sleep_sets = false;
+  const InstanceVerdict reference = check_instance_dpor(*ac3, no_skip);
+  ASSERT_FALSE(reference.violation.has_value()) << *reference.violation;
+  EXPECT_EQ(reference.result.exhaustiveness, Exhaustiveness::kFull);
+  EXPECT_EQ(reference.result.final_states.size(), 48u);
+
+  const InstanceVerdict walk = check_instance_dpor(*ac3);
+  ASSERT_FALSE(walk.violation.has_value()) << *walk.violation;
+  EXPECT_EQ(walk.result.exhaustiveness, Exhaustiveness::kFull);
+  const std::vector<runtime::StateHash>& all = reference.result.final_states;
+  const std::vector<runtime::StateHash>& got = walk.result.final_states;
+  EXPECT_TRUE(std::includes(all.begin(), all.end(), got.begin(), got.end()))
+      << "the default walk reached a final state the sleep_sets = false walk did not";
 }
 
 TEST(Dpor, CyclePruneExhaustsSpinningReceiver) {
@@ -372,8 +348,7 @@ TEST(Dpor, WarmStackCacheLeavesTheWalkUnchanged) {
   // walk reports.
   const Instance* ac4 = find_instance("ac4");
   ASSERT_NE(ac4, nullptr);
-  DporOptions o = ac4->dpor;
-  o.frontier_depth = 0;  // one thread: the cache is per thread
+  const DporOptions o = ac4->dpor;
   const InstanceVerdict cold = check_instance_dpor(*ac4, o);
   ASSERT_FALSE(cold.violation.has_value());
   ASSERT_EQ(cold.result.exhaustiveness, Exhaustiveness::kFull);

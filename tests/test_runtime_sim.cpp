@@ -501,6 +501,29 @@ TEST(SimRuntime, ShutdownKillsParkedProcesses) {
   SUCCEED();
 }
 
+void run_after_shutdown(bool until_done) {
+  SimRuntime rt{base_config(2, 25)};
+  for (int p = 0; p < 2; ++p)
+    rt.add_process([](Env& env) {
+      for (;;) env.step();
+    });
+  rt.run_steps(10);
+  rt.shutdown();
+  if (until_done) {
+    (void)rt.run_until_all_done(1'000);
+  } else {
+    (void)rt.run_steps(10);
+  }
+}
+
+TEST(SimRuntimeDeathTest, RunAfterShutdownAborts) {
+  // shutdown() leaves the killed processes parked, and resuming one would
+  // jump into a fiber whose body has returned. Both run calls refuse by name.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_after_shutdown(true), "runtime already shut down");
+  EXPECT_DEATH(run_after_shutdown(false), "runtime already shut down");
+}
+
 TEST(SimRuntime, StopRunPolicyValueEndsTheRunWithoutAStep) {
   // The explorers abandon a replay by returning kStopRun from the schedule
   // policy: the run call returns at once, the stop takes no step, and the

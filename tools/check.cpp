@@ -6,18 +6,20 @@
 //     naive DFS baseline is feasible for it.
 //
 //   check run NAME... [--dfs] [--max-runs N] [--max-steps N] [--bound K]
-//                     [--frontier D] [--jobs J] [--no-cache] [--no-sleep]
+//                     [--no-cache] [--no-sleep]
 //     Explore the named instances (or 'all') with the DPOR explorer (default)
 //     or the naive DFS. Exit 0 when every clean instance verifies clean and
 //     every planted-bug instance produces its violation; 1 otherwise.
+//     --no-sleep sets DporOptions::sleep_sets = false, which only stops the
+//     walk skipping backtrack candidates that were asleep on entry: replays
+//     still end sleep-blocked (dpor.hpp).
 //
 //   check diff NAME...
 //     Differential mode: run DFS and DPOR on each instance (DFS-feasible
 //     ones only, unless named explicitly) and require the same verdict AND
 //     the same reachable final-state set, with DPOR using no more replays.
 //
-//   check replay FILE... [--max-runs N] [--max-steps N] [--frontier D]
-//                        [--jobs J]
+//   check replay FILE... [--max-runs N] [--max-steps N]
 //     Chaos -> check bridge: parse each chaos repro document (the JSON
 //     `tools/chaos` / the shrinker emit), lift its fault schedule into the
 //     explorable fragment (fault/explore_bridge.hpp), and explore it
@@ -26,7 +28,7 @@
 //     rediscovers the SAME oracle, and every clean repro verifies clean.
 //
 // Everything here is deterministic: rerunning a command reproduces the same
-// run counts and verdicts bit-for-bit at any --jobs / MM_JOBS value.
+// run counts and verdicts bit-for-bit.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -48,12 +50,11 @@ int usage() {
   std::fprintf(stderr,
                "usage: check list\n"
                "       check run NAME... [--dfs] [--max-runs N] [--max-steps N]\n"
-               "                 [--bound K] [--frontier D] [--jobs J]\n"
-               "                 [--no-cache] [--no-sleep]\n"
+               "                 [--bound K] [--no-cache] [--no-sleep]\n"
                "       check diff NAME...\n"
                "       check replay FILE... [--max-runs N] [--max-steps N]\n"
-               "                 [--frontier D] [--jobs J]\n"
-               "(NAME may be 'all')\n");
+               "(NAME may be 'all'. --no-sleep only stops the walk skipping\n"
+               " candidates asleep on entry; replays still end sleep-blocked)\n");
   return 2;
 }
 
@@ -127,8 +128,6 @@ int cmd_run(int argc, char** argv) {
     else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = parse_flag(a, next()); have_max_runs = true; }
     else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
     else if (a == "--bound") { const auto k = parse_flag<std::uint32_t>(a, next()); dpor_over.max_preemptions = k; dfs_over.max_preemptions = k; have_bound = true; }
-    else if (a == "--frontier") dpor_over.frontier_depth = parse_flag<std::size_t>(a, next());
-    else if (a == "--jobs") dpor_over.jobs = parse_flag<std::size_t>(a, next());
     else if (a == "--no-cache") no_cache = true;
     else if (a == "--no-sleep") no_sleep = true;
     else if (!a.empty() && a[0] == '-') return usage();
@@ -153,8 +152,6 @@ int cmd_run(int argc, char** argv) {
       if (have_max_runs) o.max_runs = dpor_over.max_runs;
       if (have_max_steps) o.max_steps_per_run = dpor_over.max_steps_per_run;
       if (have_bound) o.max_preemptions = dpor_over.max_preemptions;
-      o.frontier_depth = dpor_over.frontier_depth;
-      o.jobs = dpor_over.jobs;
       if (no_cache) o.state_cache = false;
       if (no_sleep) o.sleep_sets = false;
       v = check_instance_dpor(*inst, o);
@@ -220,8 +217,6 @@ int cmd_replay(int argc, char** argv) {
     };
     if (a == "--max-runs") { over.max_runs = parse_flag(a, next()); have_max_runs = true; }
     else if (a == "--max-steps") { over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
-    else if (a == "--frontier") over.frontier_depth = parse_flag<std::size_t>(a, next());
-    else if (a == "--jobs") over.jobs = parse_flag<std::size_t>(a, next());
     else if (!a.empty() && a[0] == '-') return usage();
     else files.push_back(a);
   }
@@ -253,8 +248,6 @@ int cmd_replay(int argc, char** argv) {
     DporOptions o = bridged.instance.dpor;
     if (have_max_runs) o.max_runs = over.max_runs;
     if (have_max_steps) o.max_steps_per_run = over.max_steps_per_run;
-    o.frontier_depth = over.frontier_depth;
-    o.jobs = over.jobs;
     const InstanceVerdict v = check_instance_dpor(bridged.instance, o);
     print_result("dpor", v);
     if (bridged.recorded) {
