@@ -12,6 +12,10 @@
 #   bench      the repo's benchmark (perfbench/): builds it into .bench_build/
 #              and runs each workload for one second; it fails on a build
 #              error or a digest mismatch, never on a speed
+#   asan       ASan+UBSan rebuild of the runtime/exec surface (optional: arm
+#              with MM_CI_ASAN=1; skipped by default — a full side-tree
+#              rebuild). It checks the fiber switches, including the exit
+#              every killed simulated process takes after its forced unwind
 #   tsan       ThreadSanitizer rebuild of the runtime/exec surface (optional:
 #              arm with MM_CI_TSAN=1; skipped by default — it is a full
 #              side-tree rebuild and the slowest stage by far)
@@ -22,6 +26,7 @@
 #
 # Env:
 #   BUILD_DIR    build tree to use (default: build; configured if missing)
+#   MM_CI_ASAN   1 = also run the asan stage (default: skip)
 #   MM_CI_TSAN   1 = also run the tsan stage (default: skip)
 #   MM_JOBS      trial-engine worker count (default: hardware concurrency)
 set -uo pipefail
@@ -76,10 +81,19 @@ run_stage chaos ctest_label -L chaos
 run_stage explore ctest_label -L explore
 run_stage obs ctest_label -L obs
 run_stage bench bench_stage
+# The sanitizer stages invoke the script directly: their label-registered
+# tests are DISABLED unless configured with -DMM_SANITIZE_TEST=ON. Each
+# builds its own side tree (build-sanitize/, build-tsan/), so neither
+# inherits this script's BUILD_DIR.
+if [ "${MM_CI_ASAN:-0}" = "1" ]; then
+  run_stage asan env -u BUILD_DIR MM_SANITIZE=address bash scripts/sanitize.sh
+else
+  STAGES+=("asan")
+  RESULTS+=("skip")
+  TIMES+=(0)
+fi
 if [ "${MM_CI_TSAN:-0}" = "1" ]; then
-  # The label-registered test is DISABLED unless configured with
-  # -DMM_SANITIZE_TEST=ON, so invoke the script directly.
-  run_stage tsan env MM_SANITIZE=thread bash scripts/sanitize.sh
+  run_stage tsan env -u BUILD_DIR MM_SANITIZE=thread bash scripts/sanitize.sh
 else
   STAGES+=("tsan")
   RESULTS+=("skip")

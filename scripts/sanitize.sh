@@ -53,7 +53,9 @@ esac
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DMM_SANITIZE=$MODE"
 fi
-cmake --build "$BUILD_DIR" -j --target mm_tests
+# One compile per CPU: an uncapped -j runs every ASan/TSan compile at once
+# and can exhaust memory.
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target mm_tests
 
 "$BUILD_DIR/tests/mm_tests" --gtest_filter="$FILTER" --gtest_brief=1
 

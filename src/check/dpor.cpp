@@ -72,17 +72,45 @@ struct SleepEntry {
 };
 
 /// A process asleep for the current branch. `step` points into the owning
-/// node's slept_siblings, which stay put for the whole attempt: nodes are
-/// only pushed during an attempt, and moving a Node keeps its vectors'
+/// node's slept_siblings, which stay put for the whole attempt: siblings are
+/// only added between attempts, and moving a Node keeps its vectors'
 /// buffers.
 struct Sleeper {
   Pid pid;
   const StepFootprint* step;
 };
 
+/// A vector whose popped or cleared elements stay constructed, so each keeps
+/// its own vectors' capacity for the next push: the walker's nodes, sleep
+/// entries and aggregates stop allocating once the walk has been as deep
+/// and as wide as it gets.
+template <class T>
+class ReusedVec {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  T& operator[](std::size_t i) noexcept { return items_[i]; }
+  T& back() noexcept { return items_[size_ - 1]; }
+  T* begin() noexcept { return items_.data(); }
+  T* end() noexcept { return items_.data() + size_; }
+
+  /// A new last element, holding whatever its previous user left in it.
+  T& push() {
+    if (size_ == items_.size()) items_.emplace_back();
+    return items_[size_++];
+  }
+  void pop_back() noexcept { --size_; }
+  void clear() noexcept { size_ = 0; }
+
+ private:
+  std::vector<T> items_;
+  std::size_t size_ = 0;
+};
+
 /// Append-only storage in fixed-size chunks, addressed by a 32-bit index.
 /// Growth adds a chunk and never moves what is stored, so a walk's peak
 /// memory is what the cache holds rather than twice that during a copy.
+/// clear() keeps the chunks for the next walk.
 template <class T>
 class ChunkArena {
  public:
@@ -92,10 +120,12 @@ class ChunkArena {
 
   std::uint32_t push_back(const T& v) {
     MM_ASSERT_MSG(size_ != kFull, "DPOR state cache arena exhausted (2^32 records)");
-    if ((size_ & kMask) == 0) chunks_.push_back(std::make_unique_for_overwrite<T[]>(kChunk));
+    if ((size_ >> kBits) == chunks_.size())
+      chunks_.push_back(std::make_unique_for_overwrite<T[]>(kChunk));
     (*this)[size_] = v;
     return size_++;
   }
+  void clear() noexcept { size_ = 0; }
 
  private:
   static constexpr std::uint32_t kBits = 12;
@@ -132,6 +162,17 @@ class StateCache {
 
   StateCache() : slots_(kInitialSlots) {}
 
+  /// Forget every state, keeping the slot table's size and the arenas'
+  /// chunks. The table's size only shapes the probe sequences: a cleared
+  /// cache finds, opens and chains entries exactly as a fresh one does.
+  void clear() noexcept {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    used_ = 0;
+    entries_.clear();
+    packed_.clear();
+    keys_.clear();
+  }
+
   /// The slot holding `h`'s chain, or the empty slot where open() would
   /// put it. Valid until the next open().
   [[nodiscard]] std::size_t find(StateHash h) const noexcept {
@@ -163,7 +204,7 @@ class StateCache {
   }
 
   /// Close entry `e` with its subtree's per-pid aggregate.
-  void close(std::uint32_t e, const std::vector<StepFootprint>& agg) {
+  void close(std::uint32_t e, std::span<const StepFootprint> agg) {
     Entry& entry = entries_[e];
     entry.agg = packed_.size();
     entry.agg_size = static_cast<std::uint32_t>(agg.size());
@@ -264,39 +305,33 @@ struct Node {
   std::uint64_t backtrack_mask = 0;  ///< pids the race scan demands we try
   std::uint64_t done_mask = 0;       ///< pids whose branches are fully explored
   std::uint64_t sleep_entry_mask = 0;
-  std::vector<SleepEntry> slept_siblings;  ///< retired branches (sleep for later ones)
+  ReusedVec<SleepEntry> slept_siblings;  ///< retired branches (sleep for later ones)
   Pid chosen = Pid::none();
   bool forced = false;  ///< preemption bound collapsed this decision (degree 1)
   Pid previous = Pid::none();      ///< pid running before this decision
   std::uint32_t preempt_used = 0;  ///< preemptions consumed before this decision
   StepFootprint step;              ///< footprint of executing `chosen` (this branch)
-  std::vector<StepFootprint> agg;  ///< per-pid union over the explored subtree
+  ReusedVec<StepFootprint> agg;    ///< per-pid union over the explored subtree
   std::uint32_t cache_entry = StateCache::kNone;  ///< the state's entry, if it opened one
 };
 
 static_assert(std::is_nothrow_move_constructible_v<Node>,
               "stack_ growth must move nodes, or Sleeper pointers dangle");
 
-/// Union `s` into the per-pid aggregate; `s` is copied or, as an rvalue,
-/// moved in when its pid is new.
-template <class Footprint>
-void merge_agg(std::vector<StepFootprint>& agg, Footprint&& s) {
+/// Union `s` into the per-pid aggregate; a new pid's footprint is copied
+/// into a reused element, keeping that element's capacity.
+void merge_agg(ReusedVec<StepFootprint>& agg, const StepFootprint& s) {
   for (StepFootprint& a : agg) {
     if (a.pid == s.pid) {
       a.merge(s);
       return;
     }
   }
-  agg.push_back(std::forward<Footprint>(s));
+  agg.push() = s;
 }
 
-void merge_agg_all(std::vector<StepFootprint>& agg, std::span<const StepFootprint> other) {
+void merge_agg_all(ReusedVec<StepFootprint>& agg, std::span<const StepFootprint> other) {
   for (const StepFootprint& s : other) merge_agg(agg, s);
-}
-
-/// For an aggregate that dies here: its footprints move instead of copying.
-void merge_agg_all(std::vector<StepFootprint>& agg, std::vector<StepFootprint>&& other) {
-  for (StepFootprint& s : other) merge_agg(agg, std::move(s));
 }
 
 // Vector clocks are rows of n_procs entries in one flat buffer.
@@ -310,16 +345,17 @@ void clock_join(std::uint32_t* into, const std::uint32_t* other, std::size_t n) 
   for (std::size_t i = 0; i < n; ++i) into[i] = std::max(into[i], other[i]);
 }
 
-void finalize_result(ExploreResult& r, bool bounded) {
+/// Set the verdict and hand over the distinct final states, sorted.
+void finalize_result(ExploreResult& r, bool bounded, std::vector<StateHash>& finals) {
   if (!r.exhaustive || !r.all_runs_completed) {
     r.exhaustiveness = Exhaustiveness::kBudgetTruncated;
   } else {
     r.exhaustiveness =
         bounded ? Exhaustiveness::kWithinPreemptionBound : Exhaustiveness::kFull;
   }
-  std::sort(r.final_states.begin(), r.final_states.end());
-  r.final_states.erase(std::unique(r.final_states.begin(), r.final_states.end()),
-                       r.final_states.end());
+  std::sort(finals.begin(), finals.end());
+  finals.erase(std::unique(finals.begin(), finals.end()), finals.end());
+  r.final_states.assign(finals.begin(), finals.end());
 }
 
 using MakeFn = std::function<std::unique_ptr<SimRuntime>()>;
@@ -337,6 +373,10 @@ class Walker {
   /// what a fault WOULD touch is known without executing it, which is what
   /// lets the race scan schedule never-fired faults (see the
   /// enabled-and-dependent clause in race_scan).
+  ///
+  /// Inside a FiberStackRecycler scope the walker adopts the buffers the
+  /// last walk on the thread parked (stack nodes, state cache, scan and
+  /// sleep scratch), and parks them again when it is destroyed.
   Walker(const MakeFn& make, const VerifyFn& verify, const DporOptions& opt,
          std::size_t n_procs, std::size_t n_real, std::vector<StepFootprint> fault_fps)
       : make_(make),
@@ -344,24 +384,35 @@ class Walker {
         opt_(opt),
         n_procs_(n_procs),
         n_real_(n_real),
-        fault_fps_(std::move(fault_fps)) {
+        fault_fps_(std::move(fault_fps)),
+        storage_(take_storage()),
+        stack_(storage_->stack),
+        cache_(storage_->cache),
+        hit_agg_(storage_->hit_agg),
+        cur_sleep_(storage_->cur_sleep),
+        scan_(storage_->scan),
+        finals_(storage_->finals) {
     for (std::size_t j = 0; j < fault_fps_.size(); ++j)
       pseudo_mask_ |= 1ULL << (n_real_ + j);
   }
+
+  ~Walker() { FiberStackRecycler::park(storage_); }
+  Walker(const Walker&) = delete;
+  Walker& operator=(const Walker&) = delete;
 
   ExploreResult run() {
     result_.all_runs_completed = true;
     for (;;) {
       if (result_.runs >= opt_.max_runs) {
-        finalize_result(result_, opt_.max_preemptions.has_value());
-        return result_;
+        finalize_result(result_, opt_.max_preemptions.has_value(), finals_);
+        return std::move(result_);
       }
       attempt();
       if (!advance()) break;
     }
     result_.exhaustive = true;
-    finalize_result(result_, opt_.max_preemptions.has_value());
-    return result_;
+    finalize_result(result_, opt_.max_preemptions.has_value(), finals_);
+    return std::move(result_);
   }
 
  private:
@@ -400,7 +451,7 @@ class Walker {
     rt->rethrow_process_error();
     if (!aborted) {
       if (completed)
-        result_.final_states.push_back(final_state);
+        finals_.push_back(final_state);
       else
         result_.all_runs_completed = false;
       verify_(*rt);
@@ -449,19 +500,15 @@ class Walker {
   }
 
   std::size_t decide_extend(const std::vector<Pid>& runnable) {
-    Node node;
-    node.enabled_mask = mask_of(runnable);
-    node.previous = previous_;
-    node.preempt_used = used_;
-    node.sleep_entry_mask = sleep_mask();
+    const std::uint64_t enabled = mask_of(runnable);
+    const std::uint64_t sleep_entry = sleep_mask();
+    Pid chosen = Pid::none();
 
     // Preemption bound: out of budget and the running process still
     // runnable — the decision collapses to degree 1 and is never branched.
-    if (opt_.max_preemptions.has_value() && used_ >= *opt_.max_preemptions &&
-        !previous_.is_none() && (node.enabled_mask & pid_bit(previous_)) != 0) {
-      node.chosen = previous_;
-      node.forced = true;
-    }
+    const bool forced = opt_.max_preemptions.has_value() && used_ >= *opt_.max_preemptions &&
+                        !previous_.is_none() && (enabled & pid_bit(previous_)) != 0;
+    if (forced) chosen = previous_;
 
     StateHash state{};
     std::size_t slot = 0;
@@ -475,9 +522,9 @@ class Walker {
         // its sleep set must be a subset of ours, and under a preemption
         // bound it must have had the same running process and at least as
         // much remaining budget.
-        if ((entry.sleep_mask & ~node.sleep_entry_mask) != 0) continue;
+        if ((entry.sleep_mask & ~sleep_entry) != 0) continue;
         if (opt_.max_preemptions.has_value() &&
-            (entry.previous != node.previous || entry.preempt_used > node.preempt_used))
+            (entry.previous != previous_ || entry.preempt_used > used_))
           continue;
         // Open entry: an ancestor on the current path has this very state —
         // the schedule cycled (e.g. a collapsed spin); its exploration is
@@ -488,28 +535,40 @@ class Walker {
       }
     }
 
-    if (!node.forced) {
-      node.chosen = Pid::none();
+    if (!forced) {
       for (const Pid p : runnable) {
-        if ((node.sleep_entry_mask & pid_bit(p)) == 0) {
-          node.chosen = p;
+        if ((sleep_entry & pid_bit(p)) == 0) {
+          chosen = p;
           break;
         }
       }
       // Every enabled process is asleep: each of their next steps was fully
       // explored from an equivalent prefix. Nothing new below, and no entry
       // opens: the node never joins the stack.
-      if (node.chosen.is_none()) return stop(Stop::kSleepBlocked, {});
+      if (chosen.is_none()) return stop(Stop::kSleepBlocked, {});
     }
-    node.backtrack_mask = pid_bit(node.chosen);
-    if (opt_.state_cache)
-      node.cache_entry = cache_.open(
-          slot, state, {node.sleep_entry_mask, node.previous, node.preempt_used});
 
-    const std::size_t idx = index_of(runnable, node.chosen);
-    account_preemption(runnable, node.chosen);
+    // A node popped earlier is reused: every field is set here, and its
+    // vectors are emptied with their capacity kept.
+    Node& node = stack_.push();
+    node.enabled_mask = enabled;
+    node.backtrack_mask = pid_bit(chosen);
+    node.done_mask = 0;
+    node.sleep_entry_mask = sleep_entry;
+    node.slept_siblings.clear();
+    node.chosen = chosen;
+    node.forced = forced;
+    node.previous = previous_;
+    node.preempt_used = used_;
+    node.step.clear(Pid::none());
+    node.agg.clear();
+    node.cache_entry = opt_.state_cache
+                           ? cache_.open(slot, state, {sleep_entry, previous_, used_})
+                           : StateCache::kNone;
+
+    const std::size_t idx = index_of(runnable, chosen);
+    account_preemption(runnable, chosen);
     pending_ = true;
-    stack_.push_back(std::move(node));
     ++depth_;
     return idx;
   }
@@ -805,7 +864,9 @@ class Walker {
       Node& node = stack_.back();
       if ((node.done_mask & pid_bit(node.chosen)) == 0) {
         node.done_mask |= pid_bit(node.chosen);
-        node.slept_siblings.push_back(SleepEntry{node.chosen, node.step});
+        SleepEntry& slept = node.slept_siblings.push();
+        slept.pid = node.chosen;
+        slept.step = node.step;
         merge_agg(node.agg, node.step);
       }
       std::uint64_t cand = node.backtrack_mask & node.enabled_mask & ~node.done_mask;
@@ -828,11 +889,30 @@ class Walker {
       }
       if (chose) return true;
       if (node.cache_entry != StateCache::kNone) cache_.close(node.cache_entry, node.agg);
-      std::vector<StepFootprint> agg = std::move(node.agg);
+      if (stack_.size() > 1) merge_agg_all(stack_[stack_.size() - 2].agg, node.agg);
       stack_.pop_back();
-      if (!stack_.empty()) merge_agg_all(stack_.back().agg, std::move(agg));
     }
     return false;
+  }
+
+  /// The walker's buffers, kept across walks on a thread (see the
+  /// constructor). Each walk starts them empty.
+  struct Storage {
+    ReusedVec<Node> stack;
+    StateCache cache;
+    std::vector<StepFootprint> hit_agg;
+    std::vector<Sleeper> cur_sleep;
+    Scan scan;
+    std::vector<StateHash> finals;
+  };
+
+  static std::unique_ptr<Storage> take_storage() {
+    std::unique_ptr<Storage> s = FiberStackRecycler::take<Storage>();
+    if (s == nullptr) return std::make_unique<Storage>();
+    s->stack.clear();
+    s->cache.clear();
+    s->finals.clear();
+    return s;
   }
 
   const MakeFn& make_;
@@ -843,21 +923,23 @@ class Walker {
   const std::vector<StepFootprint> fault_fps_;  ///< static, by pseudo offset
   std::uint64_t pseudo_mask_ = 0;
 
-  ExploreResult result_;
-  std::vector<Node> stack_;
-  StateCache cache_;
-  std::vector<StepFootprint> hit_agg_;  ///< a closed entry's aggregate, unpacked
+  ExploreResult result_;  ///< final_states is filled from finals_ at the end
+  std::unique_ptr<Storage> storage_;  ///< owns what the references below name
+  ReusedVec<Node>& stack_;
+  StateCache& cache_;
+  std::vector<StepFootprint>& hit_agg_;  ///< a closed entry's aggregate, unpacked
+  std::vector<Sleeper>& cur_sleep_;      ///< per attempt
+  Scan& scan_;
+  std::vector<StateHash>& finals_;       ///< final state of each completed run
 
   // Per-attempt walk state.
   SimRuntime* rt_ = nullptr;
   std::size_t depth_ = 0;  ///< stack decisions taken
   std::uint32_t used_ = 0;
   Pid previous_ = Pid::none();
-  std::vector<Sleeper> cur_sleep_;
   bool pending_ = false;  ///< stack_[depth_ - 1]'s slice ran, its footprint unread
   Stop stop_ = Stop::kNone;
   std::span<const StepFootprint> pruned_agg_;  ///< see stop()
-  Scan scan_;
 };
 
 }  // namespace
@@ -868,6 +950,9 @@ class Walker {
 
 ExploreResult explore_dpor(const MakeFn& make, const VerifyFn& verify,
                            const DporOptions& options) {
+  // Every replay builds and destroys a SimRuntime: recycle its fiber stacks
+  // and containers, and the walker's buffers, for the whole walk.
+  const FiberStackRecycler recycler;
   std::size_t n_procs = 0;
   std::size_t n_real = 0;
   std::vector<StepFootprint> fault_fps;
@@ -901,9 +986,6 @@ ExploreResult explore_dpor(const MakeFn& make, const VerifyFn& verify,
     }
   }
 
-  // Every replay builds and destroys a SimRuntime: recycle its fiber stacks
-  // for the whole walk.
-  const FiberStackRecycler stacks;
   return Walker(make, verify, options, n_procs, n_real, std::move(fault_fps)).run();
 }
 

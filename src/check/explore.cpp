@@ -13,6 +13,12 @@ using runtime::SimRuntime;
 
 namespace {
 
+/// Sort `states` and drop duplicates.
+void dedupe(std::vector<runtime::StateHash>& states) {
+  std::sort(states.begin(), states.end());
+  states.erase(std::unique(states.begin(), states.end()), states.end());
+}
+
 /// Map the legacy tree-covered flag + options to the precise claim.
 void finalize_exhaustiveness(ExploreResult& result, const ExploreOptions& options) {
   if (!result.exhaustive) {
@@ -26,10 +32,7 @@ void finalize_exhaustiveness(ExploreResult& result, const ExploreOptions& option
   } else {
     result.exhaustiveness = Exhaustiveness::kFull;
   }
-  std::sort(result.final_states.begin(), result.final_states.end());
-  result.final_states.erase(
-      std::unique(result.final_states.begin(), result.final_states.end()),
-      result.final_states.end());
+  dedupe(result.final_states);
 }
 
 }  // namespace
@@ -38,6 +41,10 @@ ExploreResult explore_schedules(
     const std::function<std::unique_ptr<SimRuntime>()>& make,
     const std::function<void(SimRuntime&)>& verify, const ExploreOptions& options) {
   ExploreResult result;
+  // Final states are deduplicated whenever their count reaches this mark,
+  // which then doubles past the distinct count: memory follows the distinct
+  // states, not the runs, at amortised O(log) sorting per state.
+  std::size_t dedupe_at = 1024;
   std::vector<std::size_t> prefix;
   // Every replay builds and destroys a SimRuntime: recycle its fiber stacks.
   const FiberStackRecycler stacks;
@@ -82,8 +89,13 @@ ExploreResult explore_schedules(
       return choice;
     });
     const bool completed = rt->run_until_all_done(options.max_steps_per_run);
-    if (completed && options.collect_final_states)
+    if (completed && options.collect_final_states) {
       result.final_states.push_back(rt->state_hash());
+      if (result.final_states.size() >= dedupe_at) {
+        dedupe(result.final_states);
+        dedupe_at = std::max(dedupe_at, 2 * result.final_states.size());
+      }
+    }
     rt->shutdown();
     rt->rethrow_process_error();
     if (!completed) result.all_runs_completed = false;

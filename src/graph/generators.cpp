@@ -6,10 +6,22 @@
 
 namespace mm::graph {
 
+namespace {
+
+/// The edges {u, u+1 mod n}, in ring()'s order.
+void add_ring_edges(Graph& g, std::size_t n) {
+  for (std::size_t u = 0; u < n; ++u)
+    g.add_edge(Pid{static_cast<std::uint32_t>(u)},
+               Pid{static_cast<std::uint32_t>((u + 1) % n)});
+}
+
+}  // namespace
+
 Graph edgeless(std::size_t n) { return Graph{n}; }
 
 Graph complete(std::size_t n) {
   Graph g{n};
+  if (n > 0) g.reserve_degree(n - 1);
   for (std::size_t u = 0; u < n; ++u)
     for (std::size_t v = u + 1; v < n; ++v)
       g.add_edge(Pid{static_cast<std::uint32_t>(u)}, Pid{static_cast<std::uint32_t>(v)});
@@ -19,15 +31,15 @@ Graph complete(std::size_t n) {
 Graph ring(std::size_t n) {
   MM_ASSERT(n >= 3);
   Graph g{n};
-  for (std::size_t u = 0; u < n; ++u)
-    g.add_edge(Pid{static_cast<std::uint32_t>(u)},
-               Pid{static_cast<std::uint32_t>((u + 1) % n)});
+  g.reserve_degree(2);
+  add_ring_edges(g, n);
   return g;
 }
 
 Graph path(std::size_t n) {
   MM_ASSERT(n >= 1);
   Graph g{n};
+  g.reserve_degree(2);
   for (std::size_t u = 0; u + 1 < n; ++u)
     g.add_edge(Pid{static_cast<std::uint32_t>(u)}, Pid{static_cast<std::uint32_t>(u + 1)});
   return g;
@@ -44,6 +56,7 @@ Graph star(std::size_t n) {
 Graph torus(std::size_t rows, std::size_t cols) {
   MM_ASSERT(rows >= 2 && cols >= 2);
   Graph g{rows * cols};
+  g.reserve_degree(4);
   auto id = [&](std::size_t r, std::size_t c) {
     return Pid{static_cast<std::uint32_t>(r * cols + c)};
   };
@@ -60,6 +73,7 @@ Graph hypercube(std::size_t dim) {
   MM_ASSERT(dim >= 1 && dim <= 12);
   const std::size_t n = 1ULL << dim;
   Graph g{n};
+  g.reserve_degree(dim);
   for (std::size_t u = 0; u < n; ++u)
     for (std::size_t b = 0; b < dim; ++b) {
       const std::size_t v = u ^ (1ULL << b);
@@ -74,6 +88,7 @@ Graph barbell_path(std::size_t k, std::size_t bridge_len) {
   MM_ASSERT(k >= 2);
   const std::size_t n = 2 * k + bridge_len;
   Graph g{n};
+  g.reserve_degree(k);  // clique vertices k - 1, plus one at each bridge end
   auto pid = [](std::size_t i) { return Pid{static_cast<std::uint32_t>(i)}; };
   // Clique A on [0, k), clique B on [k+bridge_len, n).
   for (std::size_t u = 0; u < k; ++u)
@@ -92,7 +107,9 @@ Graph barbell_path(std::size_t k, std::size_t bridge_len) {
 
 Graph chordal_ring(std::size_t n) {
   MM_ASSERT(n >= 4 && n % 2 == 0);
-  Graph g = ring(n);
+  Graph g{n};
+  g.reserve_degree(3);
+  add_ring_edges(g, n);
   for (std::size_t u = 0; u < n / 2; ++u)
     g.add_edge(Pid{static_cast<std::uint32_t>(u)},
                Pid{static_cast<std::uint32_t>(u + n / 2)});
@@ -160,6 +177,7 @@ std::optional<Graph> random_regular(std::size_t n, std::size_t d, Rng& rng) {
   }
 
   Graph g{n};
+  g.reserve_degree(d);
   for (const auto& [u, v] : edges) g.add_edge(Pid{u}, Pid{v});
   return g;
 }
@@ -174,6 +192,7 @@ Graph gabber_galil(std::size_t m) {
   MM_ASSERT(m >= 2);
   const std::size_t n = m * m;
   Graph g{n};
+  g.reserve_degree(8);  // at most eight distinct neighbours each
   auto id = [m](std::size_t x, std::size_t y) {
     return Pid{static_cast<std::uint32_t>(x * m + y)};
   };

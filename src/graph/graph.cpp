@@ -25,6 +25,10 @@ void Graph::add_edge(Pid u, Pid v) {
   }
 }
 
+void Graph::reserve_degree(std::size_t degree) {
+  for (auto& nb : adj_) nb.reserve(degree);
+}
+
 bool Graph::has_edge(Pid u, Pid v) const {
   MM_ASSERT(u.index() < size() && v.index() < size());
   if (size() <= 64) return (masks_[u.index()] >> v.index()) & 1ULL;

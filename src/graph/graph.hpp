@@ -28,6 +28,10 @@ class Graph {
 
   /// Adds the undirected edge {u, v}. Idempotent; rejects self-loops.
   void add_edge(Pid u, Pid v);
+  /// Room for `degree` neighbours at every vertex: a generator that knows
+  /// the final (or maximum) degree calls it first, so building the graph
+  /// allocates each adjacency list once.
+  void reserve_degree(std::size_t degree);
   [[nodiscard]] bool has_edge(Pid u, Pid v) const;
 
   [[nodiscard]] const std::vector<Pid>& neighbors(Pid u) const {

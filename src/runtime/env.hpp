@@ -17,9 +17,15 @@
 
 namespace mm::runtime {
 
-/// Thrown by Env::step() when the hosting runtime tears the process down
-/// (simulated crash at shutdown, or end of a bounded run). Algorithms should
-/// let it propagate; the runtime catches it at the process boundary.
+/// Thrown by ThreadRuntime's Env::step() when it tears the process down
+/// (simulated crash, or shutdown). Algorithms should let it propagate; the
+/// runtime catches it at the process boundary.
+///
+/// SimRuntime kills without a throw: a killed process's next yield unwinds
+/// its body with a forced unwind, which runs every destructor but matches
+/// no typed handler. A body's catch (...) sees it as abi::__forced_unwind
+/// (<cxxabi.h>) and must rethrow it; one that swallows it is killed again
+/// at its next yield.
 class ProcessKilled {};
 
 class Env {

@@ -59,8 +59,8 @@ std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
 }
 
-/// The cache of the FiberStackRecycler open on this thread, or null.
-thread_local std::vector<void*>* tl_stack_cache = nullptr;
+/// The FiberStackRecycler open on this thread, or null.
+thread_local FiberStackRecycler* tl_recycler = nullptr;
 thread_local FiberStackCounts tl_stack_counts;
 
 /// Usable bytes of the one stack size the recycler caches.
@@ -84,9 +84,10 @@ void unmap_guarded_stack(void* map, std::size_t map_bytes) {
   ++tl_stack_counts.unmapped;
 }
 
-/// Make recycled stack memory plain writable memory again for ASan. A dead
-/// fiber's last frame (run_entry, which never returns) can leave redzones
-/// poisoned, and the next fiber's init_frame stores would trip on them.
+/// Make a dead fiber's stack plain writable memory again for ASan before it
+/// is reused or unmapped. Its last frames never return (run_entry, and on a
+/// kill the unwinder's frames below exit()), so they can leave redzones
+/// poisoned, and the next user of the memory would trip on them.
 void unpoison_stack([[maybe_unused]] void* lo, [[maybe_unused]] std::size_t bytes) {
 #if defined(MM_FIBER_ASAN)
   __asan_unpoison_memory_region(lo, bytes);
@@ -219,11 +220,10 @@ Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
   stack_bytes_ = round_up(stack_bytes < 4 * page ? 4 * page : stack_bytes, page);
   map_bytes_ = stack_bytes_ + page;  // + guard page
   recyclable_ = stack_bytes_ == recyclable_stack_bytes();
-  std::vector<void*>* const cache = tl_stack_cache;
-  if (recyclable_ && cache != nullptr && !cache->empty()) {
-    stack_map_ = cache->back();
-    cache->pop_back();
-    unpoison_stack(static_cast<char*>(stack_map_) + page, stack_bytes_);
+  FiberStackRecycler* const recycler = tl_recycler;
+  if (recyclable_ && recycler != nullptr && !recycler->cache_.empty()) {
+    stack_map_ = recycler->cache_.back();
+    recycler->cache_.pop_back();
   } else {
     stack_map_ = map_guarded_stack(map_bytes_);
   }
@@ -252,9 +252,10 @@ Fiber::~Fiber() {
   delete static_cast<ucontext_t*>(caller_uctx_);
 #endif
   if (stack_map_ != nullptr) {
-    std::vector<void*>* const cache = tl_stack_cache;
-    if (recyclable_ && cache != nullptr) {
-      cache->push_back(stack_map_);
+    unpoison_stack(stack_lo_, stack_bytes_);
+    FiberStackRecycler* const recycler = tl_recycler;
+    if (recyclable_ && recycler != nullptr) {
+      recycler->cache_.push_back(stack_map_);
     } else {
       unmap_guarded_stack(stack_map_, map_bytes_);
     }
@@ -273,25 +274,28 @@ void Fiber::run_entry(Fiber* self) {
   } catch (...) {
     MM_ASSERT_MSG(false, "exception escaped a fiber entry function");
   }
-  self->done_ = true;
-#if defined(MM_FIBER_ASAN)
-  // Final switch out: null handle releases this fiber's fake stack.
-  __sanitizer_start_switch_fiber(nullptr, self->caller_stack_bottom_,
-                                 self->caller_stack_size_);
-#endif
-#if defined(MM_FIBER_TSAN)
-  __tsan_switch_to_fiber(self->tsan_caller_, 0);
-#endif
-#if defined(__x86_64__)
-  mm_fiber_switch(&self->sp_, self->caller_sp_);
-#else
-  ::swapcontext(static_cast<ucontext_t*>(self->uctx_),
-                static_cast<ucontext_t*>(self->caller_uctx_));
-#endif
+  self->exit();
   // Unreachable (resume() asserts !done_), but must stay a *returning* path:
   // if every path aborted, GCC would infer this function noreturn and plant
   // __asan_handle_no_return in the thunk, which runs on the fiber stack —
   // memory ASan's thread bookkeeping doesn't own — and kills the process.
+}
+
+void Fiber::exit() {
+  done_ = true;
+#if defined(MM_FIBER_ASAN)
+  // Final switch out: null handle releases this fiber's fake stack.
+  __sanitizer_start_switch_fiber(nullptr, caller_stack_bottom_, caller_stack_size_);
+#endif
+#if defined(MM_FIBER_TSAN)
+  __tsan_switch_to_fiber(tsan_caller_, 0);
+#endif
+#if defined(__x86_64__)
+  mm_fiber_switch(&sp_, caller_sp_);
+#else
+  ::swapcontext(static_cast<ucontext_t*>(uctx_), static_cast<ucontext_t*>(caller_uctx_));
+#endif
+  // Unreachable, and a returning path for the reason run_entry gives.
 }
 
 #if !defined(__x86_64__)
@@ -390,17 +394,44 @@ void* FiberStackPool::acquire() {
 // FiberStackRecycler
 // ---------------------------------------------------------------------------
 
-FiberStackRecycler::FiberStackRecycler() : owner_(tl_stack_cache == nullptr) {
-  if (owner_) tl_stack_cache = &cache_;
+FiberStackRecycler::FiberStackRecycler() : owner_(tl_recycler == nullptr) {
+  if (owner_) tl_recycler = this;
 }
 
 FiberStackRecycler::~FiberStackRecycler() {
   if (!owner_) return;
-  MM_ASSERT_MSG(tl_stack_cache == &cache_,
+  MM_ASSERT_MSG(tl_recycler == this,
                 "fiber stack recycler closed on another thread or out of scope order");
-  tl_stack_cache = nullptr;
+  tl_recycler = nullptr;
+  for (auto it = parked_.rbegin(); it != parked_.rend(); ++it) it->destroy(it->object);
   const std::size_t map_bytes = recyclable_stack_bytes() + page_size();
   for (void* map : cache_) unmap_guarded_stack(map, map_bytes);
+}
+
+bool FiberStackRecycler::active() noexcept { return tl_recycler != nullptr; }
+
+bool FiberStackRecycler::park_erased(const Parked& p) noexcept {
+  FiberStackRecycler* const recycler = tl_recycler;
+  if (recycler == nullptr) return false;
+  try {
+    recycler->parked_.push_back(p);
+  } catch (...) {  // out of memory: the owner frees the storage instead
+    return false;
+  }
+  return true;
+}
+
+void* FiberStackRecycler::take_erased(const void* type) noexcept {
+  FiberStackRecycler* const recycler = tl_recycler;
+  if (recycler == nullptr) return nullptr;
+  std::vector<Parked>& parked = recycler->parked_;
+  for (std::size_t i = parked.size(); i-- > 0;) {
+    if (parked[i].type != type) continue;
+    void* const object = parked[i].object;
+    parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
+    return object;
+  }
+  return nullptr;
 }
 
 FiberStackCounts fiber_stack_counts() noexcept { return tl_stack_counts; }

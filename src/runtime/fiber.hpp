@@ -18,7 +18,9 @@
 //
 // Exceptions must never propagate out of the entry function (the simulator's
 // process wrapper catches everything); control must never leave a fiber
-// except through yield() or entry return. AddressSanitizer builds annotate
+// except through yield(), exit() or entry return. exit() is how a killed
+// simulated process leaves once its forced unwind has run every destructor
+// below the process wrapper (sim_runtime.cpp). AddressSanitizer builds annotate
 // every switch with the __sanitizer_*_switch_fiber protocol, so fiber stacks
 // are first-class citizens under ASan (and the inline fast path is disabled:
 // switches go through the out-of-line annotated versions).
@@ -27,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -69,9 +72,10 @@ class Fiber {
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
   /// Create a suspended fiber that will run `entry` on first resume().
-  /// `entry` must not throw and must return (or yield forever); destroying a
-  /// fiber that is suspended mid-entry skips the destructors of everything
-  /// live on its stack, so owners drain fibers to completion first. With a
+  /// `entry` must not throw and must return, leave through exit(), or yield
+  /// forever; destroying a fiber that is suspended mid-entry skips the
+  /// destructors of everything live on its stack, so owners drain fibers to
+  /// completion first. With a
   /// FiberStackRecycler open on this thread, a default-size stack comes from
   /// (and returns to) its cache instead of a fresh mapping.
   explicit Fiber(std::function<void()> entry,
@@ -112,8 +116,17 @@ class Fiber {
   void yield();
 #endif
 
-  /// True once the entry function has returned; resume() is then forbidden.
+  /// Leave the fiber for good: mark it done and switch back to the most
+  /// recent resumer, whose resume() returns. Only callable from inside the
+  /// fiber. Frames still on the fiber's stack are abandoned, not unwound, so
+  /// the caller unwinds whatever owns resources first.
+  void exit();
+
+  /// True once the entry function has returned or exit() ran; resume() is
+  /// then forbidden.
   [[nodiscard]] bool done() const noexcept { return done_; }
+  /// True once the fiber has been resumed at least once.
+  [[nodiscard]] bool started() const noexcept { return started_; }
 
   /// Implementation hook: the C++ side of the assembly trampoline. Public
   /// only because the extern "C" thunk must reach it; never call directly.
@@ -195,7 +208,8 @@ class FiberStackPool {
   std::vector<void*> chunks_;
 };
 
-/// Scoped per-thread recycler of guarded default-size fiber stacks.
+/// Scoped per-thread recycler of guarded default-size fiber stacks, and of
+/// the storage of the objects built and destroyed around them.
 //
 // A loop that builds and tears down a SimRuntime per iteration (the model
 // checkers' replays) otherwise pays an mmap + mprotect + munmap per process
@@ -212,6 +226,13 @@ class FiberStackPool {
 // thread and keeps their touched pages committed until the scope closes. A
 // recycler opened while another is open on the same thread joins it: the
 // outer one owns the cache.
+//
+// The same scope parks heap storage: an object that owns containers (a
+// SimRuntime's per-process arrays, the DPOR walker's scratch) hands them,
+// emptied but with their capacity, to park() when it is destroyed, and the
+// next one of its type built on the thread adopts them through take(), so a
+// replay loop stops allocating once every container has reached its
+// high-water size. Parked storage is freed when the scope closes.
 class FiberStackRecycler {
  public:
   FiberStackRecycler();
@@ -219,9 +240,44 @@ class FiberStackRecycler {
   FiberStackRecycler(const FiberStackRecycler&) = delete;
   FiberStackRecycler& operator=(const FiberStackRecycler&) = delete;
 
+  /// True while a recycler is open on this thread.
+  [[nodiscard]] static bool active() noexcept;
+
+  /// Hand `storage` to the recycler open on this thread, for the next
+  /// take<T>() there. With none open (or no room to record it) `storage` is
+  /// left as it was, for its owner to free.
+  template <class T>
+  static void park(std::unique_ptr<T>& storage) noexcept {
+    if (storage != nullptr &&
+        park_erased(Parked{&kType<T>, storage.get(),
+                           [](void* p) noexcept { delete static_cast<T*>(p); }}))
+      (void)storage.release();
+  }
+
+  /// The storage of type T parked last on this thread's open recycler, or
+  /// null when there is none.
+  template <class T>
+  [[nodiscard]] static std::unique_ptr<T> take() noexcept {
+    return std::unique_ptr<T>(static_cast<T*>(take_erased(&kType<T>)));
+  }
+
  private:
-  std::vector<void*> cache_;  ///< idle mappings (guard page at the low end)
-  bool owner_;                ///< false when joining an outer recycler
+  friend class Fiber;
+
+  struct Parked {
+    const void* type;  ///< &kType<T>: one address per parked type
+    void* object;
+    void (*destroy)(void*) noexcept;
+  };
+  template <class T>
+  static constexpr char kType = 0;
+
+  static bool park_erased(const Parked& p) noexcept;
+  static void* take_erased(const void* type) noexcept;
+
+  std::vector<void*> cache_;     ///< idle mappings (guard page at the low end)
+  std::vector<Parked> parked_;   ///< oldest first
+  bool owner_;                   ///< false when joining an outer recycler
 };
 
 /// Guarded stack mappings the calling thread has created (mmap) and

@@ -40,6 +40,18 @@ struct Metrics {
         remote_reads_by_proc(n, 0),
         remote_writes_by_proc(n, 0) {}
 
+  /// Zero every counter for n processes, as Metrics{n} would, reusing the
+  /// per-process vectors' capacity (a recycled runtime's metrics).
+  void reset(std::size_t n) {
+    msgs_sent = msgs_delivered = msgs_dropped = 0;
+    reg_reads = reg_writes = reg_cas_ops = 0;
+    reg_reads_local = reg_writes_local = reg_cas_local = 0;
+    for (std::vector<std::uint64_t>* v : {&steps_by_proc, &sends_by_proc, &reads_by_proc,
+                                          &writes_by_proc, &remote_reads_by_proc,
+                                          &remote_writes_by_proc})
+      v->assign(n, 0);
+  }
+
   /// Element-wise difference (this − earlier): op counts within a window.
   [[nodiscard]] Metrics delta_since(const Metrics& earlier) const {
     Metrics d{steps_by_proc.size()};
@@ -63,5 +75,9 @@ struct Metrics {
     return d;
   }
 };
+
+// reset() names every field: a new one must join it.
+static_assert(sizeof(Metrics) == 9 * sizeof(std::uint64_t) + 6 * sizeof(std::vector<std::uint64_t>),
+              "Metrics::reset() must zero every field");
 
 }  // namespace mm::runtime

@@ -1,9 +1,17 @@
 #include "runtime/sim_runtime.hpp"
 
+#include <cxxabi.h>
+
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <utility>
 
 #include "common/assert.hpp"
+
+#if defined(MM_FIBER_ASAN)
+extern "C" void __asan_handle_no_return();
+#endif
 
 namespace mm::runtime {
 
@@ -34,6 +42,26 @@ constexpr std::uint64_t kObsSlice = 0xA8;
 constexpr std::uint64_t kObsSeed = 0x5851f42d4c957f2dULL;
 constexpr std::uint64_t kSliceSigSeed = 0x2545f4914f6cdd1dULL;
 
+/// Exception class of the kill unwind ("MMSIMKIL"): foreign to C++, so no
+/// handler but catch (...) can match it.
+constexpr _Unwind_Exception_Class kKillClass = 0x4d4d53494d4b494cULL;
+
+/// The Itanium C++ ABI's per-thread exception bookkeeping
+/// (__cxa_eh_globals: the caught-exception stack and the uncaught count),
+/// which every fiber shares with the thread that runs it.
+struct EhGlobals {
+  void* caught_exceptions;
+  unsigned int uncaught_exceptions;
+};
+
+EhGlobals load_eh_globals() {
+  EhGlobals g;
+  std::memcpy(&g, abi::__cxa_get_globals(), sizeof g);
+  return g;
+}
+
+void store_eh_globals(const EhGlobals& g) { std::memcpy(abi::__cxa_get_globals(), &g, sizeof g); }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -62,11 +90,52 @@ bool SimEnv::coin() { return rt_->env_coin(self_); }
 std::uint64_t SimEnv::rand_below(std::uint64_t bound) { return rt_->env_rand_below(self_, bound); }
 void SimEnv::step() {
   fiber_->yield();
-  if (*kill_flag_ != 0) throw ProcessKilled{};
+  if (*kill_flag_ != 0) [[unlikely]]
+    unwind_killed();
 }
 Step SimEnv::now() const { return rt_->env_now(self_); }
 bool SimEnv::stop_requested() const {
   return rt_->stop_requested_.load(std::memory_order_relaxed);
+}
+
+// The kill path. A throw would allocate the exception, search every frame
+// for a handler, then unwind; a forced unwind only unwinds, running each
+// frame's cleanups (and any catch (...), which sees abi::__forced_unwind).
+// The stop function ends it at run_process's frame, so that frame's
+// catch (...) never runs on the foreign exception (__cxa_begin_catch would
+// terminate if the scheduler thread were itself inside a handler).
+void SimEnv::unwind_killed() {
+  kill_exc_ = _Unwind_Exception{};
+  kill_exc_.exception_class = kKillClass;
+  kill_exc_.exception_cleanup = nullptr;  // nothing to free: it lives in this SimEnv
+  _Unwind_ForcedUnwind(&kill_exc_, &SimEnv::stop_at_wrapper, this);
+  MM_ASSERT_MSG(false, "the kill unwind of a simulated process failed");
+}
+
+_Unwind_Reason_Code SimEnv::stop_at_wrapper(int, _Unwind_Action actions,
+                                            _Unwind_Exception_Class, _Unwind_Exception*,
+                                            _Unwind_Context* context, void* env) {
+  SimEnv& self = *static_cast<SimEnv*>(env);
+  // The unwinder calls this before each frame's personality routine, with
+  // that frame's stack pointer at its pending call as the CFA. Every frame
+  // from the kill point up to run_body lies at or below run_body's frame
+  // address; the first above it is run_process, whose handler must not run.
+  if (_Unwind_GetCFA(context) <= self.body_floor_) {
+    MM_ASSERT_MSG((actions & _UA_END_OF_STACK) == 0,
+                  "kill unwind reached the fiber root without meeting the process wrapper");
+#if defined(MM_FIBER_ASAN)
+    // Frames the unwind has passed are abandoned without their epilogues:
+    // clear their redzones before this frame's cleanups call into that
+    // memory. ASan's __cxa_throw interceptor does it once per throw; once
+    // per kill, before the unwind, still left stale marks under the
+    // destructors of later frames.
+    __asan_handle_no_return();
+#endif
+    return _URC_NO_REASON;
+  }
+  self.rt_->proc_finished_[self.self_.index()] = 1;
+  self.fiber_->exit();
+  return _URC_FATAL_PHASE2_ERROR;  // unreachable: a finished fiber is never resumed
 }
 
 // ---------------------------------------------------------------------------
@@ -78,12 +147,21 @@ SimRuntime::SimRuntime(SimConfig config)
       sched_rng_(config_.seed * 0x9e3779b97f4a7c15ULL + 1),
       link_rng_(config_.seed * 0xc2b2ae3d27d4eb4fULL + 2),
       fault_rng_(config_.seed * 0xd6e8feb86659fd93ULL + 3),
-      mem_window_(config_.n()),
-      pending_(config_.n()),
-      pending_head_(config_.n(), kNever),
-      trace_capacity_(config_.trace_capacity),
-      metrics_(config_.n()) {
+      trace_capacity_(config_.trace_capacity) {
   config_.validate();
+  if (std::unique_ptr<detail::SimStorage> parked = FiberStackRecycler::take<detail::SimStorage>()) {
+    static_cast<detail::SimStorage&>(*this) = std::move(*parked);
+    shell_ = std::move(parked);
+  }
+  // Every container is empty here (fresh or adopted); size each as a fresh
+  // runtime's.
+  const std::size_t n = config_.n();
+  if (procs_.size() < n) procs_ = std::vector<Proc>(n);
+  mem_window_.assign(n, MemWindow{});
+  pending_.resize(n);
+  pending_head_.assign(n, kNever);
+  metrics_.reset(n);
+  reg_slots_.assign(kMinRegSlots, 0);
   Rng seeder{config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL};
   proc_rng_.reserve(config_.n());
   for (std::size_t i = 0; i < config_.n(); ++i) proc_rng_.push_back(seeder.split());
@@ -109,21 +187,63 @@ SimRuntime::SimRuntime(SimConfig config)
   }
 }
 
-SimRuntime::~SimRuntime() { shutdown(); }
+SimRuntime::~SimRuntime() {
+  shutdown();
+  clear();  // the fibers go here, before stack_pool_
+  if (!FiberStackRecycler::active()) return;
+  if (shell_ == nullptr) shell_.reset(new (std::nothrow) detail::SimStorage);
+  if (shell_ == nullptr) return;
+  *shell_ = std::move(static_cast<detail::SimStorage&>(*this));
+  FiberStackRecycler::park(shell_);
+}
+
+void detail::SimStorage::clear() noexcept {
+  for (SimProc& pr : procs_) {
+    pr.fiber.reset();
+    pr.env.reset();
+    pr.body = nullptr;
+    pr.error = nullptr;
+  }
+  proc_state_.clear();
+  proc_kill_.clear();
+  proc_finished_.clear();
+  fiber_.clear();
+  runnable_.clear();
+  policy_scratch_.clear();
+  crash_schedule_.clear();
+  ef_held_.clear();
+  proc_rng_.clear();
+  mem_window_.clear();
+  reg_slots_.clear();
+  reg_values_.clear();
+  reg_acl_.clear();
+  reg_owner_.clear();
+  reg_keys_.clear();
+  for (std::vector<InFlight>& pend : pending_) pend.clear();
+  pending_head_.clear();
+  scratch_.footprint.clear(Pid::none());
+  scratch_.sig = 0;
+  scratch_.got_messages = false;
+  obs_hash_.clear();
+  idle_sig_ring_.clear();
+  idle_post_ring_.clear();
+  idle_streak_.clear();
+  hash_regs_.clear();
+  hash_order_.clear();
+  metrics_.reset(0);
+}
 
 void SimRuntime::add_process(std::function<void(Env&)> body) {
   MM_ASSERT_MSG(!started_, "cannot add processes after start");
-  MM_ASSERT_MSG(procs_.size() < config_.n(), "more bodies than config.n()");
-  Proc proc;
-  proc.body = std::move(body);
-  procs_.push_back(std::move(proc));
+  MM_ASSERT_MSG(bodies_ < config_.n(), "more bodies than config.n()");
+  procs_[bodies_++].body = std::move(body);
 }
 
 void SimRuntime::start() {
   if (started_) return;
-  MM_ASSERT_MSG(procs_.size() == config_.n(), "add exactly n process bodies before start");
+  MM_ASSERT_MSG(bodies_ == config_.n(), "add exactly n process bodies before start");
   started_ = true;
-  const std::size_t n = procs_.size();
+  const std::size_t n = bodies_;
   proc_state_.assign(n, static_cast<std::uint8_t>(ProcState::kParked));
   proc_kill_.assign(n, 0);
   proc_finished_.assign(n, 0);
@@ -145,44 +265,64 @@ void SimRuntime::start() {
   if (config_.pooled_fiber_stacks) stack_pool_ = std::make_unique<FiberStackPool>(stack_bytes);
   for (std::size_t i = 0; i < n; ++i) {
     Proc& pr = procs_[i];
-    pr.env = std::make_unique<SimEnv>(*this, Pid{static_cast<std::uint32_t>(i)});
+    SimEnv& env = pr.env.emplace(*this, Pid{static_cast<std::uint32_t>(i)});
     runnable_.push_back(i);
-    // The wrapper is the whole process lifecycle: kill check, body,
-    // exception capture, finished flag.
-    auto wrapper = [this, i] {
-      if (proc_kill_[i] == 0) {
-        try {
-          procs_[i].body(*procs_[i].env);
-        } catch (const ProcessKilled&) {
-          // Normal teardown path.
-        } catch (...) {
-          procs_[i].error = std::current_exception();
-        }
-      }
-      proc_finished_[i] = 1;
-    };
-    pr.fiber = stack_pool_ != nullptr
-                   ? std::make_unique<Fiber>(wrapper, stack_pool_->acquire(),
-                                             stack_pool_->stack_bytes())
-                   : std::make_unique<Fiber>(wrapper, stack_bytes);
-    fiber_[i] = pr.fiber.get();
-    pr.env->fiber_ = fiber_[i];
-    pr.env->kill_flag_ = proc_kill_.data() + i;
+    const auto entry = [this, i] { run_process(i); };
+    Fiber& fiber = stack_pool_ != nullptr
+                       ? pr.fiber.emplace(entry, stack_pool_->acquire(), stack_pool_->stack_bytes())
+                       : pr.fiber.emplace(entry, stack_bytes);
+    fiber_[i] = &fiber;
+    env.fiber_ = &fiber;
+    env.kill_flag_ = proc_kill_.data() + i;
   }
+}
+
+void SimRuntime::run_process(std::size_t i) {
+  if (proc_kill_[i] == 0) {
+    try {
+      run_body(i);
+    } catch (...) {
+      procs_[i].error = std::current_exception();
+    }
+  }
+  proc_finished_[i] = 1;
+}
+
+void SimRuntime::run_body(std::size_t i) {
+  Proc& pr = procs_[i];
+  // The frame address, not a local's: ASan's fake stack can move locals off
+  // the real stack the unwinder walks.
+  pr.env->body_floor_ = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  pr.body(*pr.env);
+  // Keeps the call out of tail position: a sibling call would pop this
+  // frame and leave the floor above the body's frames.
+  __asm__ volatile("");
 }
 
 void SimRuntime::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  if (started_) {
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-      // Drain to completion: each resume re-enters the body, whose next
-      // yield throws ProcessKilled and unwinds through the wrapper. Looping
-      // (rather than resuming once) tolerates bodies that swallow a kill.
-      proc_kill_[i] = 1;
-      while (proc_finished_[i] == 0) resume_proc(i);
+  if (!started_) return;
+  // The kills unwind on this thread, and a body's catch (...) sees one: run
+  // them with an empty caught-exception stack, so such a handler cannot make
+  // __cxa_begin_catch terminate when shutdown() runs inside a handler, and
+  // restore the thread's bookkeeping after them (a handler that rethrows the
+  // kill counts an uncaught exception that no handler ever takes back).
+  const EhGlobals saved = load_eh_globals();
+  store_eh_globals({nullptr, saved.uncaught_exceptions});
+  for (std::size_t i = 0; i < bodies_; ++i) {
+    proc_kill_[i] = 1;
+    // A process that never ran has nothing to unwind.
+    if (!fiber_[i]->started()) {
+      proc_finished_[i] = 1;
+      continue;
     }
+    // Each resume re-enters the body, whose pending yield unwinds it
+    // (SimEnv::step). Looping tolerates a body that swallows the kill: it
+    // is killed again at its next yield.
+    while (proc_finished_[i] == 0) resume_proc(i);
   }
+  store_eh_globals(saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +348,7 @@ void SimRuntime::apply_crash_plan() {
 }
 
 void SimRuntime::crash_now(Pid p) {
-  MM_ASSERT(p.index() < procs_.size());
+  MM_ASSERT(p.index() < proc_state_.size());
   if (runnable(p.index())) {
     proc_state_[p.index()] = static_cast<std::uint8_t>(ProcState::kCrashed);
     remove_runnable(p.index());
@@ -540,18 +680,20 @@ StateHash SimRuntime::state_hash() const {
     hi = mix64(hi ^ (v * 0x9e3779b97f4a7c15ULL + 0x165667b19e3779f9ULL));
   };
   fold(config_.n());
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
+  for (std::size_t i = 0; i < proc_state_.size(); ++i) {
     fold(static_cast<std::uint64_t>(proc_state_[i]));
     fold(obs_hash_[i]);
   }
   // Registers in key order, zero-valued entries skipped: a register holding
   // 0 is indistinguishable from one never materialised (env_reg creates
   // storage holding 0), so including them would split states by RegId
-  // creation order — a difference no process can observe. register_dump()
-  // is exactly that view.
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> regs = register_dump();
-  fold(regs.size());
-  for (const auto& [k, v] : regs) {
+  // creation order — a difference no process can observe.
+  hash_regs_.clear();
+  for (std::size_t i = 0; i < reg_values_.size(); ++i)
+    if (reg_values_[i] != 0) hash_regs_.emplace_back(reg_keys_[i].bits(), reg_values_[i]);
+  std::sort(hash_regs_.begin(), hash_regs_.end());
+  fold(hash_regs_.size());
+  for (const auto& [k, v] : hash_regs_) {
     fold(k);
     fold(v);
   }
@@ -567,27 +709,23 @@ StateHash SimRuntime::state_hash() const {
   // position (stamps are preserved across the window), tagged held: the
   // future of the queue is its merged order plus which entries a drain can
   // currently see, and both must be part of the canonical state.
-  struct Flight {
-    const InFlight* f;
-    bool held;
-  };
-  std::vector<Flight> order;
+  std::vector<detail::HashFlight>& order = hash_order_;
   for (std::size_t d = 0; d < pending_.size(); ++d) {
     const auto& pend = pending_[d];
     order.clear();
-    order.reserve(pend.size());
-    for (const InFlight& f : pend) order.push_back(Flight{&f, false});
+    for (const InFlight& f : pend) order.push_back({&f, false});
     if (ef_width_ != 0) {
       for (const auto& [dest, f] : ef_held_)
-        if (dest == d) order.push_back(Flight{&f, true});
+        if (dest == d) order.push_back({&f, true});
     }
     fold(order.size());
     if (order.empty()) continue;
-    std::sort(order.begin(), order.end(), [](const Flight& a, const Flight& b) {
-      return a.f->deliver_at != b.f->deliver_at ? a.f->deliver_at < b.f->deliver_at
-                                                : a.f->seq < b.f->seq;
-    });
-    for (const Flight& fl : order) {
+    std::sort(order.begin(), order.end(),
+              [](const detail::HashFlight& a, const detail::HashFlight& b) {
+                return a.f->deliver_at != b.f->deliver_at ? a.f->deliver_at < b.f->deliver_at
+                                                          : a.f->seq < b.f->seq;
+              });
+    for (const detail::HashFlight& fl : order) {
       const InFlight* f = fl.f;
       fold(f->deliver_at > global_step_ ? f->deliver_at - global_step_ : 0);
       if (ef_width_ != 0) fold(fl.held ? 1 : 0);
@@ -652,7 +790,7 @@ bool SimRuntime::step_once() {
   ++steps_since_timely_;
   if (config_.timely.has_value()) {
     const std::size_t t = config_.timely->index();
-    if (t < procs_.size() && runnable(t) && steps_since_timely_ >= config_.timely_bound) {
+    if (t < proc_state_.size() && runnable(t) && steps_since_timely_ >= config_.timely_bound) {
       pick = t;
       forced = true;
     }
@@ -771,12 +909,12 @@ bool SimRuntime::run_until_all_done(Step budget) {
 }
 
 bool SimRuntime::finished(Pid p) const {
-  MM_ASSERT(p.index() < procs_.size());
+  MM_ASSERT(p.index() < proc_state_.size());
   return proc_state_[p.index()] == static_cast<std::uint8_t>(ProcState::kFinished);
 }
 
 bool SimRuntime::crashed(Pid p) const {
-  MM_ASSERT(p.index() < procs_.size());
+  MM_ASSERT(p.index() < proc_state_.size());
   return proc_state_[p.index()] == static_cast<std::uint8_t>(ProcState::kCrashed);
 }
 
@@ -793,18 +931,22 @@ void SimRuntime::rethrow_process_error() const {
 }
 
 std::optional<std::uint64_t> SimRuntime::register_value(RegKey key) const {
-  const auto it = reg_index_.find(key);
-  if (it == reg_index_.end()) return std::nullopt;
-  return reg_values_[it->second];
+  const std::uint32_t id = reg_slots_[reg_slot(key)];
+  if (id == 0) return std::nullopt;
+  return reg_values_[id - 1];
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> SimRuntime::register_dump() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(reg_values_.size());
-  for (std::size_t i = 0; i < reg_values_.size(); ++i)
-    if (reg_values_[i] != 0) out.emplace_back(reg_keys_[i].bits(), reg_values_[i]);
-  std::sort(out.begin(), out.end());
-  return out;
+std::size_t SimRuntime::reg_slot(RegKey key) const noexcept {
+  const std::size_t mask = reg_slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(mix64(key.bits())) & mask;
+  while (reg_slots_[i] != 0 && reg_keys_[reg_slots_[i] - 1] != key) i = (i + 1) & mask;
+  return i;
+}
+
+void SimRuntime::grow_reg_index() {
+  reg_slots_.assign(2 * reg_slots_.size(), 0);
+  for (std::size_t i = 0; i < reg_keys_.size(); ++i)
+    reg_slots_[reg_slot(reg_keys_[i])] = static_cast<std::uint32_t>(i + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -944,16 +1086,18 @@ void SimRuntime::env_drain(Pid self, std::vector<Message>& out) {
 }
 
 RegId SimRuntime::env_reg(Pid self, RegKey key) {
-  auto it = reg_index_.find(key);
-  if (it == reg_index_.end()) {
-    const auto idx = static_cast<std::uint32_t>(reg_values_.size());
+  const std::size_t slot = reg_slot(key);
+  std::uint32_t idx = reg_slots_[slot];
+  if (idx == 0) {
     reg_values_.push_back(0);
     reg_acl_.push_back(key.is_global() ? kGlobalOwner : key.owner().value());
     reg_owner_.push_back(key.owner().value());
     reg_keys_.push_back(key);
-    it = reg_index_.emplace(key, idx).first;
+    idx = static_cast<std::uint32_t>(reg_keys_.size());
+    reg_slots_[slot] = idx;
+    if (2 * reg_keys_.size() > reg_slots_.size()) grow_reg_index();
   }
-  const RegId r{it->second};
+  const RegId r{idx - 1};
   check_register_access(self, r);
   return r;
 }

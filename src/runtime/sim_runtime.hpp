@@ -16,21 +16,26 @@
 //
 // Hot-path layout (docs/RUNTIME.md "Memory layout"): per-process scheduler
 // state lives in dense parallel arrays (proc_state_/proc_kill_/
-// proc_finished_/fiber_), registers in parallel arrays keyed by reg_index_,
-// and messages carry inline small-buffer payloads (runtime/message.hpp) —
-// a steady-state step performs zero heap allocations. Footprint-recording
-// and observability instrumentation sits behind one [[unlikely]] flag test
-// at each point of use in the Env backends, so the no-checker path skips it
-// with branches that always go the same way.
+// proc_finished_/fiber_), registers in parallel arrays indexed through the
+// flat reg_slots_ table, and messages carry inline small-buffer payloads
+// (runtime/message.hpp) — a steady-state step performs zero heap
+// allocations. Every container sits in detail::SimStorage, which a runtime
+// destroyed inside a FiberStackRecycler scope parks for the next one, so a
+// replay loop builds and tears down runtimes without the heap either.
+// Footprint-recording and observability instrumentation sits behind one
+// [[unlikely]] flag test at each point of use in the Env backends, so the
+// no-checker path skips it with branches that always go the same way.
 #pragma once
 
+#include <unwind.h>
+
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,6 +82,15 @@ class SimEnv final : public Env {
  private:
   friend class SimRuntime;
 
+  /// Unwind the killed process's body and leave its fiber: a forced unwind
+  /// (no throw, no search phase) runs every destructor below the process
+  /// wrapper, and stop_at_wrapper ends it there.
+  void unwind_killed();
+  static _Unwind_Reason_Code stop_at_wrapper(int version, _Unwind_Action actions,
+                                             _Unwind_Exception_Class exception_class,
+                                             _Unwind_Exception* exception,
+                                             _Unwind_Context* context, void* env);
+
   SimRuntime* rt_;
   Pid self_;
   /// Bound by SimRuntime::start(): step() — the single hottest Env call —
@@ -84,10 +98,145 @@ class SimEnv final : public Env {
   /// one kill-flag load.
   Fiber* fiber_ = nullptr;
   const std::uint8_t* kill_flag_ = nullptr;
+  /// Frame address of SimRuntime::run_body, which calls the body: the kill
+  /// unwind stops at the first frame above it.
+  std::uintptr_t body_floor_ = 0;
+  /// The kill unwind's exception object. It lives here, off the stack being
+  /// unwound.
+  _Unwind_Exception kill_exc_{};
 };
 
-class SimRuntime {
+namespace detail {
+
+/// Cold per-process handles. Everything the scheduler and Env hot paths
+/// touch per step lives in SimStorage's parallel arrays instead (SoA), so a
+/// scheduling decision reads dense bytes/words, not scattered structs. The
+/// env and fiber are built in place by SimRuntime::start().
+struct SimProc {
+  std::function<void(Env&)> body;
+  std::optional<SimEnv> env;
+  std::optional<Fiber> fiber;  ///< runs SimRuntime::run_process
+  std::exception_ptr error;
+};
+
+inline constexpr Step kNever = ~Step{0};
+
+/// Memory-failure window for one host: failed while
+/// `fail_at <= global step < recover_at` (kNever = unbounded end / never
+/// opened). Built from the config plans; reopened/closed dynamically by
+/// fail_memory_now / recover_memory_now.
+struct MemWindow {
+  Step fail_at = kNever;
+  Step recover_at = kNever;
+};
+
+struct InFlight {
+  Step deliver_at;
+  std::uint64_t seq;
+  /// Step the message was sent at. Written unconditionally (it rides the
+  /// existing store), read only by the observability recorder — never by
+  /// the schedule or the state hash, so trajectories are unaffected.
+  Step sent_at;
+  Message msg;
+};
+
+/// Scratch for the recording state of the slice in flight.
+struct SliceScratch {
+  StepFootprint footprint;   ///< footprint of the slice in flight / just retired
+  std::uint64_t sig = 0;     ///< observation signature of the slice in flight
+  bool got_messages = false; ///< slice drained a non-empty inbox
+};
+
+/// An in-flight message in state_hash()'s per-destination order.
+struct HashFlight {
+  const InFlight* f;
+  bool held;  ///< held by the explorer partition window
+};
+
+/// Every heap container of a SimRuntime, which inherits them privately.
+/// A runtime destroyed inside a FiberStackRecycler scope empties them,
+/// keeping their capacity, and parks them; the next runtime built on the
+/// thread adopts them in its constructor, which sizes each exactly as a
+/// fresh runtime's. Only containers live here: a fresh SimStorage and an
+/// emptied one differ in capacity alone.
+struct SimStorage {
+  /// Empty every container, keeping its capacity: processes drop their
+  /// fibers, envs, bodies and errors, and pending_ keeps its per-destination
+  /// queues (emptied).
+  void clear() noexcept;
+
+  /// One slot per process (more when adopted from a larger runtime);
+  /// add_process fills the bodies in pid order.
+  std::vector<SimProc> procs_;
+
+  // Per-process scheduler state, struct-of-arrays (hot; indexed by pid).
+  std::vector<std::uint8_t> proc_state_;     ///< SimRuntime::ProcState values
+  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by SimEnv::step
+  std::vector<std::uint8_t> proc_finished_;  ///< set once the body has returned or unwound
+  std::vector<Fiber*> fiber_;  ///< procs_[i].fiber, dense for the handoff
+
+  /// Runnable pids in pid order, maintained incrementally (see
+  /// remove_runnable) instead of being rebuilt by scanning every step.
+  std::vector<std::size_t> runnable_;
+  std::vector<Pid> policy_scratch_;  ///< reused buffer for schedule_policy_ calls
+  /// Crash plan flattened to (step, pid), sorted; crash_next_ advances as
+  /// steps pass so apply_crash_plan is O(1) when nothing is due.
+  std::vector<std::pair<Step, std::uint32_t>> crash_schedule_;
+  /// Messages held across the explorer partition window, (destination,
+  /// in-flight) in send order; re-injected with their original stamps by the
+  /// off toggle.
+  std::vector<std::pair<std::uint32_t, InFlight>> ef_held_;
+
+  std::vector<Rng> proc_rng_;
+  /// Per-host memory-failure windows.
+  std::vector<MemWindow> mem_window_;
+
+  // Register table, struct-of-arrays by RegId: value words, access-control
+  // words, and raw owners in dense parallel arrays so env_read/env_write
+  // touch one cache line each. reg_slots_ indexes it by key: open
+  // addressing with linear probing on the mixed key bits, each slot holding
+  // RegId + 1 (0 = empty), at most half full.
+  std::vector<std::uint32_t> reg_slots_;
+  std::vector<std::uint64_t> reg_values_;
+  std::vector<std::uint32_t> reg_acl_;    ///< owner pid value, or kGlobalOwner
+  std::vector<std::uint32_t> reg_owner_;  ///< raw key owner (metrics, mem windows)
+  std::vector<RegKey> reg_keys_;          ///< creation-order keys
+
+  // Per-destination pending messages: a binary min-heap on (deliver_at, seq)
+  // (see delivers_later). pending_head_[d] caches the earliest deliver_at
+  // (kNever when empty) so a drain with nothing due never touches the heap.
+  std::vector<std::vector<InFlight>> pending_;
+  std::vector<Step> pending_head_;
+
+  // Footprint / observation recording (see the model-checker hooks).
+  SliceScratch scratch_;                 ///< the slice in flight
+  std::vector<std::uint64_t> obs_hash_;  ///< per-process rolling observation hash
+  // Idle-spin collapse state (set_idle_slice_collapse): per process, a ring
+  // of the last kIdleRing effect-free slice signatures and post-slice
+  // observation hashes, plus the current effect-free streak length. A spin
+  // whose signature stream is periodic with period <= kIdleMaxPeriod rolls
+  // its observation hash back one full period, so same-phase states hash
+  // equal and the explorer's state cache recognises the cycle. Periods > 1
+  // arise whenever one await iteration spans several scheduler slices (a
+  // remote-register read is its own yield point ahead of the drain+step
+  // slice — e.g. ABD servers polling a global result register).
+  std::vector<std::uint64_t> idle_sig_ring_;   ///< n * kIdleRing signatures
+  std::vector<std::uint64_t> idle_post_ring_;  ///< n * kIdleRing post-slice obs
+  std::vector<std::uint32_t> idle_streak_;     ///< consecutive effect-free slices
+  // state_hash() scratch: the sorted register dump and one destination's
+  // in-flight order.
+  mutable std::vector<std::pair<std::uint64_t, std::uint64_t>> hash_regs_;
+  mutable std::vector<HashFlight> hash_order_;
+
+  Metrics metrics_;
+};
+
+}  // namespace detail
+
+class SimRuntime : private detail::SimStorage {
  public:
+  /// Inside a FiberStackRecycler scope, adopts the containers the last
+  /// runtime destroyed there parked (see detail::SimStorage).
   explicit SimRuntime(SimConfig config);
   ~SimRuntime();
   SimRuntime(const SimRuntime&) = delete;
@@ -109,9 +258,10 @@ class SimRuntime {
   /// have elapsed since construction. True iff all are done.
   bool run_until_all_done(Step budget);
 
-  /// Kill parked processes and drain their fibers to completion. Idempotent;
-  /// also called by the destructor. After shutdown the runtime can only be
-  /// inspected: a run call aborts.
+  /// Kill parked processes and drain their fibers to completion: each one's
+  /// pending yield unwinds its body (SimEnv::step). Idempotent; also called
+  /// by the destructor. After shutdown the runtime can only be inspected: a
+  /// run call aborts.
   void shutdown();
 
   /// Crash p at the next scheduling decision (dynamic injection).
@@ -184,11 +334,6 @@ class SimRuntime {
   /// RegId order depends on the schedule), so explorer oracles can read
   /// results a process published to a well-known key on ANY interleaving.
   [[nodiscard]] std::optional<std::uint64_t> register_value(RegKey key) const;
-
-  /// Schedule-independent register dump: (key bits, value) for every
-  /// materialised register with a non-zero value, sorted by key bits — the
-  /// view state_hash() folds, free of register_values()'s RegId order.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> register_dump() const;
 
   /// Interleave at register-op granularity (default on; see header comment).
   void set_auto_step_on_shm(bool on) noexcept { auto_step_on_shm_ = on; }
@@ -314,38 +459,16 @@ class SimRuntime {
 
   enum class ProcState : std::uint8_t { kNew, kParked, kFinished, kCrashed };
 
-  /// Cold per-process handles. Everything the scheduler and Env hot paths
-  /// touch per step lives in the parallel arrays below instead (SoA), so a
-  /// scheduling decision reads dense bytes/words, not scattered structs.
-  struct Proc {
-    std::function<void(Env&)> body;
-    std::unique_ptr<SimEnv> env;
-    std::unique_ptr<Fiber> fiber;  ///< runs the wrapped body (see start())
-    std::exception_ptr error;
-  };
+  using Proc = detail::SimProc;
+  using MemWindow = detail::MemWindow;
+  using InFlight = detail::InFlight;
+  using SliceScratch = detail::SliceScratch;
+  static constexpr Step kNever = detail::kNever;
 
   /// reg_acl_ sentinel: register readable/writable by everyone (global key).
   static constexpr std::uint32_t kGlobalOwner = ~std::uint32_t{0};
-
-  /// Memory-failure window for one host: failed while
-  /// `fail_at <= global step < recover_at` (kNever = unbounded end / never
-  /// opened). Built from the config plans; reopened/closed dynamically by
-  /// fail_memory_now / recover_memory_now.
-  static constexpr Step kNever = ~Step{0};
-  struct MemWindow {
-    Step fail_at = kNever;
-    Step recover_at = kNever;
-  };
-
-  struct InFlight {
-    Step deliver_at;
-    std::uint64_t seq;
-    /// Step the message was sent at. Written unconditionally (it rides the
-    /// existing store), read only by the observability recorder — never by
-    /// the schedule or the state hash, so trajectories are unaffected.
-    Step sent_at;
-    Message msg;
-  };
+  /// reg_slots_ size of a runtime with no registers yet (a power of two).
+  static constexpr std::size_t kMinRegSlots = 16;
   /// Heap order for pending_: true when `a` delivers after `b`, so
   /// std::push_heap/pop_heap with this comparator keep the *earliest*
   /// (deliver_at, seq) at the front — the same order the old std::map
@@ -368,6 +491,13 @@ class SimRuntime {
            config_.sched_weight.empty() && trace_capacity_ == 0 && !record_footprints_ &&
            !record_obs_;
   }
+  /// A process's whole lifecycle, the entry of its fiber: kill check, body,
+  /// error capture, finished flag. A kill unwind never reaches its handler:
+  /// SimEnv::stop_at_wrapper leaves the fiber just below this frame.
+  void run_process(std::size_t i);
+  /// Call process i's body from a frame of its own, whose address bounds the
+  /// kill unwind (SimEnv::body_floor_).
+  [[gnu::noinline]] void run_body(std::size_t i);
   /// Hand one step to process `pick` and park again, bookkeeping included.
   void activate(std::size_t pick);
   void resume_proc(std::size_t i) { fiber_[i]->resume(); }
@@ -388,6 +518,10 @@ class SimRuntime {
   /// Fire pseudo-event `idx` (relative to n): a zero-time transition that
   /// records its footprint directly (no process slice runs).
   void ef_fire(std::size_t idx);
+  /// reg_slots_ slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t reg_slot(RegKey key) const noexcept;
+  /// Double reg_slots_ and re-index every register.
+  void grow_reg_index();
   void check_register_access(Pid accessor, RegId r) const;
   /// Throws MemoryFailure while r's host is inside a failure window. Split
   /// from check_register_access so env_reg (naming) stays available during
@@ -417,13 +551,6 @@ class SimRuntime {
   std::uint64_t env_rand_below(Pid self, std::uint64_t bound);
   Step env_now(Pid self);
 
-  /// Scratch for the recording state of the slice in flight.
-  struct SliceScratch {
-    StepFootprint footprint;   ///< footprint of the slice in flight / just retired
-    std::uint64_t sig = 0;     ///< observation signature of the slice in flight
-    bool got_messages = false; ///< slice drained a non-empty inbox
-  };
-
   /// Fold one observation (tagged by kind) into `self`'s rolling observation
   /// hash and into the slice signature `sig` (for idle-slice collapse).
   void obs_note(Pid self, std::uint64_t tag, std::uint64_t value, std::uint64_t& sig);
@@ -445,24 +572,13 @@ class SimRuntime {
   SimConfig config_;
   SchedulePolicy schedule_policy_;
   FaultInjector* injector_ = nullptr;
-  /// Pooled fiber stacks (config_.pooled_fiber_stacks). Declared before
-  /// procs_ so it outlives the fibers whose stacks it owns.
+  /// Pooled fiber stacks (config_.pooled_fiber_stacks). The destructor
+  /// releases the fibers (SimStorage::clear) before this pool goes.
   std::unique_ptr<FiberStackPool> stack_pool_;
-  std::vector<Proc> procs_;
-
-  // Per-process scheduler state, struct-of-arrays (hot; indexed by pid).
-  std::vector<std::uint8_t> proc_state_;     ///< ProcState values
-  std::vector<std::uint8_t> proc_kill_;      ///< kill flag read by SimEnv::step
-  std::vector<std::uint8_t> proc_finished_;  ///< set by the wrapper before its final yield
-  std::vector<Fiber*> fiber_;  ///< procs_[i].fiber, dense for the handoff
-
-  /// Runnable pids in pid order, maintained incrementally (see
-  /// remove_runnable) instead of being rebuilt by scanning every step.
-  std::vector<std::size_t> runnable_;
-  std::vector<Pid> policy_scratch_;  ///< reused buffer for schedule_policy_ calls
-  /// Crash plan flattened to (step, pid), sorted; crash_next_ advances as
-  /// steps pass so apply_crash_plan is O(1) when nothing is due.
-  std::vector<std::pair<Step, std::uint32_t>> crash_schedule_;
+  /// The emptied SimStorage this runtime adopted its containers from, kept to
+  /// park them in again on destruction.
+  std::unique_ptr<detail::SimStorage> shell_;
+  std::size_t bodies_ = 0;  ///< process bodies added so far
   std::size_t crash_next_ = 0;
 
   // Explorer fault plan state (all zero/empty without explore_faults, so
@@ -476,9 +592,6 @@ class SimRuntime {
   bool ef_on_fired_ = false;
   bool ef_off_fired_ = false;
   bool ef_part_active_ = false;      ///< explorer partition window open
-  /// Messages held across the window, (destination, in-flight) in send
-  /// order; re-injected with their original stamps by the off toggle.
-  std::vector<std::pair<std::uint32_t, InFlight>> ef_held_;
   bool started_ = false;
   bool shut_down_ = false;
   std::atomic<bool> stop_requested_{false};
@@ -494,28 +607,10 @@ class SimRuntime {
   /// delays). Never drawn from unless a burst is active, so fault-free
   /// trajectories are unchanged by its existence.
   Rng fault_rng_;
-  std::vector<Rng> proc_rng_;
 
-  /// Per-host memory-failure windows; mem_faults_armed_ keeps the fault-free
-  /// register hot path to a single predictable branch.
-  std::vector<MemWindow> mem_window_;
+  /// Keeps the fault-free register hot path to a single predictable branch.
   bool mem_faults_armed_ = false;
   LinkBurst burst_;
-
-  // Register table, struct-of-arrays keyed by reg_index_: value words,
-  // access-control words, and raw owners in dense parallel arrays so
-  // env_read/env_write touch one cache line each.
-  std::unordered_map<RegKey, std::uint32_t> reg_index_;
-  std::vector<std::uint64_t> reg_values_;
-  std::vector<std::uint32_t> reg_acl_;    ///< owner pid value, or kGlobalOwner
-  std::vector<std::uint32_t> reg_owner_;  ///< raw key owner (metrics, mem windows)
-  std::vector<RegKey> reg_keys_;          ///< creation-order keys, for injector hooks
-
-  // Per-destination pending messages: a binary min-heap on (deliver_at, seq)
-  // (see delivers_later). pending_head_[d] caches the earliest deliver_at
-  // (kNever when empty) so a drain with nothing due never touches the heap.
-  std::vector<std::vector<InFlight>> pending_;
-  std::vector<Step> pending_head_;
 
   // Trace ring: trace_buf_ grows once to trace_capacity_ and then wraps,
   // trace_head_ pointing at the oldest (= next overwritten) slot.
@@ -527,27 +622,12 @@ class SimRuntime {
   bool record_obs_ = false;
   std::unique_ptr<ObsRecorder> obs_;  ///< made on the first arming, kept after a disarm
 
-  // Footprint / observation recording (see the model-checker hooks above).
+  // Footprint / observation recording (see the model-checker hooks above;
+  // the per-process state is in detail::SimStorage).
   bool record_footprints_ = false;
   bool idle_collapse_ = false;
-  SliceScratch scratch_;                 ///< the slice in flight
-  std::vector<std::uint64_t> obs_hash_;  ///< per-process rolling observation hash
-  // Idle-spin collapse state (set_idle_slice_collapse): per process, a ring
-  // of the last kIdleRing effect-free slice signatures and post-slice
-  // observation hashes, plus the current effect-free streak length. A spin
-  // whose signature stream is periodic with period <= kIdleMaxPeriod rolls
-  // its observation hash back one full period, so same-phase states hash
-  // equal and the explorer's state cache recognises the cycle. Periods > 1
-  // arise whenever one await iteration spans several scheduler slices (a
-  // remote-register read is its own yield point ahead of the drain+step
-  // slice — e.g. ABD servers polling a global result register).
   static constexpr std::size_t kIdleRing = 8;
   static constexpr std::size_t kIdleMaxPeriod = 4;
-  std::vector<std::uint64_t> idle_sig_ring_;   ///< n * kIdleRing signatures
-  std::vector<std::uint64_t> idle_post_ring_;  ///< n * kIdleRing post-slice obs
-  std::vector<std::uint32_t> idle_streak_;     ///< consecutive effect-free slices
-
-  Metrics metrics_;
 };
 
 }  // namespace mm::runtime

@@ -49,6 +49,21 @@ TEST(Fiber, DoneOnlyAfterEntryReturns) {
   EXPECT_TRUE(f.done());
 }
 
+TEST(Fiber, ExitLeavesWithoutReturningFromEntry) {
+  bool after_exit = false;
+  Fiber f{[&] {
+    f.yield();
+    f.exit();
+    after_exit = true;
+  }};
+  f.resume();
+  EXPECT_TRUE(f.started());
+  EXPECT_FALSE(f.done());
+  f.resume();  // returns at the exit
+  EXPECT_TRUE(f.done());
+  EXPECT_FALSE(after_exit);
+}
+
 TEST(Fiber, NeverStartedDestructsCleanly) {
   Fiber f{[] { FAIL() << "entry must not run"; }};
   EXPECT_FALSE(f.done());
@@ -246,6 +261,26 @@ TEST(FiberRecycler, FiberOutlivingItsScopeUnmapsItsStack) {
   const FiberStackCounts c1 = fiber_stack_counts();
   EXPECT_EQ(c1.mapped - c0.mapped, 1u);
   EXPECT_EQ(c1.unmapped - c0.unmapped, 1u);  // unmapped, not leaked
+}
+
+TEST(FiberRecycler, ParkedStorageGoesToTheNextTakeOfItsType) {
+  auto storage = std::make_unique<std::vector<int>>(3, 7);
+  FiberStackRecycler::park(storage);  // no scope open: left to its owner
+  ASSERT_NE(storage, nullptr);
+  EXPECT_EQ(FiberStackRecycler::take<std::vector<int>>(), nullptr);
+  const std::vector<int>* const parked = storage.get();
+  {
+    const FiberStackRecycler scope;
+    EXPECT_TRUE(FiberStackRecycler::active());
+    FiberStackRecycler::park(storage);
+    EXPECT_EQ(storage, nullptr);
+    EXPECT_EQ(FiberStackRecycler::take<std::vector<char>>(), nullptr);  // other type
+    std::unique_ptr<std::vector<int>> taken = FiberStackRecycler::take<std::vector<int>>();
+    EXPECT_EQ(taken.get(), parked);
+    EXPECT_EQ(FiberStackRecycler::take<std::vector<int>>(), nullptr);  // taken once
+    FiberStackRecycler::park(taken);  // freed when the scope closes
+  }
+  EXPECT_FALSE(FiberStackRecycler::active());
 }
 
 TEST(FiberRecycler, NestedScopeJoinsTheOpenOne) {

@@ -1,24 +1,29 @@
 // Tests for the allocation-light message path: TupleVec's inline/spill
 // boundary, the SlabPool recycling it, and — the invariant all of it exists
 // for — zero heap allocations per steady-state simulator step (including the
-// consensus receive rules' spin loops), measured with the per-thread counting
-// operator new in common/alloc_count.hpp.
+// consensus receive rules' spin loops) and per recycled runtime and DPOR
+// replay, measured with the per-thread counting operator new in
+// common/alloc_count.hpp.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "check/dpor.hpp"
+#include "check/instances.hpp"
 #include "common/alloc_count.hpp"
 #include "common/slab.hpp"
 #include "core/ben_or.hpp"
 #include "core/hbo.hpp"
 #include "graph/generators.hpp"
 #include "runtime/env.hpp"
+#include "runtime/fiber.hpp"
 #include "runtime/message.hpp"
 #include "runtime/sim_config.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -329,6 +334,108 @@ TEST(AllocInvariant, BenOrAwaitQuorumSpinIsHeapFree) {
   }
   EXPECT_EQ(await_spin_allocs(rt), 0u) << "await_quorum allocated while spinning";
   for (const auto& alg : procs) EXPECT_EQ(alg->decision(), -1);
+}
+
+// -- recycled runtimes and DPOR walks ---------------------------------------
+
+/// The registers, sends and hashes one recycled-runtime cycle produced.
+struct CycleResult {
+  std::vector<std::uint64_t> registers;
+  std::uint64_t msgs_delivered = 0;
+  runtime::StateHash hash;
+  common::AllocCounts allocs;
+};
+
+/// Build, start, run, shut down and destroy one runtime the way a DPOR
+/// replay does (recording armed, a schedule policy, a state hash), counting
+/// the calling thread's allocations. Three processes each write a register,
+/// send to the next and drain into an inbox the caller sized, then spin
+/// until killed; each body captures 24 bytes, too many for std::function's
+/// inline buffer, so each costs one allocation.
+CycleResult recycled_cycle(SimConfig cfg) {
+  CycleResult out;
+  out.registers.reserve(8);  // the copy below then allocates nothing
+  std::vector<std::vector<Message>> inboxes(3);
+  for (std::vector<Message>& inbox : inboxes) inbox.reserve(8);
+  const auto before = common::alloc_counts();
+  {
+    SimRuntime rt{std::move(cfg)};
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      const std::uint64_t value = 10 * p + 1;
+      rt.add_process([p, value, inbox = &inboxes[p]](Env& env) {
+        env.write(env.reg(runtime::RegKey::make_global(0x20, Pid{p})), value);
+        Message m;
+        m.kind = 3;
+        env.send(Pid{(p + 1) % 3}, m);
+        for (;;) {
+          env.drain_inbox(*inbox);
+          env.step();
+        }
+      });
+    }
+    rt.set_footprint_recording(true);
+    std::size_t turn = 0;
+    rt.set_schedule_policy(
+        [&turn](const std::vector<Pid>& runnable) { return turn++ % runnable.size(); });
+    rt.run_steps(60);
+    out.hash = rt.state_hash();
+    rt.shutdown();
+    out.registers = rt.register_values();
+    out.msgs_delivered = rt.metrics().msgs_delivered;
+  }
+  out.allocs = common::alloc_counts() - before;
+  return out;
+}
+
+// Inside an open recycler scope a runtime adopts the containers, process
+// records and fiber stacks the last one parked: a second identical replay
+// allocates only its bodies' captures, and it runs exactly as the first.
+TEST(AllocInvariant, RecycledRuntimeAllocatesOnlyItsBodies) {
+  if (!common::alloc_counting_active())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+
+  SimConfig cfg;
+  cfg.gsm = graph::complete(3);
+  cfg.seed = 2026;
+  SimConfig again = cfg;
+  const runtime::FiberStackRecycler scope;
+  const CycleResult first = recycled_cycle(std::move(cfg));
+  const CycleResult second = recycled_cycle(std::move(again));
+  EXPECT_EQ(second.allocs.allocs, 3u) << "a recycled runtime allocated beyond its bodies";
+  EXPECT_EQ(second.registers, first.registers);
+  EXPECT_EQ(second.msgs_delivered, first.msgs_delivered);
+  EXPECT_EQ(second.hash, first.hash);
+  EXPECT_GT(first.msgs_delivered, 0u);
+}
+
+// A DPOR walk builds and destroys a runtime per replay. After a warm-up walk
+// in the same recycler scope, a walk over ac3 allocates nothing outside the
+// instance's make() calls but the one block of the final-state set it
+// returns: runtimes, fiber stacks, the walker's nodes, state cache and scan
+// scratch all come back from the first walk.
+TEST(AllocInvariant, DporWalkAllocatesOnlyInMake) {
+  if (!common::alloc_counting_active())
+    GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
+
+  const check::Instance* const inst = check::find_instance("ac3");
+  ASSERT_NE(inst, nullptr);
+  std::uint64_t in_make = 0;
+  const std::function<std::unique_ptr<SimRuntime>()> make = [&] {
+    const auto before = common::alloc_counts();
+    auto rt = inst->make();
+    in_make += (common::alloc_counts() - before).allocs;
+    return rt;
+  };
+  const std::function<void(SimRuntime&)> verify = [](SimRuntime&) {};
+  const runtime::FiberStackRecycler scope;
+  const check::ExploreResult warm = check::explore_dpor(make, verify, inst->dpor);
+  in_make = 0;
+  const auto before = common::alloc_counts();
+  const check::ExploreResult walk = check::explore_dpor(make, verify, inst->dpor);
+  const std::uint64_t allocs = (common::alloc_counts() - before).allocs;
+  EXPECT_EQ(allocs - in_make, 1u) << "the walk allocated outside make()";
+  EXPECT_EQ(walk.runs, warm.runs);
+  EXPECT_EQ(walk.final_states, warm.final_states);
 }
 
 // The counters are per thread: a worker's allocations never show up in

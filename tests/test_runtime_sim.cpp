@@ -3,8 +3,12 @@
 // access control, and metrics.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "core/tags.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -560,6 +564,181 @@ TEST(SimRuntime, ProcessExceptionIsCaptured) {
   rt.add_process([](Env&) { throw std::runtime_error{"boom"}; });
   rt.run_until_all_done(1'000);
   EXPECT_THROW(rt.rethrow_process_error(), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// The kill path: shutdown() ends a parked body with a forced unwind
+// ---------------------------------------------------------------------------
+
+/// Appends its id to a log when destroyed, with the number of C++ exceptions
+/// in flight at that moment (a throw counts; a forced unwind does not).
+struct Frame {
+  int id;
+  std::vector<int>* order;
+  std::vector<int>* in_flight;
+  ~Frame() {
+    order->push_back(id);
+    in_flight->push_back(std::uncaught_exceptions());
+  }
+};
+
+[[gnu::noinline]] void park_in_frame_3(Env& env, std::vector<int>& order,
+                                       std::vector<int>& in_flight) {
+  const Frame f{3, &order, &in_flight};
+  for (;;) env.step();
+}
+[[gnu::noinline]] void park_in_frame_2(Env& env, std::vector<int>& order,
+                                       std::vector<int>& in_flight) {
+  const Frame f{2, &order, &in_flight};
+  park_in_frame_3(env, order, in_flight);
+}
+
+TEST(SimRuntime, KillRunsNestedDestructorsInnermostFirstWithoutAThrow) {
+  SimRuntime rt{base_config(1, 30)};
+  std::vector<int> order;
+  std::vector<int> in_flight;
+  rt.add_process([&](Env& env) {
+    const Frame f{1, &order, &in_flight};
+    park_in_frame_2(env, order, in_flight);
+  });
+  rt.run_steps(5);
+  EXPECT_TRUE(order.empty());
+  rt.shutdown();
+  rt.rethrow_process_error();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+  // No C++ exception was in flight while the frames unwound: the kill is a
+  // forced unwind, not a throw.
+  EXPECT_EQ(in_flight, (std::vector<int>{0, 0, 0}));
+}
+
+TEST(SimRuntime, KillPassesTypedHandlersToACatchAllThatRethrows) {
+  SimRuntime rt{base_config(1, 31)};
+  bool typed_caught = false;
+  bool resumed_after = false;
+  bool caught_all = false;
+  bool cxx_exception = true;
+  rt.add_process([&](Env& env) {
+    try {
+      try {
+        for (;;) env.step();
+      } catch (const MemoryFailure&) {
+        typed_caught = true;
+      }
+      resumed_after = true;
+    } catch (...) {
+      // The kill (abi::__forced_unwind) is no C++ exception object.
+      caught_all = true;
+      cxx_exception = std::current_exception() != nullptr;
+      throw;  // a handler for the kill must rethrow it
+    }
+  });
+  rt.run_steps(5);
+  rt.shutdown();
+  rt.rethrow_process_error();
+  EXPECT_FALSE(typed_caught);
+  EXPECT_FALSE(resumed_after);
+  EXPECT_TRUE(caught_all);
+  EXPECT_FALSE(cxx_exception);
+  // The rethrow counted an uncaught exception no handler took back;
+  // shutdown() restored the thread's count.
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+struct Unwind {
+  int* count;
+  ~Unwind() { ++*count; }
+};
+
+TEST(SimRuntime, SwallowedKillIsRepeatedAtTheNextYield) {
+  SimRuntime rt{base_config(2, 32)};
+  int swallowed = 0;
+  int unwound = 0;
+  bool ran_past_second_yield = false;
+  rt.add_process([&](Env& env) {
+    const Unwind guard{&unwound};
+    try {
+      for (;;) env.step();
+    } catch (...) {
+      ++swallowed;  // swallows the kill
+    }
+    env.step();  // killed again here
+    ran_past_second_yield = true;
+  });
+  rt.add_process([](Env& env) {
+    for (;;) env.step();
+  });
+  rt.run_steps(20);
+  rt.shutdown();  // returns: the second kill is not swallowed
+  rt.rethrow_process_error();
+  EXPECT_EQ(swallowed, 1);
+  EXPECT_EQ(unwound, 1);
+  EXPECT_FALSE(ran_past_second_yield);
+}
+
+TEST(SimRuntime, ShutdownInsideACatchHandlerFinishes) {
+  // The scheduler thread is inside a handler, so it has a caught exception
+  // while the kills run, and __cxa_begin_catch terminates when a foreign
+  // exception is caught on top of another. The bodies' catch (...) handlers
+  // see the kill anyway (one rethrows it, one swallows it and is killed
+  // again), and afterwards the handler's exception is still the one a
+  // rethrow throws.
+  SimRuntime rt{base_config(3, 33)};
+  int unwound = 0;
+  rt.add_process([&unwound](Env& env) {
+    const Unwind guard{&unwound};
+    for (;;) env.step();
+  });
+  rt.add_process([&unwound](Env& env) {
+    const Unwind guard{&unwound};
+    try {
+      for (;;) env.step();
+    } catch (...) {
+      throw;
+    }
+  });
+  rt.add_process([&unwound](Env& env) {
+    const Unwind guard{&unwound};
+    try {
+      for (;;) env.step();
+    } catch (...) {
+    }
+    for (;;) env.step();
+  });
+  rt.run_steps(30);
+  std::string rethrown;
+  try {
+    try {
+      throw std::runtime_error{"owner failed"};
+    } catch (const std::runtime_error&) {
+      rt.shutdown();
+      throw;
+    }
+  } catch (const std::runtime_error& e) {
+    rethrown = e.what();
+  }
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(rethrown, "owner failed");
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(SimRuntime, DestroyedWhileAnExceptionPropagatesThroughItsOwner) {
+  std::vector<int> order;
+  std::vector<int> in_flight;
+  EXPECT_THROW(
+      {
+        SimRuntime rt{base_config(2, 34)};
+        for (int p = 0; p < 2; ++p)
+          rt.add_process([&order, &in_flight, p](Env& env) {
+            const Frame f{p, &order, &in_flight};
+            for (;;) env.step();
+          });
+        rt.run_steps(10);
+        throw std::runtime_error{"owner failed"};
+      },
+      std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  // The owner's exception is the only one in flight while the bodies unwind.
+  EXPECT_EQ(in_flight, (std::vector<int>{1, 1}));
 }
 
 TEST(SimRuntime, AutoStepInterleavesRegisterOps) {
