@@ -14,7 +14,10 @@
 #   3. `check replay` — the chaos bridge: a recorded chaos repro must
 #      rediscover the same oracle exhaustively, and a clean repro must stay
 #      clean across every fault placement the budget reaches.
-# Before those, a malformed numeric flag value must be rejected by name.
+# Before those, a malformed numeric flag value must be rejected by name, and
+# the preemption bound must stay the DFS's: `check run ac2 --bound 1` exits 2
+# naming --dfs (the DPOR walk has no bound), while `check run ac3 --dfs
+# --bound 1` reports its bounded verdict over 21 final states.
 # Wired into CTest under the "explore" label:
 #     ctest -L explore
 #
@@ -44,6 +47,26 @@ fi
 case "$err" in
   *--max-runs*) echo "$err" ;;
   *) echo "FAIL: the error does not name --max-runs: $err"; exit 1 ;;
+esac
+
+echo "== preemption bound without --dfs: must exit 2, naming --dfs =="
+rc=0
+err=$("$CHECK" run ac2 --bound 1 2>&1) || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "FAIL: check run ac2 --bound 1 exited $rc, not 2: $err"
+  exit 1
+fi
+case "$err" in
+  *--dfs*) echo "$err" ;;
+  *) echo "FAIL: the error does not name --dfs: $err"; exit 1 ;;
+esac
+
+echo "== bounded DFS: ac3 within one preemption =="
+out=$("$CHECK" run ac3 --dfs --bound 1)
+echo "$out"
+case "$out" in
+  *"within-preemption-bound, 21 final state(s)"*) ;;
+  *) echo "FAIL: expected within-preemption-bound over 21 final states"; exit 1 ;;
 esac
 
 echo "== run all instances (DPOR; clean must exhaust, planted must trip) =="

@@ -94,7 +94,7 @@ class ReusedVec {
   T* begin() noexcept { return items_.data(); }
   T* end() noexcept { return items_.data() + size_; }
 
-  /// A new last element, holding whatever its previous user left in it.
+  /// A new last element, holding whatever its last user left in it.
   T& push() {
     if (size_ == items_.size()) items_.emplace_back();
     return items_[size_++];
@@ -150,8 +150,6 @@ class StateCache {
 
   struct Entry {
     std::uint64_t sleep_mask = 0;
-    Pid previous = Pid::none();
-    std::uint32_t preempt_used = 0;
     std::uint32_t next = kNone;  ///< the state's next entry, in insertion order
     std::uint32_t agg = kNone;   ///< first packed footprint; kNone while open
     std::uint32_t agg_size = 0;
@@ -159,6 +157,7 @@ class StateCache {
     /// The owning node is still on the exploration stack.
     [[nodiscard]] bool open() const noexcept { return agg == kNone; }
   };
+  static_assert(sizeof(Entry) == 24, "docs/RUNTIME.md gives the entry size");
 
   StateCache() : slots_(kInitialSlots) {}
 
@@ -167,7 +166,7 @@ class StateCache {
   /// cache finds, opens and chains entries exactly as a fresh one does.
   void clear() noexcept {
     std::fill(slots_.begin(), slots_.end(), Slot{});
-    used_ = 0;
+    occupied_ = 0;
     entries_.clear();
     packed_.clear();
     keys_.clear();
@@ -199,7 +198,7 @@ class StateCache {
       return id;
     }
     s = Slot{h.lo, h.hi, id, id};
-    if (2 * ++used_ > slots_.size()) grow();
+    if (2 * ++occupied_ > slots_.size()) grow();
     return id;
   }
 
@@ -293,7 +292,7 @@ class StateCache {
   }
 
   std::vector<Slot> slots_;
-  std::size_t used_ = 0;  ///< occupied slots
+  std::size_t occupied_ = 0;  ///< occupied slots
   ChunkArena<Entry> entries_;
   ChunkArena<Packed> packed_;
   ChunkArena<runtime::RegKey> keys_;
@@ -307,11 +306,8 @@ struct Node {
   std::uint64_t sleep_entry_mask = 0;
   ReusedVec<SleepEntry> slept_siblings;  ///< retired branches (sleep for later ones)
   Pid chosen = Pid::none();
-  bool forced = false;  ///< preemption bound collapsed this decision (degree 1)
-  Pid previous = Pid::none();      ///< pid running before this decision
-  std::uint32_t preempt_used = 0;  ///< preemptions consumed before this decision
-  StepFootprint step;              ///< footprint of executing `chosen` (this branch)
-  ReusedVec<StepFootprint> agg;    ///< per-pid union over the explored subtree
+  StepFootprint step;            ///< footprint of executing `chosen` (this branch)
+  ReusedVec<StepFootprint> agg;  ///< per-pid union over the explored subtree
   std::uint32_t cache_entry = StateCache::kNone;  ///< the state's entry, if it opened one
 };
 
@@ -343,19 +339,6 @@ bool clock_leq(const std::uint32_t* a, const std::uint32_t* b, std::size_t n) {
 
 void clock_join(std::uint32_t* into, const std::uint32_t* other, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) into[i] = std::max(into[i], other[i]);
-}
-
-/// Set the verdict and hand over the distinct final states, sorted.
-void finalize_result(ExploreResult& r, bool bounded, std::vector<StateHash>& finals) {
-  if (!r.exhaustive || !r.all_runs_completed) {
-    r.exhaustiveness = Exhaustiveness::kBudgetTruncated;
-  } else {
-    r.exhaustiveness =
-        bounded ? Exhaustiveness::kWithinPreemptionBound : Exhaustiveness::kFull;
-  }
-  std::sort(finals.begin(), finals.end());
-  finals.erase(std::unique(finals.begin(), finals.end()), finals.end());
-  r.final_states.assign(finals.begin(), finals.end());
 }
 
 using MakeFn = std::function<std::unique_ptr<SimRuntime>()>;
@@ -402,16 +385,15 @@ class Walker {
 
   ExploreResult run() {
     result_.all_runs_completed = true;
-    for (;;) {
-      if (result_.runs >= opt_.max_runs) {
-        finalize_result(result_, opt_.max_preemptions.has_value(), finals_);
-        return std::move(result_);
-      }
+    Exhaustiveness covered = Exhaustiveness::kBudgetTruncated;
+    while (result_.runs < opt_.max_runs) {
       attempt();
-      if (!advance()) break;
+      if (!advance()) {
+        covered = Exhaustiveness::kFull;
+        break;
+      }
     }
-    result_.exhaustive = true;
-    finalize_result(result_, opt_.max_preemptions.has_value(), finals_);
+    detail::finish_result(result_, covered, finals_);
     return std::move(result_);
   }
 
@@ -427,8 +409,6 @@ class Walker {
     if (opt_.idle_slice_collapse) rt->set_idle_slice_collapse(true);
     rt_ = rt.get();
     depth_ = 0;
-    used_ = 0;
-    previous_ = Pid::none();
     cur_sleep_.clear();
     pending_ = false;
     stop_ = Stop::kNone;
@@ -467,7 +447,7 @@ class Walker {
       // enabled at the attempt's last decision as a sibling branch there;
       // placements at earlier independent positions commute into this one.
       Node& last = stack_.back();
-      if (!last.forced) last.backtrack_mask |= last.enabled_mask & pseudo_mask_;
+      last.backtrack_mask |= last.enabled_mask & pseudo_mask_;
     }
     rt_ = nullptr;
   }
@@ -493,7 +473,6 @@ class Walker {
     for (const SleepEntry& s : node.slept_siblings) cur_sleep_.push_back({s.pid, &s.step});
     const std::size_t idx = index_of(runnable, node.chosen);
     MM_ASSERT_MSG(idx < runnable.size(), "DPOR replay diverged: chosen pid not runnable");
-    account_preemption(runnable, node.chosen);
     pending_ = true;
     ++depth_;
     return idx;
@@ -502,13 +481,6 @@ class Walker {
   std::size_t decide_extend(const std::vector<Pid>& runnable) {
     const std::uint64_t enabled = mask_of(runnable);
     const std::uint64_t sleep_entry = sleep_mask();
-    Pid chosen = Pid::none();
-
-    // Preemption bound: out of budget and the running process still
-    // runnable — the decision collapses to degree 1 and is never branched.
-    const bool forced = opt_.max_preemptions.has_value() && used_ >= *opt_.max_preemptions &&
-                        !previous_.is_none() && (enabled & pid_bit(previous_)) != 0;
-    if (forced) chosen = previous_;
 
     StateHash state{};
     std::size_t slot = 0;
@@ -519,13 +491,8 @@ class Walker {
            e = cache_.entry(e).next) {
         const StateCache::Entry& entry = cache_.entry(e);
         // The entry covers this node only if it explored at least as much:
-        // its sleep set must be a subset of ours, and under a preemption
-        // bound it must have had the same running process and at least as
-        // much remaining budget.
+        // its sleep set must be a subset of ours.
         if ((entry.sleep_mask & ~sleep_entry) != 0) continue;
-        if (opt_.max_preemptions.has_value() &&
-            (entry.previous != previous_ || entry.preempt_used > used_))
-          continue;
         // Open entry: an ancestor on the current path has this very state —
         // the schedule cycled (e.g. a collapsed spin); its exploration is
         // this exploration. Closed entry: a finished subtree; replay its
@@ -535,18 +502,17 @@ class Walker {
       }
     }
 
-    if (!forced) {
-      for (const Pid p : runnable) {
-        if ((sleep_entry & pid_bit(p)) == 0) {
-          chosen = p;
-          break;
-        }
+    Pid chosen = Pid::none();
+    for (const Pid p : runnable) {
+      if ((sleep_entry & pid_bit(p)) == 0) {
+        chosen = p;
+        break;
       }
-      // Every enabled process is asleep: each of their next steps was fully
-      // explored from an equivalent prefix. Nothing new below, and no entry
-      // opens: the node never joins the stack.
-      if (chosen.is_none()) return stop(Stop::kSleepBlocked, {});
     }
+    // Every enabled process is asleep: each of their next steps was fully
+    // explored from an equivalent prefix. Nothing new below, and no entry
+    // opens: the node never joins the stack.
+    if (chosen.is_none()) return stop(Stop::kSleepBlocked, {});
 
     // A node popped earlier is reused: every field is set here, and its
     // vectors are emptied with their capacity kept.
@@ -557,24 +523,18 @@ class Walker {
     node.sleep_entry_mask = sleep_entry;
     node.slept_siblings.clear();
     node.chosen = chosen;
-    node.forced = forced;
-    node.previous = previous_;
-    node.preempt_used = used_;
     node.step.clear(Pid::none());
     node.agg.clear();
-    node.cache_entry = opt_.state_cache
-                           ? cache_.open(slot, state, {sleep_entry, previous_, used_})
-                           : StateCache::kNone;
+    node.cache_entry =
+        opt_.state_cache ? cache_.open(slot, state, {sleep_entry}) : StateCache::kNone;
 
-    const std::size_t idx = index_of(runnable, chosen);
-    account_preemption(runnable, chosen);
     pending_ = true;
     ++depth_;
-    return idx;
+    return index_of(runnable, chosen);
   }
 
-  /// Record the footprint of the slice that just ran (the previous
-  /// decision's branch, stack_[depth_ - 1]) and filter the sleep set: the
+  /// Record the footprint of the slice that just ran (the branch of the
+  /// last decision, stack_[depth_ - 1]) and filter the sleep set: the
   /// executed step wakes every sleeper whose recorded step depends on it.
   void finish_pending_step() {
     if (!pending_) return;
@@ -613,22 +573,10 @@ class Walker {
     return runnable.size();
   }
 
-  void account_preemption(const std::vector<Pid>& runnable, Pid chosen) {
-    if (!previous_.is_none() && chosen != previous_) {
-      for (const Pid p : runnable) {
-        if (p == previous_) {
-          ++used_;
-          break;
-        }
-      }
-    }
-    previous_ = chosen;
-  }
-
   // -- race detection --------------------------------------------------------
 
   /// race_scan's working state, kept across attempts so each scan reuses
-  /// the previous one's buffers instead of allocating its own.
+  /// the last one's buffers instead of allocating its own.
   struct Scan {
     /// Per-register access index. Entries persist across scans and count
     /// only when stamped with the current scan's epoch; a stale one reads
@@ -697,7 +645,7 @@ class Walker {
     std::vector<std::ptrdiff_t>& last_drain = sc.last_drain;
     std::vector<std::vector<std::ptrdiff_t>>& sends_since_drain = sc.sends_since_drain;
     // Fault pseudo-steps. Drops chain like writes (every drop depends on the
-    // previous one through the shared budget), so the latest suffices; a
+    // one before it through the shared budget), so the latest suffices; a
     // crash is covered by the target's program order plus the send chain to
     // it; toggles are at most two per run and get paired directly.
     std::vector<std::ptrdiff_t>& last_crash = sc.last_crash;
@@ -846,7 +794,6 @@ class Walker {
   /// when `later_pid` is not enabled there.
   void flag_race(std::size_t at, Pid later_pid) {
     Node& node = stack_[at];
-    if (node.forced) return;  // bound-collapsed decisions never branch
     if ((node.enabled_mask & pid_bit(later_pid)) != 0) {
       node.backtrack_mask |= pid_bit(later_pid);
     } else {
@@ -883,7 +830,6 @@ class Walker {
           continue;
         }
         node.chosen = q;
-        node.forced = false;
         chose = true;
         break;
       }
@@ -935,8 +881,6 @@ class Walker {
   // Per-attempt walk state.
   SimRuntime* rt_ = nullptr;
   std::size_t depth_ = 0;  ///< stack decisions taken
-  std::uint32_t used_ = 0;
-  Pid previous_ = Pid::none();
   bool pending_ = false;  ///< stack_[depth_ - 1]'s slice ran, its footprint unread
   Stop stop_ = Stop::kNone;
   std::span<const StepFootprint> pruned_agg_;  ///< see stop()
@@ -963,27 +907,8 @@ ExploreResult explore_dpor(const MakeFn& make, const VerifyFn& verify,
     // so every per-pid table and mask spans the full schedule width.
     n_procs = probe->sched_width();
     n_real = probe->config().n();
-    if (const auto& ef = probe->config().explore_faults; ef.has_value()) {
-      // Static footprints, in SimRuntime's pseudo-pid layout: crash events,
-      // then per-destination drop events, then the two partition toggles.
-      const auto push = [&](auto&& fill) {
-        StepFootprint fp;
-        fp.clear(Pid{static_cast<std::uint32_t>(n_real + fault_fps.size())});
-        fill(fp);
-        fault_fps.push_back(std::move(fp));
-      };
-      for (const Pid c : ef->crashes)
-        push([&](StepFootprint& fp) { fp.crash_mask = 1ULL << c.index(); });
-      if (ef->drop_budget > 0)
-        for (std::size_t d = 0; d < n_real; ++d)
-          push([&](StepFootprint& fp) { fp.drop_mask = 1ULL << d; });
-      if (ef->partition_mask.has_value())
-        for (int t = 0; t < 2; ++t)
-          push([&](StepFootprint& fp) {
-            fp.part_toggle = true;
-            fp.part_mask = *ef->partition_mask;
-          });
-    }
+    fault_fps.resize(n_procs - n_real);
+    for (std::size_t j = 0; j < fault_fps.size(); ++j) probe->fault_footprint(j, fault_fps[j]);
   }
 
   return Walker(make, verify, options, n_procs, n_real, std::move(fault_fps)).run();

@@ -42,12 +42,20 @@
 // fewer runs). It is not one yet: the walk misses reachable final states
 // on some instances, through sleeping backtrack candidates and cache
 // cycles (DporCompleteness.Ac3; ROADMAP item 3).
+//
+// The walk has no preemption bound. CHESS-style bounding belongs to the
+// naive DFS (ExploreOptions::max_preemptions), whose bounded enumeration is
+// sound. A bound on this walk is not: a decision the bound collapses takes
+// no backtrack points, so a race whose earlier step sits there is never
+// reversed, and the bounded walk misses states the bounded DFS reaches.
+// Coons, Musuvathi & McKinley, *Bounded Partial-Order Reduction* (OOPSLA
+// 2013), add the backtrack points that make a bounded walk sound; nothing
+// here needs one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "check/explore.hpp"
 #include "runtime/sim_config.hpp"
@@ -60,10 +68,9 @@ struct DporOptions {
   /// sleep set or state cache aborts early.
   std::uint64_t max_runs = 1'000'000;
   Step max_steps_per_run = 100'000;  ///< per-run step budget (livelock guard)
-  /// CHESS-style preemption bound; same semantics as ExploreOptions. Bounded
-  /// decision points collapse to "continue the running process" and receive
-  /// no backtrack points.
-  std::optional<std::uint32_t> max_preemptions;
+  // No preemption bound: a decision it collapsed would never reverse the
+  // races that start there (header comment). A bounded search is the DFS's
+  // (ExploreOptions::max_preemptions).
   bool state_cache = true;
   /// false switches off one use of sleep sets: the skip, without a replay,
   /// of a backtrack candidate that was asleep when its node was entered.
@@ -92,6 +99,7 @@ void validate_explorable(const runtime::SimConfig& config);
 /// runtime (bodies attached, not started; its config must pass
 /// validate_explorable), `verify` runs after every non-pruned run and
 /// throws/asserts on violations. One sequential walk on the calling thread.
+/// The verdict is kFull or kBudgetTruncated, never kWithinPreemptionBound.
 [[nodiscard]] ExploreResult explore_dpor(
     const std::function<std::unique_ptr<runtime::SimRuntime>()>& make,
     const std::function<void(runtime::SimRuntime&)>& verify,

@@ -19,28 +19,23 @@ void dedupe(std::vector<runtime::StateHash>& states) {
   states.erase(std::unique(states.begin(), states.end()), states.end());
 }
 
-/// Map the legacy tree-covered flag + options to the precise claim.
-void finalize_exhaustiveness(ExploreResult& result, const ExploreOptions& options) {
-  if (!result.exhaustive) {
-    result.exhaustiveness = Exhaustiveness::kBudgetTruncated;
-  } else if (!result.all_runs_completed) {
-    // A truncated run is an unexplored schedule suffix: the tree over the
-    // *visited* prefixes was covered, but no exhaustive claim survives.
-    result.exhaustiveness = Exhaustiveness::kBudgetTruncated;
-  } else if (options.max_preemptions.has_value()) {
-    result.exhaustiveness = Exhaustiveness::kWithinPreemptionBound;
-  } else {
-    result.exhaustiveness = Exhaustiveness::kFull;
-  }
-  dedupe(result.final_states);
-}
-
 }  // namespace
+
+void detail::finish_result(ExploreResult& result, Exhaustiveness covered,
+                           std::vector<runtime::StateHash>& finals) {
+  // A truncated run is an unexplored schedule suffix: the tree over the
+  // *visited* prefixes was covered, but no exhaustive claim survives.
+  result.exhaustiveness =
+      result.all_runs_completed ? covered : Exhaustiveness::kBudgetTruncated;
+  dedupe(finals);
+  result.final_states.assign(finals.begin(), finals.end());
+}
 
 ExploreResult explore_schedules(
     const std::function<std::unique_ptr<SimRuntime>()>& make,
     const std::function<void(SimRuntime&)>& verify, const ExploreOptions& options) {
   ExploreResult result;
+  std::vector<runtime::StateHash> finals;
   // Final states are deduplicated whenever their count reaches this mark,
   // which then doubles past the distinct count: memory follows the distinct
   // states, not the runs, at amortised O(log) sorting per state.
@@ -90,10 +85,10 @@ ExploreResult explore_schedules(
     });
     const bool completed = rt->run_until_all_done(options.max_steps_per_run);
     if (completed && options.collect_final_states) {
-      result.final_states.push_back(rt->state_hash());
-      if (result.final_states.size() >= dedupe_at) {
-        dedupe(result.final_states);
-        dedupe_at = std::max(dedupe_at, 2 * result.final_states.size());
+      finals.push_back(rt->state_hash());
+      if (finals.size() >= dedupe_at) {
+        dedupe(finals);
+        dedupe_at = std::max(dedupe_at, 2 * finals.size());
       }
     }
     rt->shutdown();
@@ -102,7 +97,7 @@ ExploreResult explore_schedules(
     verify(*rt);
     ++result.runs;
     if (result.runs >= options.max_runs) {  // exhausted the budget
-      finalize_exhaustiveness(result, options);
+      detail::finish_result(result, Exhaustiveness::kBudgetTruncated, finals);
       return result;
     }
 
@@ -121,8 +116,11 @@ ExploreResult explore_schedules(
       }
     }
     if (!advanced) {
-      result.exhaustive = true;
-      finalize_exhaustiveness(result, options);
+      detail::finish_result(result,
+                            options.max_preemptions.has_value()
+                                ? Exhaustiveness::kWithinPreemptionBound
+                                : Exhaustiveness::kFull,
+                            finals);
       return result;
     }
   }

@@ -31,9 +31,10 @@ namespace mm::check {
 
 /// What a finished exploration actually proved. `kFull` is an unconditional
 /// statement over every schedule; `kWithinPreemptionBound` covered every
-/// schedule with at most `max_preemptions` context switches (CHESS-style);
-/// `kBudgetTruncated` means a run or tree budget expired first and nothing
-/// exhaustive can be claimed.
+/// schedule with at most `max_preemptions` context switches (CHESS-style;
+/// the DFS only); `kBudgetTruncated` means a run or step budget expired
+/// first and nothing exhaustive can be claimed. perfbench folds the
+/// enumerator values into its `dpor` digest: keep them.
 enum class Exhaustiveness : std::uint8_t {
   kBudgetTruncated,
   kWithinPreemptionBound,
@@ -67,14 +68,9 @@ struct ExploreOptions {
 
 struct ExploreResult {
   std::uint64_t runs = 0;
-  /// Legacy flag: true iff the explored choice tree was covered before the
-  /// run budget expired. NOTE this is "exhaustive within the preemption
-  /// bound" whenever ExploreOptions::max_preemptions is set — consult
-  /// `exhaustiveness` for the precise claim (pinned by
-  /// Explore.ExhaustivenessContract).
-  bool exhaustive = false;
   bool all_runs_completed = true;  ///< every run finished within the step budget
-  /// The precise statement proved; see Exhaustiveness. `kFull` additionally
+  /// The statement proved; see Exhaustiveness (pinned by
+  /// Explore.ExhaustivenessContract). Anything but kBudgetTruncated also
   /// requires all_runs_completed — a run truncated by max_steps_per_run is
   /// an unexplored suffix.
   Exhaustiveness exhaustiveness = Exhaustiveness::kBudgetTruncated;
@@ -97,5 +93,17 @@ struct ExploreResult {
     const std::function<std::unique_ptr<runtime::SimRuntime>()>& make,
     const std::function<void(runtime::SimRuntime&)>& verify,
     const ExploreOptions& options = {});
+
+namespace detail {
+
+/// How both explorers end a walk. `covered` is what the walk proved by how
+/// it stopped: kBudgetTruncated when the run budget expired, else what
+/// covering the whole tree proves. A run cut by its step budget lowers that
+/// to kBudgetTruncated. `finals`, the final states of the completed runs,
+/// becomes `result.final_states`, sorted and deduplicated.
+void finish_result(ExploreResult& result, Exhaustiveness covered,
+                   std::vector<runtime::StateHash>& finals);
+
+}  // namespace detail
 
 }  // namespace mm::check

@@ -379,12 +379,26 @@ void SimRuntime::ef_append_enabled(std::vector<Pid>& out) {
   }
 }
 
+void SimRuntime::fault_footprint(std::size_t idx, StepFootprint& out) const {
+  MM_ASSERT(idx < ef_width_);
+  const ExploreFaults& ef = *config_.explore_faults;
+  out.clear(Pid{static_cast<std::uint32_t>(config_.n() + idx)});
+  if (idx < ef_drop_base_) {
+    out.crash_mask = 1ULL << ef.crashes[idx].index();
+  } else if (idx < ef_part_base_) {
+    out.drop_mask = 1ULL << (idx - ef_drop_base_);
+  } else {
+    out.part_toggle = true;
+    out.part_mask = *ef.partition_mask;
+  }
+}
+
 void SimRuntime::ef_fire(std::size_t idx) {
   const ExploreFaults& ef = *config_.explore_faults;
   StepFootprint* fp = nullptr;
   if (record_footprints_) [[unlikely]] {
     fp = &scratch_.footprint;
-    fp->clear(Pid{static_cast<std::uint32_t>(config_.n() + idx)});
+    fault_footprint(idx, *fp);
   }
   if (idx < ef_drop_base_) {  // crash event
     const std::size_t target = ef.crashes[idx].index();
@@ -392,7 +406,6 @@ void SimRuntime::ef_fire(std::size_t idx) {
     proc_state_[target] = static_cast<std::uint8_t>(ProcState::kCrashed);
     remove_runnable(target);
     trace_event(Pid{static_cast<std::uint32_t>(target)}, TraceEvent::Kind::kCrash);
-    if (fp != nullptr) fp->crash_mask = 1ULL << target;
     return;
   }
   if (idx < ef_part_base_) {  // drop event: destroy the head of d's queue
@@ -407,14 +420,9 @@ void SimRuntime::ef_fire(std::size_t idx) {
     pending_head_[d] = pend.empty() ? kNever : pend.front().deliver_at;
     ++metrics_.msgs_dropped;
     trace_event(dropped.from, TraceEvent::Kind::kDrop, d, dropped.kind);
-    if (fp != nullptr) fp->drop_mask = 1ULL << d;
     return;
   }
   // Partition toggles.
-  if (fp != nullptr) {
-    fp->part_toggle = true;
-    fp->part_mask = *ef.partition_mask;
-  }
   if (idx == ef_part_base_) {
     MM_ASSERT_MSG(!ef_on_fired_, "partition-on toggle fired twice");
     ef_on_fired_ = true;

@@ -358,6 +358,14 @@ class SimRuntime : private detail::SimStorage {
   /// whose footprint carries the matching fault dependency class. The
   /// explorer sizes its masks and per-pid tables with this, not n().
   [[nodiscard]] std::size_t sched_width() const noexcept { return config_.n() + ef_width_; }
+  /// Fill `out` with the footprint fault pseudo-event `idx` (relative to n,
+  /// below sched_width() - n) records when it fires, known without firing
+  /// it: a crash event's target, a drop event's destination, a partition
+  /// toggle's cut. Firing the off toggle adds the sends that re-inject the
+  /// held messages. This owns the pseudo-pid layout: crash events in
+  /// ExploreFaults::crashes order, then one drop event per destination,
+  /// then partition on and off. `out` keeps its vectors' capacity.
+  void fault_footprint(std::size_t idx, StepFootprint& out) const;
 
   // -- model-checker hooks (footprints + canonical state hashes) -------------
   // The third runtime hook family, next to trace_event and FaultInjector:
@@ -516,7 +524,8 @@ class SimRuntime : private detail::SimStorage {
   /// messages, the partition toggles while unfired (off only after on).
   void ef_append_enabled(std::vector<Pid>& out);
   /// Fire pseudo-event `idx` (relative to n): a zero-time transition that
-  /// records its footprint directly (no process slice runs).
+  /// records fault_footprint(idx) directly (no process slice runs), plus
+  /// the off toggle's re-injected sends.
   void ef_fire(std::size_t idx);
   /// reg_slots_ slot holding `key`, or the empty slot where it would go.
   [[nodiscard]] std::size_t reg_slot(RegKey key) const noexcept;

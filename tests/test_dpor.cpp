@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/dpor.hpp"
@@ -230,58 +233,6 @@ TEST(DporFaults, FindsPlantedDropMaskedValidityBug) {
   EXPECT_NE(d.violation->find("lost its VALUE"), std::string::npos) << *d.violation;
 }
 
-// -- preemption-bound soundness ----------------------------------------------
-
-TEST(Dpor, UnsetPreemptionBoundEqualsUnbounded) {
-  // max_preemptions unset must behave exactly like an unreachably large
-  // bound. The state cache keys on bound context (previous process +
-  // consumed budget) and would legitimately split states between the two
-  // configurations, so it is disabled for the comparison.
-  const Instance* ac2 = find_instance("ac2");
-  ASSERT_NE(ac2, nullptr);
-  DporOptions unset = ac2->dpor;
-  unset.state_cache = false;
-  DporOptions huge = unset;
-  huge.max_preemptions = 1'000;
-  const InstanceVerdict a = check_instance_dpor(*ac2, unset);
-  const InstanceVerdict b = check_instance_dpor(*ac2, huge);
-  EXPECT_EQ(a.result.runs, b.result.runs);
-  EXPECT_EQ(a.result.final_states, b.result.final_states);
-  EXPECT_EQ(a.result.exhaustiveness, Exhaustiveness::kFull);
-  // The bound was never hit, but the claim must still be the weaker one.
-  EXPECT_EQ(b.result.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
-}
-
-TEST(Dpor, PreemptionBoundMonotoneInRunsAndStates) {
-  // Raising the bound only adds schedules. The state cache and sleep sets
-  // interact with bound context, so monotonicity is asserted on the walk
-  // that uses them least: no cache, and sleep_sets off. That walk still
-  // tracks sleep sets and ends sleep-blocked replays (dpor.hpp); it only
-  // keeps every backtrack candidate that was asleep on entry.
-  const Instance* ac2 = find_instance("ac2");
-  ASSERT_NE(ac2, nullptr);
-  DporOptions base = ac2->dpor;
-  base.state_cache = false;
-  base.sleep_sets = false;
-  std::uint64_t prev_runs = 0;
-  std::size_t prev_states = 0;
-  for (const std::uint32_t bound : {0u, 1u, 2u}) {
-    DporOptions o = base;
-    o.max_preemptions = bound;
-    const InstanceVerdict v = check_instance_dpor(*ac2, o);
-    EXPECT_FALSE(v.violation.has_value());
-    EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
-    EXPECT_GE(v.result.runs, prev_runs) << "bound " << bound;
-    EXPECT_GE(v.result.final_states.size(), prev_states) << "bound " << bound;
-    prev_runs = v.result.runs;
-    prev_states = v.result.final_states.size();
-  }
-  const InstanceVerdict full = check_instance_dpor(*ac2, base);
-  EXPECT_GE(full.result.runs, prev_runs);
-  EXPECT_GE(full.result.final_states.size(), prev_states);
-  EXPECT_EQ(full.result.exhaustiveness, Exhaustiveness::kFull);
-}
-
 // -- state cache observability (the ExploreResult contract fix) --------------
 
 TEST(Dpor, StateCachePruningIsSurfacedAndSound) {
@@ -300,6 +251,121 @@ TEST(Dpor, StateCachePruningIsSurfacedAndSound) {
   EXPECT_FALSE(plain.violation.has_value());
   EXPECT_EQ(plain.result.runs_pruned_by_state_cache, 0u);
   EXPECT_EQ(plain.result.final_states, cached.result.final_states);
+}
+
+// -- the pseudo-process layout -----------------------------------------------
+
+/// Fault pseudo-event `idx`'s footprint as the plan lays the pseudo-pids out:
+/// crash events in plan order, one drop event per destination, then the
+/// partition's on and off toggles.
+runtime::StepFootprint planned_footprint(const runtime::ExploreFaults& ef, std::size_t n,
+                                         std::size_t idx) {
+  runtime::StepFootprint f;
+  f.clear(Pid{static_cast<std::uint32_t>(n + idx)});
+  const std::size_t drops = ef.drop_budget > 0 ? n : 0;
+  if (idx < ef.crashes.size()) {
+    f.crash_mask = 1ULL << ef.crashes[idx].index();
+  } else if (idx < ef.crashes.size() + drops) {
+    f.drop_mask = 1ULL << (idx - ef.crashes.size());
+  } else {
+    f.part_toggle = true;
+    f.part_mask = *ef.partition_mask;
+  }
+  return f;
+}
+
+void expect_same_footprint(const runtime::StepFootprint& got,
+                           const runtime::StepFootprint& want, const std::string& what) {
+  EXPECT_EQ(got.pid, want.pid) << what;
+  EXPECT_EQ(got.reads, want.reads) << what;
+  EXPECT_EQ(got.writes, want.writes) << what;
+  EXPECT_EQ(got.send_to, want.send_to) << what;
+  EXPECT_EQ(got.drained, want.drained) << what;
+  EXPECT_EQ(got.drew_rand, want.drew_rand) << what;
+  EXPECT_EQ(got.observed_clock, want.observed_clock) << what;
+  EXPECT_EQ(got.finishes, want.finishes) << what;
+  EXPECT_EQ(got.crash_mask, want.crash_mask) << what;
+  EXPECT_EQ(got.drop_mask, want.drop_mask) << what;
+  EXPECT_EQ(got.part_mask, want.part_mask) << what;
+  EXPECT_EQ(got.part_toggle, want.part_toggle) << what;
+}
+
+TEST(DporFaults, FiredPseudoEventsRecordTheirStaticFootprint) {
+  // explore_dpor's race scan takes SimRuntime::fault_footprint as what a
+  // fault that has not fired would touch. Firing must record exactly that,
+  // and the off toggle adds one send per destination of a held message. The
+  // schedules alternate the first (or last) enabled pseudo-event with a
+  // round-robin real step, so pingpart2's window holds the ping. The corpus
+  // plans each hold one fault class; the combined micro-instance puts all
+  // three in one layout.
+  runtime::ExploreFaults combined;
+  combined.crashes = {Pid{1}};
+  combined.drop_budget = 1;
+  combined.partition_mask = 0b01;
+  std::vector<std::pair<std::string, std::function<std::unique_ptr<SimRuntime>()>>> plans;
+  for (const char* name : {"hbo3-anycrash", "abd4-drop", "pingpart2"}) {
+    const Instance* inst = find_instance(name);
+    ASSERT_NE(inst, nullptr);
+    plans.emplace_back(name, inst->make);
+  }
+  plans.emplace_back("combined micro", [&] { return make_fault_micro(combined, 3); });
+  for (const auto& [name, make] : plans) {
+    for (const bool take_last : {false, true}) {
+      const std::unique_ptr<SimRuntime> rt = make();
+      rt->set_footprint_recording(true);
+      const std::size_t n = rt->config().n();
+      const runtime::ExploreFaults& ef = *rt->config().explore_faults;
+      ASSERT_GT(rt->sched_width(), n) << name;
+      runtime::StepFootprint want;
+      for (std::size_t idx = 0; idx < rt->sched_width() - n; ++idx) {
+        rt->fault_footprint(idx, want);
+        expect_same_footprint(want, planned_footprint(ef, n, idx),
+                              name + " pseudo-event " + std::to_string(idx));
+      }
+
+      Pid last_pick = Pid::none();
+      bool window_open = false;
+      std::vector<Pid> held;  // destinations of held messages, in send order
+      std::size_t fired = 0;
+      bool pseudo_turn = true;
+      std::size_t next_real = 0;
+      const auto check_last_step = [&] {
+        if (last_pick.is_none()) return;
+        const runtime::StepFootprint& got = rt->last_footprint();
+        if (last_pick.index() < n) {  // a real step: note what the window holds
+          for (const Pid to : got.send_to)
+            if (window_open && ((*ef.partition_mask >> got.pid.index() & 1) !=
+                                (*ef.partition_mask >> to.index() & 1)) &&
+                std::find(held.begin(), held.end(), to) == held.end())
+              held.push_back(to);
+          return;
+        }
+        const std::size_t idx = last_pick.index() - n;
+        rt->fault_footprint(idx, want);
+        if (want.part_toggle) {
+          if (window_open) want.send_to = std::exchange(held, {});  // the off toggle
+          window_open = !window_open;
+        }
+        expect_same_footprint(got, want, name + " fired pseudo-event " + std::to_string(idx));
+        ++fired;
+      };
+      rt->set_schedule_policy([&](const std::vector<Pid>& runnable) {
+        check_last_step();
+        std::size_t reals = 0;
+        while (reals < runnable.size() && runnable[reals].index() < n) ++reals;
+        const bool pseudo = pseudo_turn && reals < runnable.size();
+        pseudo_turn = !pseudo_turn;
+        const std::size_t pick =
+            pseudo ? (take_last ? runnable.size() - 1 : reals) : next_real++ % reals;
+        last_pick = runnable[pick];
+        return pick;
+      });
+      (void)rt->run_until_all_done(20'000);
+      check_last_step();
+      rt->shutdown();
+      EXPECT_GT(fired, 0u) << name;
+    }
+  }
 }
 
 // -- completeness ------------------------------------------------------------
@@ -338,6 +404,26 @@ TEST(Dpor, CyclePruneExhaustsSpinningReceiver) {
   EXPECT_FALSE(v.violation.has_value());
   EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_GT(v.result.runs_pruned_by_state_cache, 0u);
+}
+
+TEST(Dpor, UnfinishedRunIsTruncationNotViolation) {
+  // Without the state cache nothing prunes a starved spin, so these walks
+  // reach a run that ends at its step budget: on replays 1,999, 5,995 and 1.
+  // Such a run proves nothing either way. It is no violation; it leaves the
+  // verdict budget-truncated, which tools/check fails for a clean instance.
+  const std::pair<const char*, std::uint64_t> walks[] = {
+      {"pingpong2", 2'000}, {"pingpart2", 6'000}, {"abd4-drop", 2}};
+  for (const auto& [name, max_runs] : walks) {
+    const Instance* inst = find_instance(name);
+    ASSERT_NE(inst, nullptr);
+    DporOptions o = inst->dpor;
+    o.state_cache = false;
+    o.max_runs = max_runs;
+    const InstanceVerdict v = check_instance_dpor(*inst, o);
+    EXPECT_FALSE(v.violation.has_value()) << name << ": " << *v.violation;
+    EXPECT_FALSE(v.result.all_runs_completed) << name;
+    EXPECT_EQ(v.result.exhaustiveness, Exhaustiveness::kBudgetTruncated) << name;
+  }
 }
 
 // -- fiber stack recycling ---------------------------------------------------
@@ -405,12 +491,11 @@ std::uint64_t fold_final_states(const std::vector<runtime::StateHash>& states) {
   return h;
 }
 
-void expect_walk(const char* name, std::optional<std::uint32_t> max_preemptions,
-                 const WalkPin& pin, std::optional<std::uint64_t> max_runs = std::nullopt) {
+void expect_walk(const char* name, const WalkPin& pin,
+                 std::optional<std::uint64_t> max_runs = std::nullopt) {
   const Instance* inst = find_instance(name);
   ASSERT_NE(inst, nullptr);
   DporOptions o = inst->dpor;
-  if (max_preemptions.has_value()) o.max_preemptions = max_preemptions;
   if (max_runs.has_value()) o.max_runs = *max_runs;
   const InstanceVerdict v = check_instance_dpor(*inst, o);
   ASSERT_FALSE(v.violation.has_value()) << name << ": " << *v.violation;
@@ -426,32 +511,32 @@ void expect_walk(const char* name, std::optional<std::uint32_t> max_preemptions,
 }
 
 TEST(DporWalkPins, Ac4) {
-  expect_walk("ac4", std::nullopt,
+  expect_walk("ac4",
               {2376, 1965, 1847, Exhaustiveness::kFull, 276, 0x9fce431976d85babULL});
 }
 
 TEST(DporWalkPins, Hbo3Crash) {
-  expect_walk("hbo3-crash", std::nullopt,
+  expect_walk("hbo3-crash",
               {304, 0, 114, Exhaustiveness::kFull, 304, 0xf3dd45790e9c0599ULL});
 }
 
 TEST(DporWalkPins, Abd4Drop) {
-  expect_walk("abd4-drop", std::nullopt,
+  expect_walk("abd4-drop",
               {30910, 16636, 31272, Exhaustiveness::kFull, 2107, 0x26364d750d6efb88ULL});
 }
 
 TEST(DporWalkPins, Abd4Drop2) {
-  expect_walk("abd4-drop2", std::nullopt,
+  expect_walk("abd4-drop2",
               {67359, 41473, 65410, Exhaustiveness::kFull, 4338, 0x18f6b6785870cc49ULL});
 }
 
 TEST(DporWalkPins, Pingpart2) {
-  expect_walk("pingpart2", std::nullopt,
+  expect_walk("pingpart2",
               {13, 7, 4, Exhaustiveness::kFull, 6, 0x97e50c848bfcc6ebULL});
 }
 
 TEST(DporWalkPins, Omega2Part) {
-  expect_walk("omega2-part", std::nullopt,
+  expect_walk("omega2-part",
               {10, 3, 4, Exhaustiveness::kFull, 3, 0xf638a45a70802e40ULL});
 }
 
@@ -461,27 +546,9 @@ TEST(DporWalkPins, Omega2Part) {
 // shows it.
 TEST(DporWalkPins, Hbo3AnycrashFirst20kReplays) {
   expect_walk(
-      "hbo3-anycrash", std::nullopt,
+      "hbo3-anycrash",
       {20000, 10009, 5513, Exhaustiveness::kBudgetTruncated, 3577, 0xbe3643e530e45dfaULL},
       20'000);
-}
-
-// Under a preemption bound a cache entry covers a node only with the same
-// running process and no more budget spent, so these three walks pin that
-// filter.
-TEST(DporWalkPins, Ac3PreemptionBound0) {
-  expect_walk("ac3", 0,
-              {1, 0, 0, Exhaustiveness::kWithinPreemptionBound, 1, 0xa062c8aa46bc1d92ULL});
-}
-
-TEST(DporWalkPins, Ac3PreemptionBound1) {
-  expect_walk("ac3", 1,
-              {13, 1, 4, Exhaustiveness::kWithinPreemptionBound, 6, 0xf0f0fd3d8d6b01d6ULL});
-}
-
-TEST(DporWalkPins, Ac3PreemptionBound2) {
-  expect_walk("ac3", 2,
-              {31, 6, 17, Exhaustiveness::kWithinPreemptionBound, 15, 0xd45b2a0f5acf22c9ULL});
 }
 
 // -- envelope validation -----------------------------------------------------

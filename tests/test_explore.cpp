@@ -43,7 +43,7 @@ TEST(Explore, CountsInterleavingsOfIndependentSteppers) {
         return rt;
       },
       [&](SimRuntime&) { ++total_runs; });
-  EXPECT_TRUE(result.exhaustive);
+  EXPECT_EQ(result.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_TRUE(result.all_runs_completed);
   EXPECT_EQ(result.runs, total_runs);
   // Each process makes 3 scheduler activations; interleavings = C(6,3) = 20.
@@ -67,7 +67,7 @@ TEST(Explore, DeterministicReplayProducesIdenticalBranching) {
   };
   const auto a = explore_schedules(make, [](SimRuntime&) {});
   const auto b = explore_schedules(make, [](SimRuntime&) {});
-  EXPECT_TRUE(a.exhaustive);
+  EXPECT_EQ(a.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_EQ(a.runs, b.runs);
 }
 
@@ -102,7 +102,7 @@ TEST(Explore, AdoptCommitCoherenceOverAllSchedules) {
         }
         if (r0->value != r1->value) ++conflicts_seen;
       });
-  EXPECT_TRUE(result.exhaustive);
+  EXPECT_EQ(result.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_TRUE(result.all_runs_completed);
   EXPECT_GT(result.runs, 100u);       // a real tree, not a degenerate one
   EXPECT_GT(conflicts_seen, 0u);      // adopt-with-different-values happens
@@ -135,7 +135,7 @@ TEST(Explore, AdoptCommitConvergenceOverAllSchedules) {
           EXPECT_EQ(r->value, 1u);
         }
       });
-  EXPECT_TRUE(result.exhaustive);
+  EXPECT_EQ(result.exhaustiveness, Exhaustiveness::kFull);
 }
 
 TEST(Explore, CasConsensusAgreementOverAllSchedules) {
@@ -159,7 +159,7 @@ TEST(Explore, CasConsensusAgreementOverAllSchedules) {
         ASSERT_TRUE((*results)[0].has_value() && (*results)[1].has_value());
         EXPECT_EQ(*(*results)[0], *(*results)[1]);
       });
-  EXPECT_TRUE(result.exhaustive);
+  EXPECT_EQ(result.exhaustiveness, Exhaustiveness::kFull);
 }
 
 TEST(Explore, RwConsensusAgreementBoundedExploration) {
@@ -212,18 +212,19 @@ TEST(Explore, PreemptionBoundShrinksTree) {
   ExploreOptions bounded;
   bounded.max_preemptions = 0;
   const auto none = explore_schedules(make, [](SimRuntime&) {}, bounded);
-  EXPECT_TRUE(none.exhaustive);
+  EXPECT_EQ(none.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
   EXPECT_EQ(none.runs, 2u);
 
   bounded.max_preemptions = 1;
   const auto one = explore_schedules(make, [](SimRuntime&) {}, bounded);
-  EXPECT_TRUE(one.exhaustive);
+  EXPECT_EQ(one.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
   EXPECT_GT(one.runs, 2u);
   EXPECT_LT(one.runs, 20u);
 
   bounded.max_preemptions = 10;  // more than the run length: full tree
   const auto full = explore_schedules(make, [](SimRuntime&) {}, bounded);
-  EXPECT_TRUE(full.exhaustive);
+  // A bound was set, so the claim stays bound-conditional.
+  EXPECT_EQ(full.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
   EXPECT_EQ(full.runs, 20u);
 }
 
@@ -255,7 +256,8 @@ TEST(Explore, RwConsensusExhaustiveWithinPreemptionBound) {
         EXPECT_EQ(*(*results)[0], *(*results)[1]);
       },
       options);
-  EXPECT_TRUE(result.exhaustive) << result.runs << " runs without exhausting";
+  EXPECT_EQ(result.exhaustiveness, Exhaustiveness::kWithinPreemptionBound)
+      << result.runs << " runs without exhausting";
   EXPECT_TRUE(result.all_runs_completed);
   std::printf("[ rw-consensus: %llu schedules with <=2 preemptions, all agree ]\n",
               static_cast<unsigned long long>(result.runs));
@@ -263,7 +265,6 @@ TEST(Explore, RwConsensusExhaustiveWithinPreemptionBound) {
 
 TEST(Explore, ExhaustivenessContract) {
   // Pins the ExploreResult reporting contract (referenced from explore.hpp):
-  // the legacy `exhaustive` flag only says the *explored* tree was covered —
   // `exhaustiveness` carries the precise claim. The DFS has no state cache,
   // so its prune counters must stay zero, and final states are collected
   // only on request.
@@ -285,19 +286,16 @@ TEST(Explore, ExhaustivenessContract) {
   ExploreOptions opts;
   opts.collect_final_states = true;
   const auto full = explore_schedules(make, none, opts);
-  EXPECT_TRUE(full.exhaustive);
   EXPECT_EQ(full.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_EQ(full.runs_pruned_by_state_cache, 0u);
   EXPECT_EQ(full.runs_pruned_by_sleep_set, 0u);
   // Independent steppers touch no shared state: one reachable final state.
   EXPECT_EQ(full.final_states.size(), 1u);
 
-  // Bound set + exhausted: the legacy flag still reads true, but the
-  // precise claim is the weaker, bound-conditional one.
+  // Bound set + exhausted: the claim is the weaker, bound-conditional one.
   ExploreOptions bounded = opts;
   bounded.max_preemptions = 0;
   const auto within = explore_schedules(make, none, bounded);
-  EXPECT_TRUE(within.exhaustive);
   EXPECT_EQ(within.exhaustiveness, Exhaustiveness::kWithinPreemptionBound);
 
   // Run budget expires first: nothing exhaustive may be claimed, with or
@@ -305,7 +303,6 @@ TEST(Explore, ExhaustivenessContract) {
   ExploreOptions truncated = opts;
   truncated.max_runs = 3;
   const auto cut = explore_schedules(make, none, truncated);
-  EXPECT_FALSE(cut.exhaustive);
   EXPECT_EQ(cut.runs, 3u);
   EXPECT_EQ(cut.exhaustiveness, Exhaustiveness::kBudgetTruncated);
 

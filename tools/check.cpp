@@ -5,14 +5,16 @@
 //     Print every registered instance with its tuned budgets and whether the
 //     naive DFS baseline is feasible for it.
 //
-//   check run NAME... [--dfs] [--max-runs N] [--max-steps N] [--bound K]
+//   check run NAME... [--dfs [--bound K]] [--max-runs N] [--max-steps N]
 //                     [--no-cache] [--no-sleep]
 //     Explore the named instances (or 'all') with the DPOR explorer (default)
 //     or the naive DFS. Exit 0 when every clean instance verifies clean and
-//     every planted-bug instance produces its violation; 1 otherwise.
-//     --no-sleep sets DporOptions::sleep_sets = false, which only stops the
-//     walk skipping backtrack candidates that were asleep on entry: replays
-//     still end sleep-blocked (dpor.hpp).
+//     exhausts (its verdict is not budget-truncated) and every planted-bug
+//     instance produces its violation; 1 otherwise. --bound K is the DFS's
+//     preemption bound: the DPOR walk has none (dpor.hpp), so without --dfs
+//     it exits 2. --no-sleep sets DporOptions::sleep_sets = false, which
+//     only stops the walk skipping backtrack candidates that were asleep on
+//     entry: replays still end sleep-blocked (dpor.hpp).
 //
 //   check diff NAME...
 //     Differential mode: run DFS and DPOR on each instance (DFS-feasible
@@ -49,12 +51,13 @@ using mm::tools::parse_flag;
 int usage() {
   std::fprintf(stderr,
                "usage: check list\n"
-               "       check run NAME... [--dfs] [--max-runs N] [--max-steps N]\n"
-               "                 [--bound K] [--no-cache] [--no-sleep]\n"
+               "       check run NAME... [--dfs [--bound K]] [--max-runs N]\n"
+               "                 [--max-steps N] [--no-cache] [--no-sleep]\n"
                "       check diff NAME...\n"
                "       check replay FILE... [--max-runs N] [--max-steps N]\n"
-               "(NAME may be 'all'. --no-sleep only stops the walk skipping\n"
-               " candidates asleep on entry; replays still end sleep-blocked)\n");
+               "(NAME may be 'all'. --bound K, a preemption bound, needs --dfs.\n"
+               " --no-sleep only stops the walk skipping candidates asleep on\n"
+               " entry; replays still end sleep-blocked)\n");
   return 2;
 }
 
@@ -90,11 +93,15 @@ void print_result(const char* engine, const InstanceVerdict& v) {
                 static_cast<unsigned long long>(v.violation_run), v.violation->c_str());
 }
 
-/// True when the outcome matches the instance's contract (clean instances
-/// verify clean and exhaust; planted ones produce their violation).
-bool verdict_ok(const Instance& inst, const InstanceVerdict& v) {
-  if (inst.expect_violation) return v.violation.has_value();
-  return !v.violation.has_value();
+/// Why the outcome breaks the instance's contract (clean instances verify
+/// clean and exhaust; planted ones produce their violation), or nullptr.
+const char* contract_failure(const Instance& inst, const InstanceVerdict& v) {
+  if (inst.expect_violation)
+    return v.violation.has_value() ? nullptr : "planted bug was not found";
+  if (v.violation.has_value()) return "clean instance produced a violation";
+  if (v.result.exhaustiveness == Exhaustiveness::kBudgetTruncated)
+    return "clean instance did not exhaust (budget-truncated)";
+  return nullptr;
 }
 
 int cmd_list() {
@@ -116,7 +123,7 @@ int cmd_run(int argc, char** argv) {
   bool use_dfs = false;
   DporOptions dpor_over;
   ExploreOptions dfs_over;
-  bool have_max_runs = false, have_max_steps = false, have_bound = false;
+  bool have_max_runs = false, have_max_steps = false;
   bool no_cache = false, no_sleep = false;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
@@ -127,13 +134,17 @@ int cmd_run(int argc, char** argv) {
     if (a == "--dfs") use_dfs = true;
     else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = parse_flag(a, next()); have_max_runs = true; }
     else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
-    else if (a == "--bound") { const auto k = parse_flag<std::uint32_t>(a, next()); dpor_over.max_preemptions = k; dfs_over.max_preemptions = k; have_bound = true; }
+    else if (a == "--bound") dfs_over.max_preemptions = parse_flag<std::uint32_t>(a, next());
     else if (a == "--no-cache") no_cache = true;
     else if (a == "--no-sleep") no_sleep = true;
     else if (!a.empty() && a[0] == '-') return usage();
     else names.push_back(a);
   }
   if (names.empty()) return usage();
+  if (dfs_over.max_preemptions.has_value() && !use_dfs) {
+    std::fprintf(stderr, "check: --bound needs --dfs: the DPOR walk has no preemption bound\n");
+    return 2;
+  }
   bool ok = true;
   const std::vector<const Instance*> picked = resolve(names, &ok);
 
@@ -144,23 +155,20 @@ int cmd_run(int argc, char** argv) {
       ExploreOptions o = inst->dfs;
       if (have_max_runs) o.max_runs = dfs_over.max_runs;
       if (have_max_steps) o.max_steps_per_run = dfs_over.max_steps_per_run;
-      if (have_bound) o.max_preemptions = dfs_over.max_preemptions;
+      if (dfs_over.max_preemptions.has_value()) o.max_preemptions = dfs_over.max_preemptions;
       v = check_instance_dfs(*inst, o);
       print_result("dfs", v);
     } else {
       DporOptions o = inst->dpor;
       if (have_max_runs) o.max_runs = dpor_over.max_runs;
       if (have_max_steps) o.max_steps_per_run = dpor_over.max_steps_per_run;
-      if (have_bound) o.max_preemptions = dpor_over.max_preemptions;
       if (no_cache) o.state_cache = false;
       if (no_sleep) o.sleep_sets = false;
       v = check_instance_dpor(*inst, o);
       print_result("dpor", v);
     }
-    if (!verdict_ok(*inst, v)) {
-      std::printf("  FAIL: %s\n", inst->expect_violation
-                                      ? "planted bug was not found"
-                                      : "clean instance produced a violation");
+    if (const char* why = contract_failure(*inst, v)) {
+      std::printf("  FAIL: %s\n", why);
       ok = false;
     }
   }
