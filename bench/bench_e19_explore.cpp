@@ -69,10 +69,8 @@ int main() {
 
     std::string dfs_runs = "-", reduction = "-", dfs_ms = "-";
     if (inst.dfs_feasible) {
-      ExploreOptions dfs_opts = inst.dfs;
-      dfs_opts.collect_final_states = true;
       bench::WallTimer dfs_timer;
-      const InstanceVerdict dfs = check_instance_dfs(inst, dfs_opts);
+      const InstanceVerdict dfs = check_instance_dfs(inst);
       dfs_ms = std::to_string(static_cast<std::uint64_t>(dfs_timer.ms()));
       dfs_runs = std::to_string(dfs.result.runs);
       // The differential claim the reduction factor rests on.

@@ -19,6 +19,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "common/parse.hpp"
 #include "core/hbo.hpp"
 #include "core/trial.hpp"
 #include "exec/parallel_map.hpp"
@@ -77,7 +78,6 @@ int million_fiber_run(std::size_t n) {
   runtime::SimConfig cfg;
   cfg.gsm = graph::edgeless(n);
   cfg.seed = 8;
-  cfg.fiber_stack_bytes = 32 * 1024;
   cfg.pooled_fiber_stacks = true;
   runtime::SimRuntime rt{cfg};
   for (std::uint32_t p = 0; p < n; ++p) {
@@ -128,6 +128,16 @@ int million_fiber_run(std::size_t n) {
 
 int main() {
   using namespace mm;
+  // Part C's population, read before any part runs: a malformed MM_E8_N
+  // stops the bench here, not after Parts A and B.
+  std::size_t big_n = 1'000'000;
+  try {
+    if (const char* env_n = std::getenv("MM_E8_N"))
+      big_n = parse_decimal<std::size_t>("MM_E8_N", env_n, 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_e8_scalability: %s\n", e.what());
+    return 2;
+  }
   bench::banner("E8: scalability at fixed shared-memory degree (§1, §3)",
                 "Part A: simulator, crash-free HBO at degree 4, 5 seeds per n.\n"
                 "Expected shape: GSM degree flat at 4 (vs n-1 for pure SM); rounds O(1);\n"
@@ -182,8 +192,6 @@ int main() {
   }
   b.print();
 
-  std::size_t big_n = 1'000'000;
-  if (const char* env_n = std::getenv("MM_E8_N")) big_n = std::strtoull(env_n, nullptr, 10);
   std::printf("\nPart C: one run at n=%zu fiber processes (pooled 32 KiB\n"
               "guardless stacks; override n with MM_E8_N)\n",
               big_n);

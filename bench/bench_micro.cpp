@@ -272,7 +272,6 @@ RingRates measure_tracing_tax(Step steps) {
   cfg.seed = 77;
   cfg.min_delay = 64;
   cfg.max_delay = 64;
-  cfg.fiber_stack_bytes = 32 * 1024;
   cfg.pooled_fiber_stacks = true;
   runtime::SimRuntime rt{cfg};
   for (std::uint32_t p = 0; p < kProcs; ++p) {

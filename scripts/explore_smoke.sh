@@ -14,10 +14,14 @@
 #   3. `check replay` — the chaos bridge: a recorded chaos repro must
 #      rediscover the same oracle exhaustively, and a clean repro must stay
 #      clean across every fault placement the budget reaches.
-# Before those, a malformed numeric flag value must be rejected by name, and
-# the preemption bound must stay the DFS's: `check run ac2 --bound 1` exits 2
-# naming --dfs (the DPOR walk has no bound), while `check run ac3 --dfs
-# --bound 1` reports its bounded verdict over 21 final states.
+# Before those, a malformed numeric flag value must be rejected by name;
+# each explorer's flags must refuse the other: `check run ac2 --bound 1`
+# exits 2 naming --dfs (the DPOR walk has no bound), `check run ac2 --dfs
+# --no-cache` (or --no-sleep) exits 2 naming the flag (the DFS has no
+# cache or sleep sets), while `check run ac3 --dfs --bound 1` reports its
+# bounded verdict over 21 final states; and a DFS budget of exactly the
+# tree's size covers it: `check run steppers2 --dfs --max-runs 20` reads
+# full after 20 runs and passes, `--max-runs 19` reads budget-truncated.
 # Wired into CTest under the "explore" label:
 #     ctest -L explore
 #
@@ -59,6 +63,35 @@ fi
 case "$err" in
   *--dfs*) echo "$err" ;;
   *) echo "FAIL: the error does not name --dfs: $err"; exit 1 ;;
+esac
+
+echo "== DPOR-only flags with --dfs: must exit 2, naming the flag =="
+for flag in --no-cache --no-sleep; do
+  rc=0
+  err=$("$CHECK" run ac2 --dfs "$flag" 2>&1) || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: check run ac2 --dfs $flag exited $rc, not 2: $err"
+    exit 1
+  fi
+  case "$err" in
+    *"$flag"*--dfs*) echo "$err" ;;
+    *) echo "FAIL: the error does not name $flag and --dfs: $err"; exit 1 ;;
+  esac
+done
+
+echo "== DFS budget: exactly the tree's 20 runs read full, 19 read truncated =="
+out=$("$CHECK" run steppers2 --dfs --max-runs 20)
+echo "$out"
+case "$out" in
+  *"20 runs (0 cache-pruned, 0 sleep-pruned), full"*) ;;
+  *) echo "FAIL: expected a full verdict after 20 runs"; exit 1 ;;
+esac
+rc=0
+out=$("$CHECK" run steppers2 --dfs --max-runs 19) || rc=$?
+echo "$out"
+case "$rc:$out" in
+  1:*"19 runs (0 cache-pruned, 0 sleep-pruned), budget-truncated"*) ;;
+  *) echo "FAIL: expected exit 1 and budget-truncated after 19 runs (exit $rc)"; exit 1 ;;
 esac
 
 echo "== bounded DFS: ac3 within one preemption =="

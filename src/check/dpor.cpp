@@ -48,10 +48,6 @@ void validate_explorable(const SimConfig& config) {
                       "(delivery re-draws make every crossing send clock-"
                       "dependent); use explore_faults.partition_mask, whose "
                       "toggles the explorer schedules itself"};
-  for (const auto& f : config.memory_fail_at)
-    if (f.has_value())
-      throw ConfigError{"explorer does not support memory-failure plans (windows are "
-                        "clock-indexed)"};
   for (const auto& c : config.crash_at)
     if (c.has_value() && *c != 0)
       throw ConfigError{"explorer supports crash plans only at step 0 (initially-"

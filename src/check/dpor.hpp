@@ -25,9 +25,9 @@
 // Soundness needs a restricted adversary — validate_explorable() enforces
 // it: reliable links, fixed delay <= 1 (longer or variable delays break the
 // commutation of a send with an unrelated step), no clock-indexed faults
-// (config partitions, memory-failure windows, crash plans past step 0), no
-// Byzantine processes (adversary interposition has no dependency class
-// yet). Faults ARE explorable when expressed as SimConfig::explore_faults:
+// (config partitions, crash plans past step 0), no Byzantine processes
+// (adversary interposition has no dependency class yet). Faults ARE
+// explorable when expressed as SimConfig::explore_faults:
 // each crash / bounded message drop / partition-window toggle becomes a
 // *pseudo-process* whose one-shot steps the explorer schedules like any
 // other process. A fired fault is a zero-time transition carrying its own

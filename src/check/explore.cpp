@@ -44,9 +44,12 @@ ExploreResult explore_schedules(
   // Every replay builds and destroys a SimRuntime: recycle its fiber stacks.
   const FiberStackRecycler stacks;
 
-  for (;;) {
+  // As in the DPOR walker: the budget is tested before each run, so a tree
+  // whose last run spends the last of the budget still ends covered.
+  Exhaustiveness covered = Exhaustiveness::kBudgetTruncated;
+  while (result.runs < options.max_runs) {
     auto rt = make();
-    if (options.collect_final_states) rt->set_footprint_recording(true);
+    rt->set_footprint_recording(true);
     std::vector<std::size_t> degrees;  // branch degree at each decision
     std::size_t depth = 0;
     std::uint32_t preemptions = 0;
@@ -84,7 +87,7 @@ ExploreResult explore_schedules(
       return choice;
     });
     const bool completed = rt->run_until_all_done(options.max_steps_per_run);
-    if (completed && options.collect_final_states) {
+    if (completed) {
       finals.push_back(rt->state_hash());
       if (finals.size() >= dedupe_at) {
         dedupe(finals);
@@ -96,10 +99,6 @@ ExploreResult explore_schedules(
     if (!completed) result.all_runs_completed = false;
     verify(*rt);
     ++result.runs;
-    if (result.runs >= options.max_runs) {  // exhausted the budget
-      detail::finish_result(result, Exhaustiveness::kBudgetTruncated, finals);
-      return result;
-    }
 
     // Backtrack: deepest decision with an untried sibling. The full trace is
     // the prefix padded with zeros, so scanning `degrees` covers both.
@@ -116,14 +115,13 @@ ExploreResult explore_schedules(
       }
     }
     if (!advanced) {
-      detail::finish_result(result,
-                            options.max_preemptions.has_value()
-                                ? Exhaustiveness::kWithinPreemptionBound
-                                : Exhaustiveness::kFull,
-                            finals);
-      return result;
+      covered = options.max_preemptions.has_value() ? Exhaustiveness::kWithinPreemptionBound
+                                                    : Exhaustiveness::kFull;
+      break;
     }
   }
+  detail::finish_result(result, covered, finals);
+  return result;
 }
 
 }  // namespace mm::check

@@ -15,7 +15,10 @@
 //
 // Costs grow like the number of interleavings (C(2k, k) for two processes
 // issuing k operations each), so callers bound runs with `max_runs`; the
-// result says whether — and in what sense — the tree was exhausted.
+// result says whether — and in what sense — the tree was exhausted. Both
+// explorers spend the budget alike: it is tested before each run, and a
+// walk whose tree runs out first ends exhaustive, so a tree of exactly
+// `max_runs` runs is covered in full.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +54,7 @@ enum class Exhaustiveness : std::uint8_t {
 }
 
 struct ExploreOptions {
-  std::uint64_t max_runs = 1'000'000;  ///< stop (non-exhaustive) after this many runs
+  std::uint64_t max_runs = 1'000'000;  ///< run budget, tested before each run
   Step max_steps_per_run = 100'000;    ///< per-run budget (guards against livelock)
   /// Preemption bound (CHESS-style): when set, only schedules with at most
   /// this many preemptions — switching away from a process that is still
@@ -60,10 +63,6 @@ struct ExploreOptions {
   /// run length for a constant bound) while empirically covering most
   /// concurrency bugs. Unset means unbounded, i.e. genuinely every schedule.
   std::optional<std::uint32_t> max_preemptions;
-  /// Record the canonical state hash of every *completed* run's final state
-  /// (sorted, deduplicated) — the set DPOR results are differentially
-  /// compared against. Arms SimRuntime footprint recording.
-  bool collect_final_states = false;
 };
 
 struct ExploreResult {
@@ -80,8 +79,9 @@ struct ExploreResult {
   std::uint64_t runs_pruned_by_state_cache = 0;
   /// Branches never scheduled because every candidate was in the sleep set.
   std::uint64_t runs_pruned_by_sleep_set = 0;
-  /// Sorted, deduplicated final-state hashes of completed runs. DPOR always
-  /// fills it; the DFS explorer only under collect_final_states.
+  /// Sorted, deduplicated canonical state hashes of the completed runs'
+  /// final states — the set the two explorers are differentially compared
+  /// on. Both fill it; each arms SimRuntime footprint recording to do so.
   std::vector<runtime::StateHash> final_states;
 };
 

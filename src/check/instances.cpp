@@ -34,7 +34,6 @@ constexpr std::uint8_t kCasTag = 0x62;
 constexpr std::uint32_t kPingKind = 0x50;
 constexpr std::uint32_t kValKind = 0x56;
 constexpr std::uint32_t kDoneKind = 0x44;
-constexpr std::uint64_t kHboUndecided = 9;
 
 RegKey res_key(Pid p) { return RegKey::make_global(kResTag, p); }
 
@@ -131,7 +130,6 @@ Instance make_steppers2() {
       if (!rt.finished(Pid{p})) return "p" + std::to_string(p) + " did not finish";
     return std::nullopt;
   };
-  in.dfs.collect_final_states = true;
   return in;
 }
 
@@ -217,7 +215,6 @@ Instance make_ac(std::string name, std::size_t n, bool broken) {
   };
   in.check = [](const SimRuntime& rt) { return ac_check(rt, 2); };
   in.expect_violation = broken;
-  in.dfs.collect_final_states = true;
   in.dfs.max_runs = 500'000;
   if (n >= 3) {
     in.dfs_feasible = false;  // ~(3k)!/(k!)^3 interleavings: beyond CI budget
@@ -256,7 +253,6 @@ Instance make_cas2() {
     }
     return std::nullopt;
   };
-  in.dfs.collect_final_states = true;
   in.dfs.max_runs = 200'000;
   return in;
 }
@@ -296,17 +292,9 @@ Instance make_hbo3_crash() {
     // may interleave at every CAS on the representation consensus objects —
     // the granularity the paper's safety argument is about.
     auto gsm = std::make_shared<graph::Graph>(graph::complete(3));
-    for (std::uint32_t p = 0; p < 2; ++p)
+    for (std::uint32_t p = 0; p < 2; ++p)  // inputs 0 and 1
       rt->add_process([gsm, p](Env& env) {
-        core::HboConsensus::Config hc;
-        hc.gsm = gsm.get();
-        hc.impl = shm::ConsensusImpl::kCas;
-        hc.max_rounds = 8;
-        core::HboConsensus hbo(hc, p);  // inputs 0 and 1
-        hbo.run(env);
-        publish(env, hbo.decision() < 0
-                         ? kHboUndecided
-                         : 1 + static_cast<std::uint64_t>(hbo.decision()));
+        run_hbo_and_publish(env, *gsm, p, 8, res_key(env.self()));
       });
     rt->add_process([](Env&) {});  // p2: crashed at step 0, never runs
     return rt;
@@ -318,7 +306,6 @@ Instance make_hbo3_crash() {
   in.dpor.max_steps_per_run = 20'000;
   // Feasible for the DFS too (~68k runs): with the decide broadcast, round 1
   // terminates on every schedule, so the tree is big but finite.
-  in.dfs.collect_final_states = true;
   in.dfs.max_runs = 200'000;
   return in;
 }
@@ -336,15 +323,7 @@ Instance make_hbo3_stuck() {
     rt->set_auto_step_on_shm(false);
     auto gsm = std::make_shared<graph::Graph>(graph::edgeless(3));
     rt->add_process([gsm](Env& env) {
-      core::HboConsensus::Config hc;
-      hc.gsm = gsm.get();
-      hc.impl = shm::ConsensusImpl::kCas;
-      hc.max_rounds = 8;
-      core::HboConsensus hbo(hc, 0);
-      hbo.run(env);
-      publish(env, hbo.decision() < 0
-                       ? kHboUndecided
-                       : 1 + static_cast<std::uint64_t>(hbo.decision()));
+      run_hbo_and_publish(env, *gsm, 0, 8, res_key(env.self()));
     });
     rt->add_process([](Env&) {});
     rt->add_process([](Env&) {});
@@ -470,7 +449,6 @@ Instance make_omega2(std::string name, bool partitioned) {
              "non-leader write (or changed the leader's heartbeat count)";
     return std::nullopt;
   };
-  in.dfs.collect_final_states = true;
   in.dfs.max_runs = 500'000;
   return in;
 }
@@ -494,15 +472,7 @@ Instance make_hbo3_anycrash() {
     auto gsm = std::make_shared<graph::Graph>(graph::complete(3));
     for (std::uint32_t p = 0; p < 3; ++p)
       rt->add_process([gsm, p](Env& env) {
-        core::HboConsensus::Config hc;
-        hc.gsm = gsm.get();
-        hc.impl = shm::ConsensusImpl::kCas;
-        hc.max_rounds = 8;
-        core::HboConsensus hbo(hc, p == 0 ? 0 : 1);
-        hbo.run(env);
-        publish(env, hbo.decision() < 0
-                         ? kHboUndecided
-                         : 1 + static_cast<std::uint64_t>(hbo.decision()));
+        run_hbo_and_publish(env, *gsm, p == 0 ? 0 : 1, 8, res_key(env.self()));
       });
     return rt;
   };
@@ -608,7 +578,6 @@ Instance make_crashwin3() {
     return std::nullopt;
   };
   in.expect_violation = true;
-  in.dfs.collect_final_states = true;
   return in;
 }
 
@@ -672,6 +641,19 @@ Instance make_dropval2() {
 }
 
 }  // namespace
+
+void run_hbo_and_publish(Env& env, const graph::Graph& gsm, std::uint32_t input,
+                         std::uint64_t max_rounds, RegKey result) {
+  core::HboConsensus::Config hc;
+  hc.gsm = &gsm;
+  hc.impl = shm::ConsensusImpl::kCas;
+  hc.max_rounds = max_rounds;
+  core::HboConsensus hbo(hc, input);
+  hbo.run(env);
+  env.write(env.reg(result), hbo.decision() < 0
+                                 ? kHboUndecided
+                                 : 1 + static_cast<std::uint64_t>(hbo.decision()));
+}
 
 const std::vector<Instance>& instances() {
   static const std::vector<Instance>* kInstances = [] {

@@ -21,6 +21,7 @@
 //     trip-wires against reduction bugs that skip schedules.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -30,9 +31,22 @@
 
 #include "check/dpor.hpp"
 #include "check/explore.hpp"
+#include "graph/graph.hpp"
+#include "runtime/env.hpp"
+#include "runtime/register_key.hpp"
 #include "runtime/sim_runtime.hpp"
 
 namespace mm::check {
+
+/// What an HBO process body publishes when it ran out of rounds undecided.
+inline constexpr std::uint64_t kHboUndecided = 9;
+
+/// The HBO process body of the corpus's HBO instances and of bridged chaos
+/// repros: run HboConsensus on `gsm` from `input` with CAS consensus objects
+/// and at most `max_rounds` rounds, then write 1 + the decision, or
+/// kHboUndecided, to the register named `result`.
+void run_hbo_and_publish(runtime::Env& env, const graph::Graph& gsm, std::uint32_t input,
+                         std::uint64_t max_rounds, runtime::RegKey result);
 
 struct Instance {
   std::string name;

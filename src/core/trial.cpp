@@ -124,7 +124,11 @@ ConsensusTrialResult run_consensus_trial(const ConsensusTrialConfig& cfg) {
       }
       case Algo::kBenOr: {
         BenOrConsensus::Config bc;
-        bc.f = cfg.ben_or_quorum_f.value_or((n - 1) / 2);
+        // Ben-Or's configured crash bound (its quorum is n − f): ⌊(n−1)/2⌋,
+        // the most it can safely be configured for. The crashes actually
+        // injected, cfg.f, may exceed it — that is precisely the E2
+        // comparison.
+        bc.f = (n - 1) / 2;
         bc.max_rounds = cfg.max_rounds;
         benors.push_back(std::make_unique<BenOrConsensus>(bc, inputs[p]));
         rt.add_process([alg = benors.back().get()](runtime::Env& env) { alg->run(env); });
@@ -305,7 +309,7 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
           hist->record_write(w, invoked, env.now(), env.self());
         }
       }
-      for (std::size_t r = 0; r < cfg.reads_per_proc; ++r) {
+      for (int r = 0; r < 2; ++r) {
         const Step invoked = env.now();
         const auto v = reg->read(env);
         if (!v.has_value()) return;

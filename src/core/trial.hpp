@@ -45,12 +45,6 @@ struct ConsensusTrialConfig {
   /// thresholds are stated against.
   Step crash_window = 2'000;
 
-  /// Ben-Or's *configured* crash bound (its quorum is n − this). Defaults to
-  /// ⌊(n−1)/2⌋, the most it can safely be configured for; the number of
-  /// crashes actually injected is `f` above, which may exceed it — that is
-  /// precisely the E2 comparison.
-  std::optional<std::size_t> ben_or_quorum_f;
-
   /// Initial values: if set, per-process; otherwise seeded-random bits.
   std::optional<std::vector<std::uint32_t>> inputs;
 
@@ -105,8 +99,8 @@ struct TerminationSweep {
 // ---------------------------------------------------------------------------
 
 /// One adversarial run of a ByzRegister instance: p0 writes values 1..writes
-/// in order, every process (p0 included) then performs `reads_per_proc`
-/// reads, and everyone keeps serving until all correct processes finished.
+/// in order, every process (p0 included) then performs two reads, and
+/// everyone keeps serving until all correct processes finished.
 /// The Byzantine set is declarative here (validation + oracle scoping); the
 /// actual corruption comes from the installed injector's kGoByzantine rules.
 struct ByzRegisterTrialConfig {
@@ -115,7 +109,6 @@ struct ByzRegisterTrialConfig {
   std::size_t f = 0;        ///< configured tolerance of the register instance
   bool use_gsm = false;     ///< hybrid m&m mode (see core/byz_register.hpp)
   std::size_t writes = 3;   ///< writer writes 1..writes
-  std::size_t reads_per_proc = 2;
   Step budget = 400'000;
   Step min_delay = 1;
   Step max_delay = 8;

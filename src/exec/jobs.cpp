@@ -1,12 +1,9 @@
 #include "exec/jobs.hpp"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-#include <system_error>
 #include <thread>
+
+#include "common/parse.hpp"
 
 namespace mm::exec {
 
@@ -23,13 +20,7 @@ std::size_t& override_slot() {
 std::size_t env_jobs() {
   const char* raw = std::getenv("MM_JOBS");
   if (raw == nullptr || *raw == '\0') return 0;
-  const char* const end = raw + std::strlen(raw);
-  std::size_t jobs = 0;
-  const auto [stop, err] = std::from_chars(raw, end, jobs);
-  if (err != std::errc{} || stop != end)
-    throw std::invalid_argument{
-        std::string{"MM_JOBS must be a whole number of workers, got \""} + raw + "\""};
-  return jobs;
+  return parse_decimal<std::size_t>("MM_JOBS", raw);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     f.original = cases[i];
     f.violation = *out.violation;
     if (cfg.shrink_findings)
-      f.shrunk = shrink_case(cases[i], cfg.max_shrink_evals);
+      f.shrunk = shrink_case(cases[i]);
     res.findings.push_back(std::move(f));
   }
   return res;

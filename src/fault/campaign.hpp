@@ -28,7 +28,6 @@ struct CampaignConfig {
   bool assert_termination = false;  ///< plant the false invariant
   bool shrink_findings = true;
   std::size_t max_findings = 4;     ///< stop shrinking after this many
-  std::size_t max_shrink_evals = 400;
 };
 
 struct Finding {

@@ -5,10 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/hbo.hpp"
+#include "check/instances.hpp"
 #include "runtime/env.hpp"
 #include "runtime/sim_runtime.hpp"
-#include "shm/consensus_object.hpp"
 
 namespace mm::fault {
 
@@ -26,13 +25,8 @@ namespace {
 // instances disjoint from the canonical corpus even if both ever share a
 // runtime.
 constexpr std::uint8_t kBridgeTag = 0x67;
-constexpr std::uint64_t kUndecided = 9;
 
 RegKey res_key(Pid p) { return RegKey::make_global(kBridgeTag, p); }
-
-void publish(Env& env, std::uint64_t value) {
-  env.write(env.reg(res_key(env.self())), value);
-}
 
 std::optional<std::uint64_t> published(const SimRuntime& rt, std::size_t p) {
   return rt.register_value(res_key(Pid{static_cast<std::uint32_t>(p)}));
@@ -142,17 +136,9 @@ check::Instance instance_from_chaos(const ChaosCase& c, const Violation* recorde
     cfg.explore_faults = ef;
     auto rt = std::make_unique<SimRuntime>(cfg);
     auto gsm = std::make_shared<graph::Graph>(make_topology(topo, n));
-    for (std::uint32_t p = 0; p < n; ++p)
+    for (std::uint32_t p = 0; p < n; ++p)  // inputs 0,1,0,1,...
       rt->add_process([gsm, p, max_rounds](Env& env) {
-        core::HboConsensus::Config hc;
-        hc.gsm = gsm.get();
-        hc.impl = shm::ConsensusImpl::kCas;
-        hc.max_rounds = max_rounds;
-        core::HboConsensus hbo(hc, p % 2);  // inputs 0,1,0,1,...
-        hbo.run(env);
-        publish(env, hbo.decision() < 0
-                         ? kUndecided
-                         : 1 + static_cast<std::uint64_t>(hbo.decision()));
+        check::run_hbo_and_publish(env, *gsm, p % 2, max_rounds, res_key(env.self()));
       });
     return rt;
   };
@@ -170,7 +156,7 @@ check::Instance instance_from_chaos(const ChaosCase& c, const Violation* recorde
       const Pid pid{static_cast<std::uint32_t>(p)};
       if (rt.crashed(pid)) continue;
       const auto r = published(rt, p);
-      if (!rt.finished(pid) || !r.has_value() || *r == kUndecided) {
+      if (!rt.finished(pid) || !r.has_value() || *r == check::kHboUndecided) {
         if (want_termination)
           return std::string{to_string(Oracle::kTermination)} + ": live p" +
                  std::to_string(p) + " never decided within the step budget";

@@ -63,13 +63,16 @@ std::size_t round_up(std::size_t v, std::size_t align) {
 thread_local FiberStackRecycler* tl_recycler = nullptr;
 thread_local FiberStackCounts tl_stack_counts;
 
-/// Usable bytes of the one stack size the recycler caches.
-std::size_t recyclable_stack_bytes() {
+/// Usable bytes of a guarded stack: kDefaultStackBytes, page-rounded.
+std::size_t guarded_stack_bytes() {
   return round_up(Fiber::kDefaultStackBytes, page_size());
 }
 
-void* map_guarded_stack(std::size_t map_bytes) {
-  void* map = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+/// A guarded stack's whole mapping: the guard page and the stack above it.
+std::size_t guarded_map_bytes() { return guarded_stack_bytes() + page_size(); }
+
+void* map_guarded_stack() {
+  void* map = ::mmap(nullptr, guarded_map_bytes(), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   MM_ASSERT_MSG(map != MAP_FAILED, "fiber stack mmap failed");
   // Guard page at the low end: stack overflow faults instead of corrupting
@@ -79,8 +82,8 @@ void* map_guarded_stack(std::size_t map_bytes) {
   return map;
 }
 
-void unmap_guarded_stack(void* map, std::size_t map_bytes) {
-  ::munmap(map, map_bytes);
+void unmap_guarded_stack(void* map) {
+  ::munmap(map, guarded_map_bytes());
   ++tl_stack_counts.unmapped;
 }
 
@@ -213,21 +216,17 @@ void Fiber::init_context() {
 #endif
 }
 
-Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
-    : entry_(std::move(entry)) {
+Fiber::Fiber(std::function<void()> entry)
+    : entry_(std::move(entry)), stack_bytes_(guarded_stack_bytes()) {
   MM_ASSERT_MSG(entry_ != nullptr, "fiber needs an entry function");
-  const std::size_t page = page_size();
-  stack_bytes_ = round_up(stack_bytes < 4 * page ? 4 * page : stack_bytes, page);
-  map_bytes_ = stack_bytes_ + page;  // + guard page
-  recyclable_ = stack_bytes_ == recyclable_stack_bytes();
   FiberStackRecycler* const recycler = tl_recycler;
-  if (recyclable_ && recycler != nullptr && !recycler->cache_.empty()) {
+  if (recycler != nullptr && !recycler->cache_.empty()) {
     stack_map_ = recycler->cache_.back();
     recycler->cache_.pop_back();
   } else {
-    stack_map_ = map_guarded_stack(map_bytes_);
+    stack_map_ = map_guarded_stack();
   }
-  stack_lo_ = static_cast<char*>(stack_map_) + page;
+  stack_lo_ = static_cast<char*>(stack_map_) + page_size();
   init_context();
 }
 
@@ -254,10 +253,10 @@ Fiber::~Fiber() {
   if (stack_map_ != nullptr) {
     unpoison_stack(stack_lo_, stack_bytes_);
     FiberStackRecycler* const recycler = tl_recycler;
-    if (recyclable_ && recycler != nullptr) {
+    if (recycler != nullptr) {
       recycler->cache_.push_back(stack_map_);
     } else {
-      unmap_guarded_stack(stack_map_, map_bytes_);
+      unmap_guarded_stack(stack_map_);
     }
   }
 }
@@ -363,29 +362,21 @@ void Fiber::yield() {
 // FiberStackPool
 // ---------------------------------------------------------------------------
 
-FiberStackPool::FiberStackPool(std::size_t stack_bytes, std::size_t stacks_per_chunk)
-    : stack_bytes_(round_up(stack_bytes, page_size())),
-      per_chunk_(stacks_per_chunk),
-      next_in_chunk_(stacks_per_chunk) {
-  MM_ASSERT_MSG(stack_bytes >= 4096 && stacks_per_chunk >= 1,
-                "pooled fiber stacks need at least a page each");
-}
-
 FiberStackPool::~FiberStackPool() {
-  for (void* chunk : chunks_) ::munmap(chunk, per_chunk_ * stack_bytes_);
+  for (void* chunk : chunks_) ::munmap(chunk, kStacksPerChunk * kStackBytes);
 }
 
 void* FiberStackPool::acquire() {
-  if (next_in_chunk_ == per_chunk_) {
+  if (next_in_chunk_ == kStacksPerChunk) {
     // MAP_NORESERVE: a million-stack run reserves address space in the tens
     // of GB but commits pages only as fibers touch them.
-    void* chunk = ::mmap(nullptr, per_chunk_ * stack_bytes_, PROT_READ | PROT_WRITE,
+    void* chunk = ::mmap(nullptr, kStacksPerChunk * kStackBytes, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     MM_ASSERT_MSG(chunk != MAP_FAILED, "fiber stack pool chunk mmap failed");
     chunks_.push_back(chunk);
     next_in_chunk_ = 0;
   }
-  void* lo = static_cast<char*>(chunks_.back()) + next_in_chunk_ * stack_bytes_;
+  void* lo = static_cast<char*>(chunks_.back()) + next_in_chunk_ * kStackBytes;
   ++next_in_chunk_;
   return lo;
 }
@@ -404,8 +395,7 @@ FiberStackRecycler::~FiberStackRecycler() {
                 "fiber stack recycler closed on another thread or out of scope order");
   tl_recycler = nullptr;
   for (auto it = parked_.rbegin(); it != parked_.rend(); ++it) it->destroy(it->object);
-  const std::size_t map_bytes = recyclable_stack_bytes() + page_size();
-  for (void* map : cache_) unmap_guarded_stack(map, map_bytes);
+  for (void* map : cache_) unmap_guarded_stack(map);
 }
 
 bool FiberStackRecycler::active() noexcept { return tl_recycler != nullptr; }

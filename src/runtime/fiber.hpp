@@ -66,26 +66,26 @@ namespace mm::runtime {
 
 class Fiber {
  public:
-  /// Usable stack bytes per fiber (rounded up to the page size; a PROT_NONE
-  /// guard page sits below it). Deliberately far smaller than a thread stack:
-  /// algorithm bodies are shallow, and pages are committed only when touched.
+  /// Usable bytes of a fiber's own stack (rounded up to the page size; a
+  /// PROT_NONE guard page sits below it). Deliberately far smaller than a
+  /// thread stack: algorithm bodies are shallow, and pages are committed
+  /// only when touched.
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
-  /// Create a suspended fiber that will run `entry` on first resume().
-  /// `entry` must not throw and must return, leave through exit(), or yield
-  /// forever; destroying a fiber that is suspended mid-entry skips the
-  /// destructors of everything live on its stack, so owners drain fibers to
-  /// completion first. With a
-  /// FiberStackRecycler open on this thread, a default-size stack comes from
-  /// (and returns to) its cache instead of a fresh mapping.
-  explicit Fiber(std::function<void()> entry,
-                 std::size_t stack_bytes = kDefaultStackBytes);
+  /// Create a suspended fiber that will run `entry` on first resume(), on a
+  /// guarded stack of its own. `entry` must not throw and must return, leave
+  /// through exit(), or yield forever; destroying a fiber that is suspended
+  /// mid-entry skips the destructors of everything live on its stack, so
+  /// owners drain fibers to completion first. With a FiberStackRecycler
+  /// open on this thread, the stack comes from (and returns to) its cache
+  /// instead of a fresh mapping.
+  explicit Fiber(std::function<void()> entry);
 
   /// Run on caller-provided stack memory [stack_lo, stack_lo + stack_bytes)
   /// instead of a private guarded mapping — the million-fiber form, paired
   /// with FiberStackPool. No guard page: an overflow corrupts the
-  /// neighbouring stack instead of faulting, so size generously. The memory
-  /// must outlive the fiber; the fiber never frees it.
+  /// neighbouring stack instead of faulting. The memory must outlive the
+  /// fiber; the fiber never frees it.
   Fiber(std::function<void()> entry, void* stack_lo, std::size_t stack_bytes);
 
   ~Fiber();
@@ -143,13 +143,11 @@ class Fiber {
 
   std::function<void()> entry_;
   void* stack_map_ = nullptr;   ///< mmap base (guard page at the low end); null for external stacks
-  std::size_t map_bytes_ = 0;   ///< guard + usable
   void* stack_lo_ = nullptr;    ///< lowest usable stack address
   std::size_t stack_bytes_ = 0; ///< usable stack size
   bool started_ = false;
   bool running_ = false;
   bool done_ = false;
-  bool recyclable_ = false;  ///< default-size guarded mapping (FiberStackRecycler)
 
   // Saved machine contexts. On x86-64 a context is just a stack pointer (the
   // callee-saved registers live on the owning stack); the ucontext fallback
@@ -178,33 +176,32 @@ class Fiber {
 // One private guarded mapping per fiber costs two VMAs (guard + stack),
 // and the kernel caps a process at vm.max_map_count mappings (~65k by
 // default) — a hard wall far below a million fibers. The pool instead
-// carves guardless stacks out of large MAP_NORESERVE chunks, so a million
-// 32 KiB stacks need only ~2k mappings and commit physical pages lazily as
-// each fiber first touches its stack. The trade: no overflow fault — pick
-// stack sizes with headroom. A stack is handed out once and never reused:
-// the pool lives exactly as long as its runtime, whose fibers die with it,
-// and its destructor unmaps every chunk.
+// carves guardless kStackBytes stacks out of large MAP_NORESERVE chunks, so
+// a million stacks need only ~2k mappings and commit physical pages lazily
+// as each fiber first touches its stack. The trade: a smaller stack and no
+// overflow fault, so only shallow bodies belong here. A stack is handed out
+// once and never reused: the pool lives exactly as long as its runtime,
+// whose fibers die with it, and its destructor unmaps every chunk.
 //
 // Not thread-safe; one pool per owning runtime. The pool must outlive every
 // fiber whose stack it provided.
 class FiberStackPool {
  public:
-  explicit FiberStackPool(std::size_t stack_bytes, std::size_t stacks_per_chunk = 512);
+  /// Usable bytes of every pooled stack.
+  static constexpr std::size_t kStackBytes = 32 * 1024;
+
+  FiberStackPool() = default;
   ~FiberStackPool();
   FiberStackPool(const FiberStackPool&) = delete;
   FiberStackPool& operator=(const FiberStackPool&) = delete;
 
-  /// Lowest address of a fresh stack of stack_bytes().
+  /// Lowest address of a fresh stack of kStackBytes.
   [[nodiscard]] void* acquire();
 
-  [[nodiscard]] std::size_t stack_bytes() const noexcept { return stack_bytes_; }
-  /// Number of chunk mappings created so far (VMA budget introspection).
-  [[nodiscard]] std::size_t chunk_count() const noexcept { return chunks_.size(); }
-
  private:
-  std::size_t stack_bytes_;
-  std::size_t per_chunk_;
-  std::size_t next_in_chunk_;  ///< slots handed out of the newest chunk
+  static constexpr std::size_t kStacksPerChunk = 512;
+
+  std::size_t next_in_chunk_ = kStacksPerChunk;  ///< slots handed out of the newest chunk
   std::vector<void*> chunks_;
 };
 
@@ -214,15 +211,16 @@ class FiberStackPool {
 // A loop that builds and tears down a SimRuntime per iteration (the model
 // checkers' replays) otherwise pays an mmap + mprotect + munmap per process
 // per iteration, and that kernel work dominates short runs. While a recycler
-// is open on a thread, a Fiber constructed there with kDefaultStackBytes
-// takes a cached guard+stack mapping instead of mapping a fresh one, and a
-// default-size Fiber destroyed there hands its mapping back instead of
-// unmapping it. The guard page belongs to the cached mapping and is never
-// unprotected, so an overflow still faults. Closing the scope unmaps the
-// cache; a fiber still alive then unmaps its own mapping when it dies. Other
-// stack sizes and caller-provided stacks (FiberStackPool) are unaffected.
+// is open on a thread, a Fiber constructed there with a stack of its own
+// takes a cached guard+stack mapping instead of mapping a fresh one, and
+// such a Fiber destroyed there hands its mapping back instead of unmapping
+// it. Every guarded stack has the one size, kDefaultStackBytes, so any
+// cached mapping fits any such fiber. The guard page belongs to the cached
+// mapping and is never unprotected, so an overflow still faults. Closing the
+// scope unmaps the cache; a fiber still alive then unmaps its own mapping
+// when it dies. Caller-provided stacks (FiberStackPool) are unaffected.
 //
-// The cache grows to the peak number of default fibers alive at once on the
+// The cache grows to the peak number of guarded fibers alive at once on the
 // thread and keeps their touched pages committed until the scope closes. A
 // recycler opened while another is open on the same thread joins it: the
 // outer one owns the cache.

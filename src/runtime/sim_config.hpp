@@ -110,21 +110,6 @@ struct SimConfig {
   /// the set obviously cannot exceed n. Empty vector = no Byzantine procs.
   std::vector<std::uint8_t> byzantine;
 
-  /// memory_fail_at[p]: global step at which the shared memory hosted at p
-  /// fails — every later access to a register owned by p throws
-  /// MemoryFailure (§6's partial-memory-failure model; unavailability, not
-  /// corruption). Independent of process crashes: a host's memory can fail
-  /// while its process keeps running, and vice versa. Empty = no failures.
-  std::vector<std::optional<Step>> memory_fail_at;
-
-  /// memory_recover_at[p]: global step at which p's failed memory comes back
-  /// — accesses from that step on succeed again and the registers resume
-  /// with the values they held when the window opened (unavailability, never
-  /// corruption). Requires memory_fail_at[p] < memory_recover_at[p]. Empty
-  /// (or nullopt per entry) = failures are permanent, the historical
-  /// behaviour.
-  std::vector<std::optional<Step>> memory_recover_at;
-
   /// Scheduling weights (default 1.0 each): the adversary picks the next
   /// process proportionally. Zero-weight processes are only scheduled if no
   /// positive-weight process is runnable.
@@ -148,16 +133,12 @@ struct SimConfig {
   /// structure, check::validate_explorable checks explorer soundness.
   std::optional<ExploreFaults> explore_faults;
 
-  /// Usable stack bytes per process fiber; 0 = Fiber::kDefaultStackBytes.
-  /// Million-process runs shrink this to keep the footprint per process
-  /// small — bodies there must be shallow.
-  std::size_t fiber_stack_bytes = 0;
-
-  /// Carve fiber stacks from pooled guardless mappings (FiberStackPool)
-  /// instead of one guarded mmap per fiber. Required beyond n ≈ 3·10^4: the
+  /// Give each process fiber a guardless FiberStackPool::kStackBytes slot
+  /// carved from pooled mappings instead of its own guarded
+  /// Fiber::kDefaultStackBytes mapping. Required beyond n ≈ 3·10^4: the
   /// kernel's vm.max_map_count budget caps per-fiber mappings. The trade is
-  /// losing the overflow guard page, so pair with a generous
-  /// fiber_stack_bytes.
+  /// a smaller stack without the overflow guard page, so bodies run there
+  /// must be shallow.
   bool pooled_fiber_stacks = false;
 
   [[nodiscard]] std::size_t n() const noexcept { return gsm.size(); }
@@ -202,19 +183,7 @@ inline void SimConfig::validate() const {
                           std::to_string(p) + ": a Byzantine process already "
                           "subsumes crashing — count it once against f"};
   }
-  check_arity(memory_fail_at, "memory_fail_at");
-  check_arity(memory_recover_at, "memory_recover_at");
   check_arity(sched_weight, "sched_weight");
-  if (!memory_recover_at.empty()) {
-    if (memory_fail_at.empty())
-      throw ConfigError{"memory_recover_at without memory_fail_at"};
-    for (std::size_t p = 0; p < procs; ++p) {
-      if (!memory_recover_at[p].has_value()) continue;
-      if (!memory_fail_at[p].has_value() || *memory_fail_at[p] >= *memory_recover_at[p])
-        throw ConfigError{"memory window for p" + std::to_string(p) +
-                          " needs memory_fail_at < memory_recover_at"};
-    }
-  }
   for (const double w : sched_weight)
     if (!(w >= 0.0))
       throw ConfigError{"sched_weight entries must be finite and >= 0"};
@@ -222,9 +191,6 @@ inline void SimConfig::validate() const {
     throw ConfigError{"timely pid out of range"};
   if (timely.has_value() && timely_bound == 0)
     throw ConfigError{"timely_bound must be >= 1"};
-  if (fiber_stack_bytes != 0 && fiber_stack_bytes < 16 * 1024)
-    throw ConfigError{"fiber_stack_bytes must be 0 (default) or >= 16 KiB; smaller "
-                      "stacks overflow before the body's first frame"};
   if (explore_faults.has_value()) {
     const ExploreFaults& ef = *explore_faults;
     if (procs + ef.width(procs) > 64)

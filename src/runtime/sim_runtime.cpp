@@ -157,7 +157,7 @@ SimRuntime::SimRuntime(SimConfig config)
   // runtime's.
   const std::size_t n = config_.n();
   if (procs_.size() < n) procs_ = std::vector<Proc>(n);
-  mem_window_.assign(n, MemWindow{});
+  mem_failed_until_.assign(n, 0);
   pending_.resize(n);
   pending_head_.assign(n, kNever);
   metrics_.reset(n);
@@ -170,13 +170,6 @@ SimRuntime::SimRuntime(SimConfig config)
       if (config_.crash_at[i].has_value())
         crash_schedule_.emplace_back(*config_.crash_at[i], static_cast<std::uint32_t>(i));
     std::sort(crash_schedule_.begin(), crash_schedule_.end());
-  }
-  for (std::size_t i = 0; i < config_.memory_fail_at.size(); ++i) {
-    if (!config_.memory_fail_at[i].has_value()) continue;
-    mem_window_[i].fail_at = *config_.memory_fail_at[i];
-    if (i < config_.memory_recover_at.size() && config_.memory_recover_at[i].has_value())
-      mem_window_[i].recover_at = *config_.memory_recover_at[i];
-    mem_faults_armed_ = true;
   }
   if (config_.explore_faults.has_value()) {
     const ExploreFaults& ef = *config_.explore_faults;
@@ -213,7 +206,7 @@ void detail::SimStorage::clear() noexcept {
   crash_schedule_.clear();
   ef_held_.clear();
   proc_rng_.clear();
-  mem_window_.clear();
+  mem_failed_until_.clear();
   reg_slots_.clear();
   reg_values_.clear();
   reg_acl_.clear();
@@ -259,18 +252,15 @@ void SimRuntime::start() {
   if (n <= 1024) {
     for (auto& pend : pending_) pend.reserve(32);
   }
-  const std::size_t stack_bytes = config_.fiber_stack_bytes == 0
-                                      ? Fiber::kDefaultStackBytes
-                                      : config_.fiber_stack_bytes;
-  if (config_.pooled_fiber_stacks) stack_pool_ = std::make_unique<FiberStackPool>(stack_bytes);
+  if (config_.pooled_fiber_stacks) stack_pool_ = std::make_unique<FiberStackPool>();
   for (std::size_t i = 0; i < n; ++i) {
     Proc& pr = procs_[i];
     SimEnv& env = pr.env.emplace(*this, Pid{static_cast<std::uint32_t>(i)});
     runnable_.push_back(i);
     const auto entry = [this, i] { run_process(i); };
     Fiber& fiber = stack_pool_ != nullptr
-                       ? pr.fiber.emplace(entry, stack_pool_->acquire(), stack_pool_->stack_bytes())
-                       : pr.fiber.emplace(entry, stack_bytes);
+                       ? pr.fiber.emplace(entry, stack_pool_->acquire(), FiberStackPool::kStackBytes)
+                       : pr.fiber.emplace(entry);
     fiber_[i] = &fiber;
     env.fiber_ = &fiber;
     env.kill_flag_ = proc_kill_.data() + i;
@@ -455,16 +445,16 @@ void SimRuntime::fail_memory_now(Pid host, std::optional<Step> recover_at) {
   MM_ASSERT(host.index() < config_.n());
   MM_ASSERT_MSG(!recover_at.has_value() || *recover_at > global_step_,
                 "memory recovery must lie in the future");
-  mem_window_[host.index()] = MemWindow{global_step_, recover_at.value_or(kNever)};
+  mem_failed_until_[host.index()] = recover_at.value_or(kNever);
   mem_faults_armed_ = true;
   trace_event(host, TraceEvent::Kind::kMemFail, recover_at.value_or(0));
 }
 
 void SimRuntime::recover_memory_now(Pid host) {
   MM_ASSERT(host.index() < config_.n());
-  MemWindow& w = mem_window_[host.index()];
-  if (w.fail_at <= global_step_ && global_step_ < w.recover_at) {
-    w.recover_at = global_step_;
+  Step& until = mem_failed_until_[host.index()];
+  if (global_step_ < until) {
+    until = global_step_;
     trace_event(host, TraceEvent::Kind::kMemRecover);
   }
 }
@@ -1115,8 +1105,7 @@ void SimRuntime::check_memory_alive(RegId r) const {
   if (!mem_faults_armed_) return;
   if (reg_acl_[r.index()] == kGlobalOwner) return;
   const std::uint32_t owner = reg_owner_[r.index()];
-  const MemWindow& w = mem_window_[owner];
-  if (w.fail_at <= global_step_ && global_step_ < w.recover_at) {
+  if (global_step_ < mem_failed_until_[owner]) {
     throw MemoryFailure{"memory hosted at " + to_string(Pid{owner}) + " has failed"};
   }
 }

@@ -121,15 +121,6 @@ struct SimProc {
 
 inline constexpr Step kNever = ~Step{0};
 
-/// Memory-failure window for one host: failed while
-/// `fail_at <= global step < recover_at` (kNever = unbounded end / never
-/// opened). Built from the config plans; reopened/closed dynamically by
-/// fail_memory_now / recover_memory_now.
-struct MemWindow {
-  Step fail_at = kNever;
-  Step recover_at = kNever;
-};
-
 struct InFlight {
   Step deliver_at;
   std::uint64_t seq;
@@ -188,8 +179,10 @@ struct SimStorage {
   std::vector<std::pair<std::uint32_t, InFlight>> ef_held_;
 
   std::vector<Rng> proc_rng_;
-  /// Per-host memory-failure windows.
-  std::vector<MemWindow> mem_window_;
+  /// Per host: its memory is failed while the global step is below this
+  /// (0 = up, kNever = failed for good). fail_memory_now opens a window at
+  /// the current step, so its end is all a window needs.
+  std::vector<Step> mem_failed_until_;
 
   // Register table, struct-of-arrays by RegId: value words, access-control
   // words, and raw owners in dense parallel arrays so env_read/env_write
@@ -230,6 +223,12 @@ struct SimStorage {
 
   Metrics metrics_;
 };
+
+// clear() names every container: a new one must join it, or a recycled
+// runtime would inherit the last runtime's contents.
+static_assert(sizeof(SimStorage) == 24 * sizeof(std::vector<std::uint64_t>) +
+                                        sizeof(SliceScratch) + sizeof(Metrics),
+              "SimStorage::clear() must empty every container");
 
 }  // namespace detail
 
@@ -276,8 +275,12 @@ class SimRuntime : private detail::SimStorage {
   // dedicated seeded fault stream that fault-free runs never touch).
 
   /// Open a memory-failure window for the registers hosted at `host`,
-  /// starting now. Accesses throw MemoryFailure until `recover_at` (nullopt
-  /// = permanent, the memory_fail_at semantics); values survive the window.
+  /// starting now: every access to one of them throws MemoryFailure until
+  /// `recover_at` (nullopt = for good). Values survive the window
+  /// (unavailability, never corruption), and a host's memory fails
+  /// independently of its process (§6's partial-memory-failure model). The
+  /// one way memory fails: FaultEngine's kMemoryWindow calls it, and so may
+  /// a caller between run chunks.
   void fail_memory_now(Pid host, std::optional<Step> recover_at = std::nullopt);
   /// Close `host`'s memory-failure window now (idempotent).
   void recover_memory_now(Pid host);
@@ -468,7 +471,6 @@ class SimRuntime : private detail::SimStorage {
   enum class ProcState : std::uint8_t { kNew, kParked, kFinished, kCrashed };
 
   using Proc = detail::SimProc;
-  using MemWindow = detail::MemWindow;
   using InFlight = detail::InFlight;
   using SliceScratch = detail::SliceScratch;
   static constexpr Step kNever = detail::kNever;

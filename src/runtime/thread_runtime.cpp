@@ -107,7 +107,8 @@ void ThreadEnv::step() {
   if (pr.kill.load(std::memory_order_acquire)) throw ProcessKilled{};
   rt_->per_proc_[self_.index()]->steps.fetch_add(1, std::memory_order_relaxed);
   rt_->clock_.fetch_add(1, std::memory_order_relaxed);
-  if (rt_->config_.yield_on_step) std::this_thread::yield();
+  // Politeness: oversubscribed runs must not burn a full quantum per spin.
+  std::this_thread::yield();
 }
 
 Step ThreadEnv::now() const { return rt_->clock_.load(std::memory_order_relaxed); }

@@ -61,9 +61,6 @@ class ThreadRuntime {
     std::uint64_t seed = 1;
     LinkType link_type = LinkType::kReliable;
     double drop_prob = 0.0;
-    /// Optional politeness: call std::this_thread::yield() inside step()
-    /// (keeps oversubscribed runs from burning a full quantum per spin).
-    bool yield_on_step = true;
 
     [[nodiscard]] std::size_t n() const noexcept { return gsm.size(); }
   };

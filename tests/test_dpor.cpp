@@ -42,9 +42,7 @@ TEST(Dpor, DifferentialOnInstanceCorpus) {
         find_instance("omega2-steady")}) {
     ASSERT_NE(inst, nullptr);
     ASSERT_TRUE(inst->dfs_feasible);
-    ExploreOptions dfs_opts = inst->dfs;
-    dfs_opts.collect_final_states = true;
-    const InstanceVerdict dfs = check_instance_dfs(*inst, dfs_opts);
+    const InstanceVerdict dfs = check_instance_dfs(*inst);
     const InstanceVerdict dpor = check_instance_dpor(*inst, inst->dpor);
     EXPECT_FALSE(dfs.violation.has_value()) << inst->name << ": " << *dfs.violation;
     EXPECT_FALSE(dpor.violation.has_value()) << inst->name << ": " << *dpor.violation;
@@ -53,6 +51,41 @@ TEST(Dpor, DifferentialOnInstanceCorpus) {
     EXPECT_EQ(dfs.result.final_states, dpor.result.final_states) << inst->name;
     EXPECT_LT(dpor.result.runs, dfs.result.runs) << inst->name;
   }
+}
+
+TEST(Dpor, ExplorersShareOneBudgetRule) {
+  // Both explorers test the run budget before each run, and a tree that
+  // runs out first is covered in full: a budget of exactly the tree's size
+  // reads full, one run fewer reads budget-truncated, and 0 runs nothing.
+  // steppers2's naive tree has C(6,3) = 20 runs; its DPOR walk is 1 replay.
+  const Instance* inst = find_instance("steppers2");
+  ASSERT_NE(inst, nullptr);
+  const auto dfs = [inst](std::uint64_t budget) {
+    ExploreOptions o = inst->dfs;
+    o.max_runs = budget;
+    return check_instance_dfs(*inst, o).result;
+  };
+  const auto dpor = [inst](std::uint64_t budget) {
+    DporOptions o = inst->dpor;
+    o.max_runs = budget;
+    return check_instance_dpor(*inst, o).result;
+  };
+  const ExploreResult whole = dfs(20);
+  EXPECT_EQ(whole.runs, 20u);
+  EXPECT_EQ(whole.exhaustiveness, Exhaustiveness::kFull);
+  const ExploreResult short_one = dfs(19);
+  EXPECT_EQ(short_one.runs, 19u);
+  EXPECT_EQ(short_one.exhaustiveness, Exhaustiveness::kBudgetTruncated);
+  const ExploreResult none = dfs(0);
+  EXPECT_EQ(none.runs, 0u);
+  EXPECT_EQ(none.exhaustiveness, Exhaustiveness::kBudgetTruncated);
+
+  const ExploreResult walk = dpor(1);
+  EXPECT_EQ(walk.runs, 1u);
+  EXPECT_EQ(walk.exhaustiveness, Exhaustiveness::kFull);
+  const ExploreResult no_walk = dpor(0);
+  EXPECT_EQ(no_walk.runs, 0u);
+  EXPECT_EQ(no_walk.exhaustiveness, Exhaustiveness::kBudgetTruncated);
 }
 
 TEST(Dpor, TenfoldReductionOnPinnedInstance) {
@@ -155,7 +188,6 @@ void expect_fault_class_differential(const runtime::ExploreFaults& ef,
   const auto make = [&ef, recv_iters]() { return make_fault_micro(ef, recv_iters); };
   const auto verify = [](SimRuntime&) {};
   ExploreOptions dfs_opts;
-  dfs_opts.collect_final_states = true;
   dfs_opts.max_runs = 500'000;
   const ExploreResult dfs = explore_schedules(make, verify, dfs_opts);
   const ExploreResult dpor = explore_dpor(make, verify, DporOptions{});
@@ -570,7 +602,6 @@ TEST(Dpor, ValidateExplorableRejectsUnsoundConfigs) {
   });
   reject(+[](SimConfig& c) { c.partition = runtime::Partition{1, 0, 8}; });
   reject(+[](SimConfig& c) { c.crash_at = {std::nullopt, Step{5}}; });  // mid-run crash
-  reject(+[](SimConfig& c) { c.memory_fail_at = {Step{3}, std::nullopt}; });
 
   SimConfig ok;
   ok.gsm = graph::complete(2);

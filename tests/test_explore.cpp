@@ -266,8 +266,8 @@ TEST(Explore, RwConsensusExhaustiveWithinPreemptionBound) {
 TEST(Explore, ExhaustivenessContract) {
   // Pins the ExploreResult reporting contract (referenced from explore.hpp):
   // `exhaustiveness` carries the precise claim. The DFS has no state cache,
-  // so its prune counters must stay zero, and final states are collected
-  // only on request.
+  // so its prune counters must stay zero, and every completed run's final
+  // state is collected.
   auto make = []() {
     SimConfig cfg;
     cfg.gsm = graph::complete(2);
@@ -284,7 +284,6 @@ TEST(Explore, ExhaustivenessContract) {
 
   // Unbounded + exhausted: the unconditional claim.
   ExploreOptions opts;
-  opts.collect_final_states = true;
   const auto full = explore_schedules(make, none, opts);
   EXPECT_EQ(full.exhaustiveness, Exhaustiveness::kFull);
   EXPECT_EQ(full.runs_pruned_by_state_cache, 0u);
@@ -305,11 +304,6 @@ TEST(Explore, ExhaustivenessContract) {
   const auto cut = explore_schedules(make, none, truncated);
   EXPECT_EQ(cut.runs, 3u);
   EXPECT_EQ(cut.exhaustiveness, Exhaustiveness::kBudgetTruncated);
-
-  // Final states are opt-in.
-  ExploreOptions quiet;
-  quiet.collect_final_states = false;
-  EXPECT_TRUE(explore_schedules(make, none, quiet).final_states.empty());
 }
 
 TEST(Explore, MutualExclusionBoundedExploration) {

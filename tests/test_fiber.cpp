@@ -184,6 +184,64 @@ TEST(Fiber, SimRuntimeInsideFiber) {
   EXPECT_TRUE(f.done());
 }
 
+// -- pooled stacks -----------------------------------------------------------
+
+/// Run a four-process workload of register reads and writes, coin flips,
+/// sends and drains to completion, on pooled or on guarded fiber stacks.
+std::unique_ptr<SimRuntime> run_small_workload(bool pooled) {
+  SimConfig cfg;
+  cfg.gsm = graph::complete(4);
+  cfg.seed = 21;
+  cfg.pooled_fiber_stacks = pooled;
+  auto rt = std::make_unique<SimRuntime>(cfg);
+  for (std::uint32_t p = 0; p < 4; ++p)
+    rt->add_process([p](Env& env) {
+      const RegId mine = env.reg(RegKey::make(0x31, Pid{p}));
+      const RegId next = env.reg(RegKey::make(0x31, Pid{(p + 1) % 4}));
+      std::vector<Message> drained;
+      Message m;
+      m.kind = 1;
+      for (int i = 0; i < 20; ++i) {
+        env.write(mine, env.read(next) + (env.coin() ? 1 : 2));
+        m.value = static_cast<std::uint64_t>(i);
+        env.send(Pid{(p + 1) % 4}, m);
+        env.drain_inbox(drained);
+        env.step();
+      }
+    });
+  EXPECT_TRUE(rt->run_until_all_done(100'000));
+  rt->rethrow_process_error();
+  return rt;
+}
+
+/// Every counter of `m`, in field order.
+std::vector<std::uint64_t> counters(const Metrics& m) {
+  std::vector<std::uint64_t> out{m.msgs_sent,        m.msgs_delivered,  m.msgs_dropped,
+                                 m.reg_reads,        m.reg_writes,      m.reg_cas_ops,
+                                 m.reg_reads_local,  m.reg_writes_local, m.reg_cas_local};
+  for (const std::vector<std::uint64_t>* per :
+       {&m.steps_by_proc, &m.sends_by_proc, &m.reads_by_proc, &m.writes_by_proc,
+        &m.remote_reads_by_proc, &m.remote_writes_by_proc})
+    out.insert(out.end(), per->begin(), per->end());
+  return out;
+}
+
+TEST(FiberStacks, PooledStacksRunTheGuardedTrajectory) {
+  // The stack a process runs on is not part of the trajectory: a pooled
+  // runtime ends where a guarded one does, and maps no guarded stack.
+  const FiberStackCounts c0 = fiber_stack_counts();
+  const std::unique_ptr<SimRuntime> pooled = run_small_workload(true);
+  const FiberStackCounts c1 = fiber_stack_counts();
+  EXPECT_EQ(c1.mapped, c0.mapped);
+  const std::unique_ptr<SimRuntime> guarded = run_small_workload(false);
+  EXPECT_EQ(fiber_stack_counts().mapped - c1.mapped, 4u);
+
+  EXPECT_EQ(counters(pooled->metrics()), counters(guarded->metrics()));
+  EXPECT_EQ(pooled->register_values(), guarded->register_values());
+  EXPECT_EQ(pooled->now(), guarded->now());
+  EXPECT_GT(pooled->metrics().msgs_delivered, 0u);
+}
+
 // -- FiberStackRecycler ------------------------------------------------------
 
 /// Build, run and destroy a three-process runtime: three default-size
@@ -219,27 +277,16 @@ TEST(FiberRecycler, SecondRuntimeInScopeMapsNoStack) {
   EXPECT_EQ(after.unmapped - before.unmapped, 3u);
 }
 
-TEST(FiberRecycler, OtherSizesAndUnscopedFibersOwnTheirStacks) {
-  const auto run_one = [](std::size_t stack_bytes) {
-    Fiber f{[] {}, stack_bytes};
+TEST(FiberRecycler, UnscopedFibersOwnTheirStacks) {
+  const FiberStackCounts c0 = fiber_stack_counts();
+  {
+    Fiber f{[] {}};  // no scope open
     f.resume();
     EXPECT_TRUE(f.done());
-  };
-  const FiberStackCounts c0 = fiber_stack_counts();
-  run_one(Fiber::kDefaultStackBytes);  // no scope open
+  }
   const FiberStackCounts c1 = fiber_stack_counts();
   EXPECT_EQ(c1.mapped - c0.mapped, 1u);
   EXPECT_EQ(c1.unmapped - c0.unmapped, 1u);
-  {
-    const FiberStackRecycler scope;
-    for (int i = 0; i < 2; ++i) run_one(2 * Fiber::kDefaultStackBytes);
-    const FiberStackCounts c2 = fiber_stack_counts();
-    EXPECT_EQ(c2.mapped - c1.mapped, 2u);
-    EXPECT_EQ(c2.unmapped - c1.unmapped, 2u);
-  }
-  const FiberStackCounts c3 = fiber_stack_counts();
-  EXPECT_EQ(c3.mapped - c0.mapped, 3u);
-  EXPECT_EQ(c3.unmapped - c0.unmapped, 3u);  // nothing was cached
 }
 
 TEST(FiberRecycler, FiberOutlivingItsScopeUnmapsItsStack) {

@@ -9,6 +9,7 @@
 #include "core/hbo.hpp"
 #include "core/omega.hpp"
 #include "core/tags.hpp"
+#include "fault/engine.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -26,7 +27,6 @@ TEST(MemoryFailureRuntime, AccessThrowsAfterFailStep) {
   SimConfig cfg;
   cfg.gsm = graph::complete(2);
   cfg.seed = 1;
-  cfg.memory_fail_at = {std::optional<Step>{50}, std::nullopt};
   SimRuntime rt{cfg};
   bool before_ok = false, after_threw = false;
   rt.add_process([&](Env& env) {
@@ -41,6 +41,8 @@ TEST(MemoryFailureRuntime, AccessThrowsAfterFailStep) {
     }
   });
   rt.add_process([](Env&) {});
+  rt.run_steps(50);
+  rt.fail_memory_now(Pid{0});
   rt.run_until_all_done(10'000);
   rt.rethrow_process_error();
   EXPECT_TRUE(before_ok);
@@ -48,14 +50,12 @@ TEST(MemoryFailureRuntime, AccessThrowsAfterFailStep) {
 }
 
 TEST(MemoryFailureRuntime, TransientWindowThrowsInsideRecoversAfter) {
-  // memory_fail_at + memory_recover_at describe a *window*: accesses throw
-  // inside it, and afterwards the register is reachable again with its
-  // pre-failure value intact (unavailability, never corruption).
+  // A window with a recovery step: accesses throw inside it, and afterwards
+  // the register is reachable again with its pre-failure value intact
+  // (unavailability, never corruption).
   SimConfig cfg;
   cfg.gsm = graph::complete(2);
   cfg.seed = 4;
-  cfg.memory_fail_at = {std::optional<Step>{50}, std::nullopt};
-  cfg.memory_recover_at = {std::optional<Step>{200}, std::nullopt};
   SimRuntime rt{cfg};
   bool inside_threw = false, after_ok = false;
   rt.add_process([&](Env& env) {
@@ -71,6 +71,8 @@ TEST(MemoryFailureRuntime, TransientWindowThrowsInsideRecoversAfter) {
     after_ok = env.read(r) == 7;  // value survived the outage
   });
   rt.add_process([](Env&) {});
+  rt.run_steps(50);
+  rt.fail_memory_now(Pid{0}, Step{200});
   rt.run_until_all_done(10'000);
   rt.rethrow_process_error();
   EXPECT_TRUE(inside_threw);
@@ -112,8 +114,8 @@ TEST(MemoryFailureRuntime, OtherHostsUnaffected) {
   SimConfig cfg;
   cfg.gsm = graph::complete(3);
   cfg.seed = 2;
-  cfg.memory_fail_at = {std::optional<Step>{0}, std::nullopt, std::nullopt};
   SimRuntime rt{cfg};
+  rt.fail_memory_now(Pid{0});
   rt.add_process([](Env& env) {
     // Host 1's registers still work even though host 0's memory is gone.
     const RegId r = env.reg(RegKey::make(core::kTagState, Pid{1}));
@@ -130,8 +132,9 @@ TEST(MemoryFailureRuntime, GlobalKeysNeverFail) {
   SimConfig cfg;
   cfg.gsm = graph::complete(2);
   cfg.seed = 3;
-  cfg.memory_fail_at = {std::optional<Step>{0}, std::optional<Step>{0}};
   SimRuntime rt{cfg};
+  rt.fail_memory_now(Pid{0});
+  rt.fail_memory_now(Pid{1});
   rt.add_process([](Env& env) {
     const RegId r = env.reg(RegKey::make_global(0x50, Pid{0}));
     env.write(r, 1);
@@ -180,15 +183,17 @@ struct HboMemRun {
   std::optional<std::uint32_t> decision;
 };
 
+/// `mem_windows` are kMemoryWindow rules the run's fault engine fires.
 HboMemRun run_hbo_memfail(const graph::Graph& gsm, const std::vector<std::uint32_t>& inputs,
-                          const std::vector<std::optional<Step>>& mem_fail,
-                          std::uint64_t seed, Step budget = 4'000'000) {
+                          std::vector<fault::FaultRule> mem_windows, std::uint64_t seed,
+                          Step budget = 4'000'000) {
   const std::size_t n = gsm.size();
   SimConfig sim;
   sim.gsm = gsm;
   sim.seed = seed;
-  sim.memory_fail_at = mem_fail;
   SimRuntime rt{std::move(sim)};
+  fault::FaultEngine engine{std::move(mem_windows)};
+  rt.set_fault_injector(&engine);
   std::vector<std::unique_ptr<core::HboConsensus>> algs;
   for (std::size_t p = 0; p < n; ++p) {
     core::HboConsensus::Config hc;
@@ -220,8 +225,9 @@ TEST(HboMemoryFailure, DecidesDespitePartialMemoryLoss) {
   // messages... each process still represents itself through surviving
   // objects) keeps a majority.
   const graph::Graph g = graph::complete(6);
-  std::vector<std::optional<Step>> mem(6);
-  mem[1] = mem[4] = Step{0};
+  const std::vector<fault::FaultRule> mem{
+      {.count = 0, .action = fault::Action::kMemoryWindow, .target = Pid{1}},
+      {.count = 0, .action = fault::Action::kMemoryWindow, .target = Pid{4}}};
   const auto res =
       run_hbo_memfail(g, std::vector<std::uint32_t>{0, 1, 0, 1, 0, 1}, mem, 3);
   EXPECT_TRUE(res.agreement);
@@ -234,9 +240,13 @@ TEST(HboMemoryFailure, MidRunFailuresStaySafe) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     std::vector<std::uint32_t> inputs;
     for (int p = 0; p < 8; ++p) inputs.push_back(rng.coin() ? 1 : 0);
-    std::vector<std::optional<Step>> mem(8);
-    mem[rng.below(8)] = rng.between(0, 2'000);
-    mem[rng.below(8)] = rng.between(0, 2'000);
+    // Two hosts fail for good at steps in [0, 2000]: the step is drawn
+    // before its host. (No seed here draws one host twice.)
+    std::vector<fault::FaultRule> mem;
+    for (int k = 0; k < 2; ++k)
+      mem.push_back({.count = rng.between(0, 2'000),
+                     .action = fault::Action::kMemoryWindow,
+                     .target = Pid{static_cast<std::uint32_t>(rng.below(8))}});
     const auto res = run_hbo_memfail(g, inputs, mem, seed * 13);
     EXPECT_TRUE(res.agreement) << "seed " << seed;
   }
@@ -247,7 +257,9 @@ TEST(HboMemoryFailure, TotalMemoryLossDegradesToBenOr) {
   // representation of... nothing — no process can even be represented, so
   // no majority ever forms and the run must not decide. Safety still holds.
   const graph::Graph g = graph::complete(4);
-  std::vector<std::optional<Step>> mem(4, Step{0});
+  std::vector<fault::FaultRule> mem;
+  for (std::uint32_t p = 0; p < 4; ++p)
+    mem.push_back({.count = 0, .action = fault::Action::kMemoryWindow, .target = Pid{p}});
   const auto res = run_hbo_memfail(g, std::vector<std::uint32_t>{0, 1, 0, 1}, mem, 7,
                                    /*budget=*/80'000);
   EXPECT_TRUE(res.agreement);
@@ -267,11 +279,8 @@ TEST(HboMemoryFailure, TransientMinorityLossStaysLiveAndDecides) {
   SimConfig sim;
   sim.gsm = g;
   sim.seed = 7;
-  sim.memory_fail_at.assign(n, std::nullopt);
-  sim.memory_recover_at.assign(n, std::nullopt);
-  sim.memory_fail_at[3] = Step{0};
-  sim.memory_recover_at[3] = Step{5'000};
   SimRuntime rt{std::move(sim)};
+  rt.fail_memory_now(Pid{3}, Step{5'000});
   const std::vector<std::uint32_t> inputs{0, 1, 0, 1};
   std::vector<std::unique_ptr<core::HboConsensus>> algs;
   for (std::size_t p = 0; p < n; ++p) {
@@ -303,9 +312,10 @@ TEST(OmegaMemoryFailure, ReelectsWhenLeadersMemoryDies) {
   SimConfig sim;
   sim.gsm = graph::complete(n);
   sim.seed = 11;
-  sim.memory_fail_at.assign(n, std::nullopt);
-  sim.memory_fail_at[0] = 20'000;
   SimRuntime rt{std::move(sim)};
+  fault::FaultEngine engine{
+      {{.count = 20'000, .action = fault::Action::kMemoryWindow, .target = Pid{0}}}};
+  rt.set_fault_injector(&engine);
   std::vector<std::unique_ptr<core::OmegaMM>> nodes;
   for (std::size_t p = 0; p < n; ++p) {
     nodes.push_back(std::make_unique<core::OmegaMM>(core::OmegaMM::Config{}));
@@ -333,11 +343,12 @@ TEST(OmegaMemoryFailure, ReadoptsRecoveredHost) {
   SimConfig sim;
   sim.gsm = graph::complete(n);
   sim.seed = 13;
-  sim.memory_fail_at.assign(n, std::nullopt);
-  sim.memory_recover_at.assign(n, std::nullopt);
-  sim.memory_fail_at[0] = 20'000;
-  sim.memory_recover_at[0] = 60'000;
   SimRuntime rt{std::move(sim)};
+  fault::FaultEngine engine{{{.count = 20'000,
+                              .action = fault::Action::kMemoryWindow,
+                              .target = Pid{0},
+                              .duration = 40'000}}};  // recovers at step 60'000
+  rt.set_fault_injector(&engine);
   std::vector<std::unique_ptr<core::OmegaMM>> nodes;
   for (std::size_t p = 0; p < n; ++p) {
     nodes.push_back(std::make_unique<core::OmegaMM>(core::OmegaMM::Config{}));

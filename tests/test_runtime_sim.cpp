@@ -850,23 +850,6 @@ TEST(SimConfigValidate, RejectsWrongArityPlans) {
   SimConfig cfg = base_config(4);
   cfg.crash_at.assign(3, std::nullopt);  // 3 entries for n = 4
   EXPECT_THROW(cfg.validate(), ConfigError);
-  cfg.crash_at.clear();
-  cfg.memory_fail_at.assign(5, std::nullopt);
-  EXPECT_THROW(cfg.validate(), ConfigError);
-}
-
-TEST(SimConfigValidate, RejectsBadMemoryWindows) {
-  SimConfig cfg = base_config(2);
-  // Recovery without a failure plan.
-  cfg.memory_recover_at.assign(2, std::nullopt);
-  cfg.memory_recover_at[0] = 100;
-  EXPECT_THROW(cfg.validate(), ConfigError);
-  // Recovery at/before the failure step.
-  cfg.memory_fail_at.assign(2, std::nullopt);
-  cfg.memory_fail_at[0] = 100;
-  EXPECT_THROW(cfg.validate(), ConfigError);
-  cfg.memory_fail_at[0] = 50;
-  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(SimConfigValidate, RejectsBadTimelinessAndWeights) {

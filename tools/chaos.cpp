@@ -32,14 +32,13 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "fault/campaign.hpp"
-#include "flags.hpp"
 
 namespace {
 
 using namespace mm;
 using namespace mm::fault;
-using mm::tools::parse_flag;
 
 int usage() {
   std::fprintf(stderr,
@@ -111,14 +110,14 @@ int cmd_campaign(int argc, char** argv) {
       if (i + 1 >= argc) throw std::runtime_error{"missing value for " + a};
       return argv[++i];
     };
-    if (a == "--seed") cfg.seed = parse_flag(a, next());
-    else if (a == "--trials") cfg.trials = parse_flag(a, next());
+    if (a == "--seed") cfg.seed = parse_decimal(a, next());
+    else if (a == "--trials") cfg.trials = parse_decimal(a, next());
     else if (a == "--no-omega") cfg.include_omega = false;
     else if (a == "--byzantine") cfg.include_byzantine = true;
     else if (a == "--assert-termination") cfg.assert_termination = true;
     else if (a == "--expect-violations") expect_violations = true;
     else if (a == "--no-shrink") cfg.shrink_findings = false;
-    else if (a == "--max-findings") cfg.max_findings = parse_flag<std::size_t>(a, next());
+    else if (a == "--max-findings") cfg.max_findings = parse_decimal<std::size_t>(a, next());
     else if (a == "--out") out_dir = next();
     else return usage();
   }

@@ -5,16 +5,18 @@
 //     Print every registered instance with its tuned budgets and whether the
 //     naive DFS baseline is feasible for it.
 //
-//   check run NAME... [--dfs [--bound K]] [--max-runs N] [--max-steps N]
-//                     [--no-cache] [--no-sleep]
+//   check run NAME... [--max-runs N] [--max-steps N]
+//                     [--dfs [--bound K] | [--no-cache] [--no-sleep]]
 //     Explore the named instances (or 'all') with the DPOR explorer (default)
 //     or the naive DFS. Exit 0 when every clean instance verifies clean and
 //     exhausts (its verdict is not budget-truncated) and every planted-bug
-//     instance produces its violation; 1 otherwise. --bound K is the DFS's
-//     preemption bound: the DPOR walk has none (dpor.hpp), so without --dfs
-//     it exits 2. --no-sleep sets DporOptions::sleep_sets = false, which
-//     only stops the walk skipping backtrack candidates that were asleep on
-//     entry: replays still end sleep-blocked (dpor.hpp).
+//     instance produces its violation; 1 otherwise. Each explorer's flags
+//     refuse the other (exit 2): --bound K is the DFS's preemption bound,
+//     and the DPOR walk has none (dpor.hpp); --no-cache and --no-sleep
+//     switch off parts of the DPOR walk, which the DFS does not have.
+//     --no-sleep sets DporOptions::sleep_sets = false, which only stops the
+//     walk skipping backtrack candidates that were asleep on entry: replays
+//     still end sleep-blocked (dpor.hpp).
 //
 //   check diff NAME...
 //     Differential mode: run DFS and DPOR on each instance (DFS-feasible
@@ -39,23 +41,23 @@
 #include <vector>
 
 #include "check/instances.hpp"
+#include "common/parse.hpp"
 #include "fault/explore_bridge.hpp"
-#include "flags.hpp"
 
 namespace {
 
 using namespace mm;
 using namespace mm::check;
-using mm::tools::parse_flag;
 
 int usage() {
   std::fprintf(stderr,
                "usage: check list\n"
-               "       check run NAME... [--dfs [--bound K]] [--max-runs N]\n"
-               "                 [--max-steps N] [--no-cache] [--no-sleep]\n"
+               "       check run NAME... [--max-runs N] [--max-steps N]\n"
+               "                 [--dfs [--bound K] | [--no-cache] [--no-sleep]]\n"
                "       check diff NAME...\n"
                "       check replay FILE... [--max-runs N] [--max-steps N]\n"
-               "(NAME may be 'all'. --bound K, a preemption bound, needs --dfs.\n"
+               "(NAME may be 'all'. --bound K, a preemption bound, needs --dfs;\n"
+               " --no-cache and --no-sleep are the DPOR walk's: --dfs rejects them.\n"
                " --no-sleep only stops the walk skipping candidates asleep on\n"
                " entry; replays still end sleep-blocked)\n");
   return 2;
@@ -132,9 +134,9 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--dfs") use_dfs = true;
-    else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = parse_flag(a, next()); have_max_runs = true; }
-    else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
-    else if (a == "--bound") dfs_over.max_preemptions = parse_flag<std::uint32_t>(a, next());
+    else if (a == "--max-runs") { dpor_over.max_runs = dfs_over.max_runs = parse_decimal(a, next()); have_max_runs = true; }
+    else if (a == "--max-steps") { dpor_over.max_steps_per_run = dfs_over.max_steps_per_run = parse_decimal(a, next()); have_max_steps = true; }
+    else if (a == "--bound") dfs_over.max_preemptions = parse_decimal<std::uint32_t>(a, next());
     else if (a == "--no-cache") no_cache = true;
     else if (a == "--no-sleep") no_sleep = true;
     else if (!a.empty() && a[0] == '-') return usage();
@@ -143,6 +145,13 @@ int cmd_run(int argc, char** argv) {
   if (names.empty()) return usage();
   if (dfs_over.max_preemptions.has_value() && !use_dfs) {
     std::fprintf(stderr, "check: --bound needs --dfs: the DPOR walk has no preemption bound\n");
+    return 2;
+  }
+  if (use_dfs && (no_cache || no_sleep)) {
+    std::fprintf(stderr,
+                 "check: %s does not apply with --dfs: the naive DFS has no state cache "
+                 "or sleep sets\n",
+                 no_cache ? "--no-cache" : "--no-sleep");
     return 2;
   }
   bool ok = true;
@@ -186,9 +195,7 @@ int cmd_diff(int argc, char** argv) {
   for (const Instance* inst : picked) {
     if (!inst->dfs_feasible && !explicit_names) continue;
     std::printf("%s\n", inst->name.c_str());
-    ExploreOptions dfs_opts = inst->dfs;
-    dfs_opts.collect_final_states = true;
-    const InstanceVerdict a = check_instance_dfs(*inst, dfs_opts);
+    const InstanceVerdict a = check_instance_dfs(*inst);
     const InstanceVerdict b = check_instance_dpor(*inst, inst->dpor);
     print_result("dfs", a);
     print_result("dpor", b);
@@ -223,8 +230,8 @@ int cmd_replay(int argc, char** argv) {
       if (i + 1 >= argc) throw std::runtime_error{"missing value for " + a};
       return argv[++i];
     };
-    if (a == "--max-runs") { over.max_runs = parse_flag(a, next()); have_max_runs = true; }
-    else if (a == "--max-steps") { over.max_steps_per_run = parse_flag(a, next()); have_max_steps = true; }
+    if (a == "--max-runs") { over.max_runs = parse_decimal(a, next()); have_max_runs = true; }
+    else if (a == "--max-steps") { over.max_steps_per_run = parse_decimal(a, next()); have_max_steps = true; }
     else if (!a.empty() && a[0] == '-') return usage();
     else files.push_back(a);
   }

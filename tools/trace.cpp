@@ -29,18 +29,17 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/tags.hpp"
 #include "fault/engine.hpp"
 #include "fault/rule.hpp"
 #include "graph/graph.hpp"
 #include "obs/perfetto_trace.hpp"
 #include "runtime/sim_runtime.hpp"
-#include "flags.hpp"
 
 namespace {
 
 using namespace mm;
-using mm::tools::parse_flag;
 using fault::Json;
 using runtime::SimRuntime;
 
@@ -223,8 +222,8 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw std::runtime_error{"missing value for " + a};
         return argv[++i];
       };
-      if (a == "--seed") opt.seed = parse_flag(a, next());
-      else if (a == "--iters") opt.iters = parse_flag<int>(a, next());
+      if (a == "--seed") opt.seed = parse_decimal(a, next());
+      else if (a == "--iters") opt.iters = parse_decimal<int>(a, next());
       else if (a == "--out") opt.out = next();
       else if (a == "--from") opt.from = next();
       else return usage();
