@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark): primitive costs of the substrate —
-// simulator scheduling steps, register operations under both runtimes,
+// simulator scheduling steps, register operations,
 // adopt-commit and consensus-object proposals, and a small end-to-end HBO.
 // These are the constants behind the experiment tables' wall-clock columns.
 //

@@ -14,13 +14,18 @@
 //   omega      leader-election stabilization + steady-state profile
 //   graph      expansion/tolerance analysis of a topology
 //   trace      tiny annotated HBO run with the event trace printed
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/hbo.hpp"
 #include "core/trial.hpp"
@@ -33,12 +38,19 @@ namespace {
 
 using namespace mm;
 
+/// `--flag value` pairs. Every accessor checks its value strictly: a
+/// malformed one throws std::invalid_argument naming the flag, which main()
+/// reports with exit status 2.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
+    for (int i = first; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected --flag value, got '%s'\n", argv[i]);
+        std::fprintf(stderr, "mmlab: expected --flag value, got '%s'\n", argv[i]);
+        std::exit(2);
+      }
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "mmlab: missing value for %s\n", argv[i]);
         std::exit(2);
       }
       values_[argv[i] + 2] = argv[i + 1];
@@ -49,13 +61,20 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? dflt : it->second;
   }
-  [[nodiscard]] std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
+  [[nodiscard]] std::uint64_t num(const std::string& key, std::uint64_t dflt,
+                                  std::uint64_t min = 0) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
+    return it == values_.end() ? dflt : parse_decimal("--" + key, it->second, min);
   }
   [[nodiscard]] double real(const std::string& key, double dflt) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return dflt;
+    const std::string& text = it->second;
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || ptr != text.data() + text.size() || !std::isfinite(v))
+      throw std::invalid_argument{"--" + key + " wants a decimal number, got '" + text + "'"};
+    return v;
   }
 
  private:
@@ -84,7 +103,7 @@ graph::Graph make_topology(const std::string& name, std::size_t n, std::size_t d
     Rng rng{seed * 131 + n * 17 + d};
     return graph::random_regular_must(n, d, rng);
   }
-  std::fprintf(stderr, "unknown topology '%s'\n", name.c_str());
+  std::fprintf(stderr, "mmlab: unknown topology '%s'\n", name.c_str());
   std::exit(2);
 }
 
@@ -95,6 +114,7 @@ int cmd_consensus(const Args& args) {
   const std::string algo_name = args.str("algo", "hbo");
   const std::string topology = args.str("topology", "rreg");
   const std::string crash = args.str("crash", "worst");
+  const std::uint64_t seeds = args.num("seeds", 10, 1);
 
   core::ConsensusTrialConfig cfg;
   cfg.gsm = make_topology(topology, n, d, seed);
@@ -117,7 +137,7 @@ int cmd_consensus(const Args& args) {
               graph::hbo_f_bound(n, graph::vertex_expansion_exact(cfg.gsm).h),
               graph::hbo_f_exact(cfg.gsm), graph::impossibility_f_threshold(cfg.gsm));
 
-  const auto sweep = core::sweep_termination(cfg, args.num("seeds", 10));
+  const auto sweep = core::sweep_termination(cfg, seeds);
   Table t{{"algo", "f", "crash", "termination", "mean rounds", "mean steps",
            "safety violations"}};
   t.row()
@@ -191,6 +211,7 @@ int cmd_trace(const Args& args) {
   sim.gsm = gsm;
   sim.seed = args.num("seed", 1);
   const std::size_t f = args.num("f", 1);
+  const std::size_t steps = args.num("steps", 60);
   sim.crash_at.assign(n, std::nullopt);
   for (std::size_t p = 0; p < f && p < n - 1; ++p) sim.crash_at[n - 1 - p] = 0;
   runtime::SimRuntime rt{std::move(sim)};
@@ -206,7 +227,7 @@ int cmd_trace(const Args& args) {
   rt.run_until_all_done(2'000'000);
   rt.shutdown();
   rt.rethrow_process_error();
-  std::printf("%s", rt.dump_trace(args.num("steps", 60)).c_str());
+  std::printf("%s", rt.dump_trace(steps).c_str());
   std::printf("\ndecisions:");
   for (std::uint32_t p = 0; p < n; ++p) std::printf(" p%u=%d", p, algs[p]->decision());
   std::printf("\n");
@@ -234,10 +255,15 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Args args{argc, argv, 2};
-  if (cmd == "consensus") return cmd_consensus(args);
-  if (cmd == "omega") return cmd_omega(args);
-  if (cmd == "graph") return cmd_graph(args);
-  if (cmd == "trace") return cmd_trace(args);
+  try {
+    if (cmd == "consensus") return cmd_consensus(args);
+    if (cmd == "omega") return cmd_omega(args);
+    if (cmd == "graph") return cmd_graph(args);
+    if (cmd == "trace") return cmd_trace(args);
+  } catch (const std::invalid_argument& e) {  // a malformed flag, or a ConfigError
+    std::fprintf(stderr, "mmlab: %s\n", e.what());
+    return 2;
+  }
   usage();
   return 2;
 }

@@ -4,7 +4,8 @@
 #
 # Stages (each one is a ctest label selection over the same build tree):
 #   build      configure (RelWithDebInfo) + compile everything
-#   unit       the gtest suite (everything without a stage label) — tier 1
+#   unit       the gtest suite and the examples (everything without a stage
+#              label) — tier 1
 #   smoke      bench smoke: trimmed microbench + engine bench + perf record
 #   chaos      fault-injection campaigns: safety, Byzantine, planted+replay
 #   explore    model checker: DFS/DPOR differential + chaos bridge replay

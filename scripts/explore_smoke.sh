@@ -22,6 +22,8 @@
 # bounded verdict over 21 final states; and a DFS budget of exactly the
 # tree's size covers it: `check run steppers2 --dfs --max-runs 20` reads
 # full after 20 runs and passes, `--max-runs 19` reads budget-truncated.
+# A planted bug prints only what the explorer knows when it stops: `check
+# run ac2-broken` exits 0 and names the verified run, with no result line.
 # Wired into CTest under the "explore" label:
 #     ctest -L explore
 #
@@ -100,6 +102,20 @@ echo "$out"
 case "$out" in
   *"within-preemption-bound, 21 final state(s)"*) ;;
   *) echo "FAIL: expected within-preemption-bound over 21 final states"; exit 1 ;;
+esac
+
+echo "== planted bug: the violation is reported, not an empty result =="
+rc=0
+out=$("$CHECK" run ac2-broken) || rc=$?
+echo "$out"
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL: check run ac2-broken exited $rc, not 0"
+  exit 1
+fi
+case "$out" in
+  *" 0 runs "*) echo "FAIL: a violating exploration printed the empty result"; exit 1 ;;
+  *"dpor: VIOLATION on verified run "*) ;;
+  *) echo "FAIL: expected the DPOR walk to report the planted violation"; exit 1 ;;
 esac
 
 echo "== run all instances (DPOR; clean must exhaust, planted must trip) =="

@@ -29,16 +29,19 @@ case "$MODE" in
     BUILD_DIR=${BUILD_DIR:-build-tsan}
     # Runtime + concurrency surface only: TSan's ~10x slowdown makes the full
     # suite impractical, and the single-threaded analysis passes add nothing.
+    # Every test that runs ThreadRuntime is in: its own suite, the paper
+    # algorithms on real threads, and the shm, mutex and register-history
+    # tests that contend on it.
     # The explorer suites are in because their walkers switch between fibers
     # on recycled stacks, which TSan's fiber annotations must follow; the
     # walk pins drive the state cache's arenas through long walks.
-    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:Explore.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:SimRuntime.*:SimEnv.*:Jobs.*:ParallelMap.*:TrialEngine.*:ThreadRuntime.*:ThreadAlgorithms.*:ConsensusObject.ThreadRuntimeContention:Mutex.ThreadRuntimeMutualExclusion:LinCheck.ThreadRegisterHistoryIsAtomic:Explore.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
     ;;
   address|ON|on)
     MODE=address
     BUILD_DIR=${BUILD_DIR:-build-sanitize}
-    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
+    FILTER=${GTEST_FILTER:-'Fiber*:TrajectoryPins.*:TupleVec.*:SlabPool.*:AllocInvariant.*:SimRuntime.*:SimEnv.*:SimConfigValidate.*:Jobs.*:ParallelMap.*:TrialEngine.*:SweepTermination.*:ThreadRuntime.*:ThreadAlgorithms.*:ConsensusObject.ThreadRuntimeContention:Mutex.ThreadRuntimeMutualExclusion:LinCheck.ThreadRegisterHistoryIsAtomic:FaultEngine.*:FaultJson.*:ChaosCampaign.*:ChaosShrink.*:ChaosBridge.*:Explore.*:FootprintClasses.*:Dpor.*:DporFaults.*:DporWalkPins.*'}
     # Leak checking needs ptrace, which containers often deny; the point here
     # is stack/UB instrumentation, so default it off (overridable).
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"

@@ -72,7 +72,9 @@ struct Instance {
 
 /// Outcome of exploring one instance: the explorer's result plus the first
 /// oracle violation, if any (exploration stops at the first violation;
-/// `violation_run` is the 1-based replay on which it surfaced).
+/// `violation_run` is the 1-based replay on which it surfaced). When
+/// `violation` is set the explorer never returned, so `result` is empty
+/// (zero runs, no final states): report the violation, not the result.
 struct InstanceVerdict {
   ExploreResult result;
   std::optional<std::string> violation;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <numeric>
-
-#include "common/assert.hpp"
 
 namespace mm {
 
@@ -24,54 +21,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) { *this = other; return; }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  mean_ = (na * mean_ + nb * other.mean_) / nt;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double Samples::mean() const noexcept {
-  if (xs_.empty()) return 0.0;
-  return std::accumulate(xs_.begin(), xs_.end(), 0.0) / static_cast<double>(xs_.size());
-}
-
-void Samples::sort_if_needed() {
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
-}
-
-double Samples::quantile(double q) {
-  if (xs_.empty()) return 0.0;
-  sort_if_needed();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs_.size() - 1);
-  const auto i = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= xs_.size()) return xs_.back();
-  return xs_[i] * (1.0 - frac) + xs_[i + 1] * frac;
-}
-
-double Samples::min() {
-  sort_if_needed();
-  return xs_.empty() ? 0.0 : xs_.front();
-}
-
-double Samples::max() {
-  sort_if_needed();
-  return xs_.empty() ? 0.0 : xs_.back();
-}
 
 std::size_t LogHistogram::bucket_index(std::uint64_t value) noexcept {
   if (value < kSub) return static_cast<std::size_t>(value);
@@ -100,15 +49,6 @@ void LogHistogram::add(std::uint64_t value, std::uint64_t count) noexcept {
   max_ = std::max(max_, value);
 }
 
-void LogHistogram::merge(const LogHistogram& other) noexcept {
-  if (other.total_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 std::uint64_t LogHistogram::percentile(double q) const noexcept {
   if (total_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -121,42 +61,6 @@ std::uint64_t LogHistogram::percentile(double q) const noexcept {
     if (seen >= target) return bucket_floor(i);
   }
   return max_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  MM_ASSERT(hi > lo);
-  MM_ASSERT(buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>(((x - lo_) / span) * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept { return bucket_lo(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(counts_[i] * width / peak);
-    std::snprintf(line, sizeof line, "[%10.1f, %10.1f) %8llu ", bucket_lo(i), bucket_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace mm

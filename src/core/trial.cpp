@@ -102,9 +102,9 @@ ConsensusTrialResult run_consensus_trial(const ConsensusTrialConfig& cfg) {
   sim.crash_at.assign(n, std::nullopt);
   for (std::size_t p = 0; p < n; ++p)
     if (crash_set[p]) sim.crash_at[p] = rng.between(0, cfg.crash_window);
-  sim.trace_capacity = cfg.trace_capacity;
 
   SimRuntime rt{std::move(sim)};
+  if (cfg.trace_capacity != 0) rt.enable_trace(cfg.trace_capacity);
   if (cfg.injector != nullptr) rt.set_fault_injector(cfg.injector);
 
   std::vector<std::unique_ptr<HboConsensus>> hbos;
@@ -280,9 +280,9 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
   sim.max_delay = cfg.max_delay;
   sim.crash_at = cfg.crash_at;
   sim.byzantine = cfg.byzantine;  // validate() rejects crash-plan overlap
-  sim.trace_capacity = cfg.trace_capacity;
 
   SimRuntime rt{std::move(sim)};
+  if (cfg.trace_capacity != 0) rt.enable_trace(cfg.trace_capacity);
   if (cfg.injector != nullptr) rt.set_fault_injector(cfg.injector);
 
   ByzRegisterTrialResult res;
@@ -377,9 +377,9 @@ OmegaTrialResult run_omega_trial(const OmegaTrialConfig& cfg) {
     sim.sched_weight.assign(n, cfg.slow_weight);
     sim.sched_weight[cfg.timely.index()] = 1.0;
   }
-  sim.trace_capacity = cfg.trace_capacity;
 
   SimRuntime rt{std::move(sim)};
+  if (cfg.trace_capacity != 0) rt.enable_trace(cfg.trace_capacity);
   if (cfg.injector != nullptr) rt.set_fault_injector(cfg.injector);
 
   std::vector<std::unique_ptr<OmegaMM>> mnms;

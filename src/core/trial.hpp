@@ -61,7 +61,7 @@ struct ConsensusTrialConfig {
   /// it to be null; build a fresh engine inside the per-seed closure instead.
   runtime::FaultInjector* injector = nullptr;
 
-  /// Arm event tracing (SimConfig::trace_capacity) for this run; the result
+  /// Arm event tracing (SimRuntime::enable_trace) for this run; the result
   /// then carries a decoded tail of the ring for failure triage.
   std::size_t trace_capacity = 0;
 };

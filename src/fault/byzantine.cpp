@@ -4,26 +4,13 @@ namespace mm::fault {
 
 void ByzantineAdversary::go_byzantine(Pid p, ByzPolicy policy) {
   if (policy.intensity <= 0.0) policy.intensity = 1.0;  // 0 = "always", like duration
-  const std::scoped_lock lock{mutex_};
-  const auto [it, fresh] = policies_.insert_or_assign(p.value(), policy);
-  (void)it;
-  if (fresh) {
-    count_.fetch_add(1, std::memory_order_release);
-    if (p.index() < 64)
-      byz_mask_.fetch_or(std::uint64_t{1} << p.index(), std::memory_order_release);
-  }
+  policies_.insert_or_assign(p.value(), policy);
+  if (p.index() < 64) byz_mask_ |= std::uint64_t{1} << p.index();
 }
 
 bool ByzantineAdversary::is_byzantine(Pid p) const {
-  if (count_.load(std::memory_order_acquire) == 0) return false;
-  if (p.index() < 64) return (byz_mask() >> p.index()) & 1ULL;
-  const std::scoped_lock lock{mutex_};
+  if (p.index() < 64) return (byz_mask_ >> p.index()) & 1ULL;
   return policies_.contains(p.value());
-}
-
-std::uint64_t ByzantineAdversary::rng_draws() const {
-  const std::scoped_lock lock{mutex_};
-  return draws_;
 }
 
 std::uint64_t ByzantineAdversary::draw() {
@@ -38,8 +25,7 @@ bool ByzantineAdversary::take(double intensity) {
 }
 
 bool ByzantineAdversary::on_byz_send(Pid from, Pid to, runtime::Message& m) {
-  if (count_.load(std::memory_order_acquire) == 0) [[likely]] return true;
-  const std::scoped_lock lock{mutex_};
+  if (policies_.empty()) [[likely]] return true;
   const auto it = policies_.find(from.value());
   if (it == policies_.end()) return true;
   const ByzPolicy& pol = it->second;
@@ -86,8 +72,7 @@ bool ByzantineAdversary::on_byz_send(Pid from, Pid to, runtime::Message& m) {
 
 void ByzantineAdversary::on_byz_reg_write(Pid writer, runtime::RegKey /*key*/,
                                           std::uint64_t& v) {
-  if (count_.load(std::memory_order_acquire) == 0) [[likely]] return;
-  const std::scoped_lock lock{mutex_};
+  if (policies_.empty()) [[likely]] return;
   const auto it = policies_.find(writer.value());
   if (it == policies_.end()) return;
   const ByzPolicy& pol = it->second;

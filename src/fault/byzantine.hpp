@@ -1,5 +1,6 @@
 // The Byzantine adversary: per-process corruption policies realised through
-// the runtime's ByzInterposer data-path hooks.
+// the FaultInjector interposition hooks (runtime/fault_hook.hpp), which
+// FaultEngine forwards here.
 //
 // A process "goes Byzantine" when a kGoByzantine FaultRule fires (or a test
 // calls go_byzantine directly). From then on every message it sends and every
@@ -24,22 +25,20 @@
 // drawn only on behalf of Byzantine processes. An installed adversary with an
 // empty Byzantine set draws nothing and touches nothing, so fault-free and
 // crash-only runs stay bit-identical with the subsystem compiled in —
-// `rng_draws()` lets tests pin that contract. Under SimRuntime the hooks run
-// at deterministic points, so Byzantine runs replay from their seed too.
-// ThreadRuntime calls the hooks concurrently; all mutable state is guarded by
-// an internal mutex (the empty-set fast path stays lock-free).
+// `rng_draws()` lets tests pin that contract. SimRuntime runs the hooks at
+// deterministic points, one at a time, so Byzantine runs replay from their
+// seed too.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
-#include "runtime/fault_hook.hpp"
+#include "runtime/message.hpp"
+#include "runtime/register_key.hpp"
 
 namespace mm::fault {
 
@@ -62,44 +61,39 @@ struct ByzPolicy {
   double intensity = 1.0;
 };
 
-/// The canonical ByzInterposer. Owned by FaultEngine (one per run, like the
-/// engine itself); tests may also construct and drive one directly.
-class ByzantineAdversary final : public runtime::ByzInterposer {
+/// Owned by FaultEngine (one per run, like the engine itself); tests may also
+/// construct and drive one directly.
+class ByzantineAdversary {
  public:
   explicit ByzantineAdversary(std::uint64_t seed) : rng_(seed) {}
 
-  /// Mark p Byzantine with the given policy (last call wins). Thread-safe.
+  /// Mark p Byzantine with the given policy (last call wins).
   void go_byzantine(Pid p, ByzPolicy policy);
 
   [[nodiscard]] bool is_byzantine(Pid p) const;
   /// Number of processes currently marked Byzantine.
-  [[nodiscard]] std::size_t count() const noexcept {
-    return count_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::size_t count() const noexcept { return policies_.size(); }
   /// Bitmask of Byzantine pids with index < 64 (oracle scoping: judge safety
   /// only at correct processes). Pids >= 64 are tracked but not in the mask.
-  [[nodiscard]] std::uint64_t byz_mask() const noexcept {
-    return byz_mask_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::uint64_t byz_mask() const noexcept { return byz_mask_; }
   /// Total draws taken from the dedicated adversary stream. Zero whenever the
   /// Byzantine set is empty — the determinism contract tests pin.
-  [[nodiscard]] std::uint64_t rng_draws() const;
+  [[nodiscard]] std::uint64_t rng_draws() const noexcept { return draws_; }
 
-  bool on_byz_send(Pid from, Pid to, runtime::Message& m) override;
-  void on_byz_reg_write(Pid writer, runtime::RegKey key, std::uint64_t& v) override;
+  /// FaultInjector::on_byz_send for a Byzantine `from`; pass-through otherwise.
+  bool on_byz_send(Pid from, Pid to, runtime::Message& m);
+  /// FaultInjector::on_byz_reg_write for a Byzantine `writer`.
+  void on_byz_reg_write(Pid writer, runtime::RegKey key, std::uint64_t& v);
 
  private:
   /// Bounded per-run replay memory: old enough to be stale, small enough to
   /// stay O(1) per run.
   static constexpr std::size_t kReplayLogCap = 32;
 
-  [[nodiscard]] std::uint64_t draw();           // locked callers only
-  [[nodiscard]] bool take(double intensity);    // locked callers only
+  [[nodiscard]] std::uint64_t draw();
+  [[nodiscard]] bool take(double intensity);
 
-  std::atomic<std::size_t> count_{0};   ///< lock-free fast-out for correct runs
-  std::atomic<std::uint64_t> byz_mask_{0};
-
-  mutable std::mutex mutex_;
+  std::uint64_t byz_mask_ = 0;
   Rng rng_;
   std::uint64_t draws_ = 0;
   std::unordered_map<std::uint32_t, ByzPolicy> policies_;

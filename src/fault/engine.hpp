@@ -41,7 +41,6 @@ class FaultEngine final : public runtime::FaultInjector {
   }
 
   /// The run's Byzantine adversary (populated as kGoByzantine rules fire).
-  /// Also usable as the ThreadRuntime interposer via set_byz_interposer.
   [[nodiscard]] ByzantineAdversary& adversary() noexcept { return adversary_; }
   [[nodiscard]] const ByzantineAdversary& adversary() const noexcept { return adversary_; }
 

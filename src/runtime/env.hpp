@@ -2,8 +2,8 @@
 //
 // An algorithm is a callable void(Env&) run once per process. The same
 // algorithm code runs under the deterministic simulator (SimRuntime, used by
-// tests and the fault-tolerance benches) and under real threads
-// (ThreadRuntime, used by the concurrency benches). Blocking behaviour is
+// tests, the benches and the tools) and under real threads (ThreadRuntime,
+// used by E8 Part B and the real-concurrency tests). Blocking behaviour is
 // expressed by polling plus Env::step(), which is also the unit in which the
 // paper's relative timeliness (§3) is measured.
 #pragma once

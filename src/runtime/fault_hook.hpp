@@ -7,16 +7,16 @@
 // "crash p on its 5th broadcast" or "partition when round 3 starts" into
 // runtime behaviour while keeping the runtime itself free of any policy.
 //
-// ByzInterposer is the second, stronger hook family: *interposition* rather
-// than observation. Where FaultInjector's observe hooks may only trigger
-// actuators, the interposition hooks sit on the data path itself — they may
+// Its second hook family is *interposition* rather than observation. Where
+// the observe hooks may only trigger actuators, the interposition hooks
+// (on_byz_send, on_byz_reg_write) sit on the data path itself — they may
 // rewrite an outgoing message per destination (equivocation, corruption,
 // replay), suppress it entirely (selective silence), or rewrite the value a
 // process is about to write to a register it legitimately owns or shares.
-// The Byzantine adversary (src/fault/byzantine.hpp) is the canonical
-// implementation; both SimRuntime and ThreadRuntime call these hooks.
+// FaultEngine routes them to its Byzantine adversary
+// (src/fault/byzantine.hpp).
 //
-// Model-legality: the interposer never gains new powers. A rewritten send
+// Model-legality: interposition never gains new powers. A rewritten send
 // still carries the true sender (the runtime stamps m.from after the hook),
 // and a rewritten register write still passes the GSM access check
 // (check_register_access against reg_acl_) — a Byzantine process can only
@@ -30,8 +30,7 @@
 // from the schedule (never the runtime's sched/link/fault/proc streams), so
 // an installed-but-empty adversary draws nothing and fault-free runs stay
 // bit-identical. The hooks run synchronously inside the scheduler/process
-// handoff, so no locking is needed under SimRuntime; ThreadRuntime calls
-// them concurrently and implementations must lock their own state.
+// handoff, one at a time, so an injector needs no locking.
 #pragma once
 
 #include <cstdint>
@@ -44,28 +43,10 @@ namespace mm::runtime {
 
 class SimRuntime;
 
-/// Runtime-agnostic Byzantine interposition hooks. Defaults pass everything
-/// through untouched, so a plain FaultInjector is behaviour-preserving.
-class ByzInterposer {
+class FaultInjector {
  public:
-  virtual ~ByzInterposer() = default;
+  virtual ~FaultInjector() = default;
 
-  /// Called once per (sender, destination) on the data path, after the
-  /// observe hook and before link drop/delay resolution. May mutate `m`
-  /// (equivocation sees each destination separately); returning false
-  /// suppresses delivery to `to` (selective silence — counted as a drop).
-  /// The runtime stamps m.from afterwards, so the sender cannot be forged.
-  virtual bool on_byz_send(Pid /*from*/, Pid /*to*/, Message& /*m*/) { return true; }
-
-  /// Called when `writer` is about to store `v` (plain write, or the desired
-  /// value of a CAS) to the register named `key`. May rewrite `v`; the write
-  /// then proceeds through the normal GSM access and memory-liveness checks,
-  /// so corruption stays within the writer's legitimate permissions.
-  virtual void on_byz_reg_write(Pid /*writer*/, RegKey /*key*/, std::uint64_t& /*v*/) {}
-};
-
-class FaultInjector : public ByzInterposer {
- public:
   /// Called at the top of every scheduler step, before crash plans are
   /// applied and before the scheduling decision. Crashes injected here take
   /// effect for this very step.
@@ -79,6 +60,22 @@ class FaultInjector : public ByzInterposer {
   /// Called when `writer` writes a register, before access checks — a
   /// memory-failure window opened here makes this very write throw.
   virtual void on_reg_write(SimRuntime& rt, Pid writer, RegKey key) = 0;
+
+  // -- interposition (defaults pass everything through untouched) ----------
+
+  /// Called once per (sender, destination) on the data path, after on_send
+  /// and before link drop/delay resolution. May mutate `m` (equivocation
+  /// sees each destination separately); returning false suppresses delivery
+  /// to `to` (selective silence — counted as a drop). The runtime stamps
+  /// m.from afterwards, so the sender cannot be forged.
+  virtual bool on_byz_send(Pid /*from*/, Pid /*to*/, Message& /*m*/) { return true; }
+
+  /// Called when `writer` is about to store `v` (plain write, or the desired
+  /// value of a CAS) to the register named `key`, after on_reg_write. May
+  /// rewrite `v`; the write then proceeds through the normal GSM access and
+  /// memory-liveness checks, so corruption stays within the writer's
+  /// legitimate permissions.
+  virtual void on_byz_reg_write(Pid /*writer*/, RegKey /*key*/, std::uint64_t& /*v*/) {}
 };
 
 }  // namespace mm::runtime

@@ -1,4 +1,4 @@
-// Operation counters collected by both runtimes. The steady-state claims of
+// Operation counters collected by SimRuntime. The steady-state claims of
 // Theorems 5.1/5.2 (and lower bounds 5.3/5.4) are statements about exactly
 // these counts, broken down by process so bench tables can split by role
 // (leader vs non-leader).

@@ -14,9 +14,10 @@
 
 namespace mm::runtime {
 
-/// Thrown by SimConfig::validate() (and the runtime constructors that call
-/// it) when a configuration is malformed. Distinct from MM_ASSERT so tests
-/// and tools can catch and report bad configs instead of aborting.
+/// Thrown by SimConfig::validate() (and so by the SimRuntime constructor),
+/// and by the ThreadRuntime constructor on an empty GSM, when a configuration
+/// is malformed. Distinct from MM_ASSERT so tests and tools can catch and
+/// report bad configs instead of aborting.
 class ConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -103,11 +104,12 @@ struct SimConfig {
   std::vector<std::optional<Step>> crash_at;
 
   /// byzantine[p] != 0 declares p Byzantine for the run. The flag is
-  /// declarative — behaviour comes from the installed ByzInterposer (see
-  /// src/fault/byzantine.hpp) — but validate() uses it to reject incoherent
-  /// plans: a process cannot be both Byzantine and in the crash plan (the
-  /// Byzantine adversary subsumes crashing; count it once against f), and
-  /// the set obviously cannot exceed n. Empty vector = no Byzantine procs.
+  /// declarative — behaviour comes from the installed FaultInjector's
+  /// interposition hooks (src/fault/byzantine.hpp) — but validate() uses it
+  /// to reject incoherent plans: a process cannot be both Byzantine and in
+  /// the crash plan (the Byzantine adversary subsumes crashing; count it
+  /// once against f), and the set obviously cannot exceed n. Empty vector =
+  /// no Byzantine procs.
   std::vector<std::uint8_t> byzantine;
 
   /// Scheduling weights (default 1.0 each): the adversary picks the next
@@ -121,12 +123,6 @@ struct SimConfig {
   /// arbitrarily (but fairly-randomly) delayed.
   std::optional<Pid> timely;
   Step timely_bound = 16;
-
-  /// Arm event tracing from construction, keeping the last `trace_capacity`
-  /// events in a fixed ring (0 = off, the default — tracing can still be
-  /// switched on later via SimRuntime::enable_trace). The ring never grows,
-  /// so long runs cannot accumulate trace memory silently.
-  std::size_t trace_capacity = 0;
 
   /// Explorer-scheduled fault plan (see ExploreFaults above). Only honored
   /// by runs driven through set_schedule_policy; validate() checks the
@@ -144,27 +140,21 @@ struct SimConfig {
   [[nodiscard]] std::size_t n() const noexcept { return gsm.size(); }
 
   /// Full structural check, throwing ConfigError with a field-specific
-  /// message on the first problem. Both runtimes call this on construction;
+  /// message on the first problem. SimRuntime calls this on construction;
   /// nothing past it should ever have to re-validate (bad configs used to
   /// fail silently or hit UB, e.g. partition masks shifted by ≥ 64).
   void validate() const;
 };
 
-/// Link-model subset of the validation, shared with ThreadRuntime::Config
-/// (which has no delays, partitions, or plans).
-inline void validate_link(LinkType link_type, double drop_prob) {
+inline void SimConfig::validate() const {
+  const std::size_t procs = n();
+  if (procs < 1) throw ConfigError{"SimConfig needs at least one process (empty GSM)"};
   if (!(drop_prob >= 0.0) || drop_prob >= 1.0)
     throw ConfigError{"drop_prob must be in [0, 1): a message re-sent forever must "
                       "have positive delivery probability"};
   if (link_type == LinkType::kReliable && drop_prob != 0.0)
     throw ConfigError{"drop_prob > 0 requires link_type = kFairLossy (reliable links "
                       "never drop)"};
-}
-
-inline void SimConfig::validate() const {
-  const std::size_t procs = n();
-  if (procs < 1) throw ConfigError{"SimConfig needs at least one process (empty GSM)"};
-  validate_link(link_type, drop_prob);
   if (min_delay > max_delay)
     throw ConfigError{"min_delay must be <= max_delay"};
   if (partition.has_value() && procs > 64)

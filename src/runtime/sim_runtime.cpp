@@ -146,8 +146,7 @@ SimRuntime::SimRuntime(SimConfig config)
     : config_(std::move(config)),
       sched_rng_(config_.seed * 0x9e3779b97f4a7c15ULL + 1),
       link_rng_(config_.seed * 0xc2b2ae3d27d4eb4fULL + 2),
-      fault_rng_(config_.seed * 0xd6e8feb86659fd93ULL + 3),
-      trace_capacity_(config_.trace_capacity) {
+      fault_rng_(config_.seed * 0xd6e8feb86659fd93ULL + 3) {
   config_.validate();
   if (std::unique_ptr<detail::SimStorage> parked = FiberStackRecycler::take<detail::SimStorage>()) {
     static_cast<detail::SimStorage&>(*this) = std::move(*parked);

@@ -437,9 +437,9 @@ class SimRuntime : private detail::SimStorage {
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
   };
 
-  /// Keep the last `capacity` events (0 disables tracing, the default unless
-  /// SimConfig::trace_capacity armed it at construction). Storage is a fixed
-  /// ring: memory use is bounded by the capacity, never by run length.
+  /// Keep the last `capacity` events (0, the default, disables tracing).
+  /// Storage is a fixed ring: memory use is bounded by the capacity, never
+  /// by run length.
   void enable_trace(std::size_t capacity = 65'536);
   /// The retained events, oldest first (a copy — the live buffer is a ring).
   [[nodiscard]] std::vector<TraceEvent> trace() const;

@@ -1,8 +1,12 @@
 // Free-running multithreaded runtime: one std::jthread per process, real
 // atomics for registers, mutexed mailboxes for links. The same algorithm
-// objects that run under SimRuntime run here unchanged — used by benches to
-// confirm results are not artifacts of cooperative scheduling, and by the
-// examples that want wall-clock behaviour.
+// objects that run under SimRuntime run here unchanged — E8 Part B and the
+// real-concurrency tests use it to confirm results are not artifacts of
+// cooperative scheduling.
+//
+// Links are reliable and memory never fails: the adversary (fair-lossy
+// links, memory failures, Byzantine processes) is SimRuntime's, because only
+// a seeded run replays. crash() is the one fault this runtime injects.
 #pragma once
 
 #include <array>
@@ -15,13 +19,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 #include "runtime/env.hpp"
-#include "runtime/fault_hook.hpp"
-#include "runtime/metrics.hpp"
-#include "runtime/sim_config.hpp"
+#include "runtime/sim_config.hpp"  // ConfigError
 
 namespace mm::runtime {
 
@@ -48,7 +49,6 @@ class ThreadEnv final : public Env {
   [[nodiscard]] bool stop_requested() const override;
 
  private:
-  friend class ThreadRuntime;
   ThreadRuntime* rt_;
   Pid self_;
   Rng rng_;
@@ -59,12 +59,11 @@ class ThreadRuntime {
   struct Config {
     graph::Graph gsm;
     std::uint64_t seed = 1;
-    LinkType link_type = LinkType::kReliable;
-    double drop_prob = 0.0;
 
     [[nodiscard]] std::size_t n() const noexcept { return gsm.size(); }
   };
 
+  /// Throws ConfigError on an empty GSM.
   explicit ThreadRuntime(Config config);
   ~ThreadRuntime();
   ThreadRuntime(const ThreadRuntime&) = delete;
@@ -82,25 +81,8 @@ class ThreadRuntime {
   /// its body. p's registers remain readable (RDMA semantics, §3).
   void crash(Pid p);
 
-  /// Simulated partial shared-memory failure (§6 future work): every later
-  /// access to a register hosted at p throws MemoryFailure. Independent of
-  /// crash(p) — the process may keep running.
-  void fail_memory(Pid host);
-
-  /// Install a Byzantine interposer (non-owning; must outlive the run) whose
-  /// hooks run on every send and register mutation. Must be set before
-  /// start(); hooks are invoked concurrently from the process threads, so
-  /// the interposer must lock its own state. Null (the default) keeps the
-  /// data path untouched.
-  void set_byz_interposer(ByzInterposer* byz) {
-    MM_ASSERT_MSG(!started_, "set_byz_interposer after start");
-    byz_ = byz;
-  }
-
   [[nodiscard]] bool finished(Pid p) const;
-  [[nodiscard]] Metrics metrics_snapshot() const;
   void rethrow_process_error() const;
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   friend class ThreadEnv;
@@ -119,30 +101,17 @@ class ThreadRuntime {
     std::vector<Message> messages;
   };
 
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> msgs_sent{0}, msgs_delivered{0}, msgs_dropped{0};
-    std::atomic<std::uint64_t> reg_reads{0}, reg_writes{0}, reg_cas_ops{0};
-    std::atomic<std::uint64_t> reg_reads_local{0}, reg_writes_local{0}, reg_cas_local{0};
-  };
-
-  struct PerProcCounters {
-    std::atomic<std::uint64_t> steps{0}, sends{0}, reads{0}, writes{0};
-    std::atomic<std::uint64_t> remote_reads{0}, remote_writes{0};
-  };
-
-  /// One register: its value plus the creation-time facts the access
-  /// checks and interposer hooks read.
+  /// One register: its value plus the creation-time facts the access check
+  /// reads.
   struct RegSlot {
     std::atomic<std::uint64_t> value{0};
     Pid owner;
     bool global = false;
-    RegKey key;
   };
   static constexpr std::uint32_t kRegChunkBits = 12;  ///< 4096 slots per chunk
   static constexpr std::uint32_t kRegChunks = 1024;   ///< up to 4M registers
 
   void check_register_access(Pid accessor, RegId r) const;
-  void check_memory_alive(RegId r) const;
   RegSlot& slot(RegId r) const {
     return reg_chunks_[r.index() >> kRegChunkBits][r.index() & ((1u << kRegChunkBits) - 1)];
   }
@@ -164,12 +133,7 @@ class ThreadRuntime {
   std::unordered_map<RegKey, std::uint32_t> reg_index_;
   std::array<std::unique_ptr<RegSlot[]>, kRegChunks> reg_chunks_;
 
-  ByzInterposer* byz_ = nullptr;
-
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> memory_failed_;  ///< per host
-  AtomicCounters counters_;
-  std::vector<std::unique_ptr<PerProcCounters>> per_proc_;
 };
 
 }  // namespace mm::runtime

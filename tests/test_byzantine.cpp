@@ -6,7 +6,6 @@
 // ddmin-shrunk, and replay from JSON).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "fault/shrink.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_config.hpp"
-#include "runtime/thread_runtime.hpp"
 
 namespace mm {
 namespace {
@@ -368,75 +366,6 @@ TEST(ByzCampaign, PlantedCampaignFindsByzantineViolations) {
   for (const Finding& f : res.findings)
     saw_byz |= f.original.kind == CaseKind::kByzRegister;
   EXPECT_TRUE(saw_byz) << "planted b = f+1 silence must stall the register";
-}
-
-// ---------------------------------------------------------------------------
-// ThreadRuntime interposition (real concurrency)
-// ---------------------------------------------------------------------------
-
-TEST(ByzThreadRuntime, SilencedProcessDeliversNothing) {
-  runtime::ThreadRuntime::Config cfg;
-  cfg.gsm = graph::complete(2);
-  cfg.seed = 1;
-  runtime::ThreadRuntime rt{cfg};
-  ByzantineAdversary adv{9};
-  adv.go_byzantine(Pid{0}, ByzPolicy{kByzSilence, ~std::uint64_t{0}, 1.0});
-  rt.set_byz_interposer(&adv);
-
-  std::atomic<int> received{0};
-  rt.add_process([](runtime::Env& env) {
-    for (int i = 0; i < 20; ++i) {
-      runtime::Message m;
-      m.kind = 1;
-      m.value = static_cast<std::uint64_t>(i);
-      env.send(Pid{1}, m);
-      env.step();
-    }
-    env.write(env.reg(runtime::RegKey::make(core::kTagState, env.self(), 0)), 1);
-  });
-  rt.add_process([&received](runtime::Env& env) {
-    const RegId flag = env.reg(runtime::RegKey::make(core::kTagState, Pid{0}, 0));
-    std::vector<runtime::Message> drained;
-    while (env.read(flag) == 0 && !env.stop_requested()) {
-      env.drain_inbox(drained);
-      received += static_cast<int>(drained.size());
-      env.step();
-    }
-    for (int i = 0; i < 50; ++i) env.step();  // let any stragglers surface
-    env.drain_inbox(drained);
-    received += static_cast<int>(drained.size());
-  });
-  rt.start();
-  rt.join_all();
-  rt.rethrow_process_error();
-  EXPECT_EQ(received.load(), 0) << "all 20 sends must be suppressed";
-}
-
-TEST(ByzThreadRuntime, CorruptWritesMutateTheStoredValue) {
-  runtime::ThreadRuntime::Config cfg;
-  cfg.gsm = graph::complete(2);
-  cfg.seed = 1;
-  runtime::ThreadRuntime rt{cfg};
-  ByzantineAdversary adv{42};
-  adv.go_byzantine(Pid{0}, ByzPolicy{kByzCorruptWrites, 0, 1.0});
-  rt.set_byz_interposer(&adv);
-
-  std::atomic<std::uint64_t> observed{0};
-  rt.add_process([](runtime::Env& env) {
-    env.write(env.reg(runtime::RegKey::make(core::kTagState, env.self(), 0)), 1234);
-  });
-  rt.add_process([&observed](runtime::Env& env) {
-    const RegId r = env.reg(runtime::RegKey::make(core::kTagState, Pid{0}, 0));
-    std::uint64_t v = 0;
-    while ((v = env.read(r)) == 0 && !env.stop_requested()) env.step();
-    observed = v;
-  });
-  rt.start();
-  rt.join_all();
-  rt.rethrow_process_error();
-  EXPECT_NE(observed.load(), 0u);
-  EXPECT_NE(observed.load(), 1234u) << "the stored value must be the corrupted one";
-  EXPECT_GT(adv.rng_draws(), 0u);
 }
 
 }  // namespace

@@ -160,76 +160,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsCombined) {
-  Rng r{41};
-  RunningStats a, b, both;
-  for (int i = 0; i < 300; ++i) {
-    const double x = r.uniform01();
-    if (i % 2 == 0) a.add(x); else b.add(x);
-    both.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_NEAR(a.mean(), both.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), both.variance(), 1e-9);
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_NEAR(empty.mean(), 2.0, 1e-12);
-}
-
-TEST(Samples, Quantiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(s.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-9);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 100.0);
-}
-
-TEST(Samples, EmptySafe) {
-  Samples s;
-  EXPECT_EQ(s.quantile(0.5), 0.0);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-100.0);
-  h.add(100.0);
-  h.add(5.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h{0.0, 4.0, 2};
-  h.add(1.0);
-  h.add(3.0);
-  h.add(3.5);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Table
 // ---------------------------------------------------------------------------

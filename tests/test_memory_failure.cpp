@@ -13,7 +13,6 @@
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
-#include "runtime/thread_runtime.hpp"
 
 namespace mm {
 namespace {
@@ -143,34 +142,6 @@ TEST(MemoryFailureRuntime, GlobalKeysNeverFail) {
   rt.add_process([](Env&) {});
   rt.run_until_all_done(10'000);
   rt.rethrow_process_error();
-}
-
-TEST(MemoryFailureRuntime, ThreadRuntimeFailMemory) {
-  runtime::ThreadRuntime::Config cfg;
-  cfg.gsm = graph::complete(2);
-  runtime::ThreadRuntime rt{cfg};
-  std::atomic<bool> wrote{false};
-  std::atomic<bool> failed{false};
-  std::atomic<bool> threw{false};
-  rt.add_process([&](Env& env) {
-    const RegId r = env.reg(RegKey::make(core::kTagState, Pid{0}));
-    env.write(r, 5);
-    wrote.store(true);
-    while (!failed.load()) env.step();
-    try {
-      (void)env.read(r);
-    } catch (const MemoryFailure&) {
-      threw.store(true);
-    }
-  });
-  rt.add_process([](Env&) {});
-  rt.start();
-  while (!wrote.load()) std::this_thread::yield();
-  rt.fail_memory(Pid{0});
-  failed.store(true);
-  rt.join_all();
-  rt.rethrow_process_error();
-  EXPECT_TRUE(threw.load());
 }
 
 // ---------------------------------------------------------------------------

@@ -37,20 +37,6 @@ std::vector<std::uint64_t> sample_values(std::size_t count, std::uint64_t seed) 
   return vals;
 }
 
-TEST(LogHistogram, MergeMatchesSingleAccumulation) {
-  const auto vals = sample_values(4096, 11);
-  LogHistogram whole, left, right;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    whole.add(vals[i]);
-    (i % 2 == 0 ? left : right).add(vals[i]);
-  }
-  LogHistogram merged = left;
-  merged.merge(right);
-  EXPECT_EQ(merged, whole);
-  EXPECT_EQ(merged.total(), vals.size());
-  EXPECT_EQ(merged.sum(), whole.sum());
-}
-
 TEST(LogHistogram, PercentileMatchesNearestRankOnExactSamples) {
   const auto vals = sample_values(2000, 23);
   LogHistogram h;

@@ -20,8 +20,10 @@
 //
 //   check diff NAME...
 //     Differential mode: run DFS and DPOR on each instance (DFS-feasible
-//     ones only, unless named explicitly) and require the same verdict AND
-//     the same reachable final-state set, with DPOR using no more replays.
+//     ones only, unless named explicitly) and require the same verdict. A
+//     clean instance must also reach the same final-state set, with DPOR
+//     using no more replays; an exploration that finds a violation stops
+//     there, so a planted bug only needs both explorers to find it.
 //
 //   check replay FILE... [--max-runs N] [--max-steps N]
 //     Chaos -> check bridge: parse each chaos repro document (the JSON
@@ -83,6 +85,11 @@ std::vector<const Instance*> resolve(const std::vector<std::string>& names, bool
 }
 
 void print_result(const char* engine, const InstanceVerdict& v) {
+  if (v.violation) {  // the exploration stopped there: v.result is empty
+    std::printf("  %s: VIOLATION on verified run %llu: %s\n", engine,
+                static_cast<unsigned long long>(v.violation_run), v.violation->c_str());
+    return;
+  }
   const ExploreResult& r = v.result;
   std::printf("  %s: %llu runs (%llu cache-pruned, %llu sleep-pruned), %s, "
               "%zu final state(s)\n",
@@ -90,9 +97,6 @@ void print_result(const char* engine, const InstanceVerdict& v) {
               static_cast<unsigned long long>(r.runs_pruned_by_state_cache),
               static_cast<unsigned long long>(r.runs_pruned_by_sleep_set),
               to_string(r.exhaustiveness), r.final_states.size());
-  if (v.violation)
-    std::printf("  VIOLATION on verified run %llu: %s\n",
-                static_cast<unsigned long long>(v.violation_run), v.violation->c_str());
 }
 
 /// Why the outcome breaks the instance's contract (clean instances verify
@@ -202,11 +206,13 @@ int cmd_diff(int argc, char** argv) {
     if (a.violation.has_value() != b.violation.has_value()) {
       std::printf("  FAIL: verdicts differ\n");
       ok = false;
-    } else if (!a.violation && a.result.final_states != b.result.final_states) {
+    } else if (a.violation) {
+      std::printf("  ok: both explorers found the violation\n");
+    } else if (a.result.final_states != b.result.final_states) {
       std::printf("  FAIL: reachable final-state sets differ (%zu vs %zu)\n",
                   a.result.final_states.size(), b.result.final_states.size());
       ok = false;
-    } else if (!a.violation && b.result.runs > a.result.runs) {
+    } else if (b.result.runs > a.result.runs) {
       std::printf("  FAIL: DPOR used more replays than the naive DFS\n");
       ok = false;
     } else {

@@ -98,8 +98,8 @@ Json run_scenario(const Options& opt) {
   cfg.seed = opt.seed;
   cfg.min_delay = 2;
   cfg.max_delay = 9;
-  cfg.trace_capacity = 65'536;
   SimRuntime rt{cfg};
+  rt.enable_trace(65'536);
   rt.set_observability(true);
 
   const int iters = opt.iters;
