@@ -91,8 +91,8 @@ bool run_paxos_log(std::size_t n, std::uint64_t seed, std::uint64_t crash_mask,
 
   std::vector<std::unique_ptr<core::PaxosLog>> replicas;
   for (std::size_t p = 0; p < n; ++p) {
-    replicas.push_back(std::make_unique<core::PaxosLog>(
-        core::PaxosLog::Config{}, std::vector<std::uint64_t>{p * 10 + 1, p * 10 + 2}));
+    replicas.push_back(
+        std::make_unique<core::PaxosLog>(std::vector<std::uint64_t>{p * 10 + 1, p * 10 + 2}));
     rt.add_process([r = replicas.back().get()](runtime::Env& env) { r->run(env); });
   }
   bool done = false;

@@ -34,8 +34,7 @@ PaxosOutcome run_paxos(std::size_t n, std::size_t f, std::uint64_t seed, mm::Ste
   runtime::SimRuntime rt{std::move(sim)};
   std::vector<std::unique_ptr<core::OmegaPaxos>> algs;
   for (std::size_t p = 0; p < n; ++p) {
-    algs.push_back(std::make_unique<core::OmegaPaxos>(core::OmegaPaxos::Config{},
-                                                      static_cast<std::uint32_t>(p % 2)));
+    algs.push_back(std::make_unique<core::OmegaPaxos>(static_cast<std::uint32_t>(p % 2)));
     rt.add_process([alg = algs.back().get()](runtime::Env& env) { alg->run(env); });
   }
   rt.run_until_all_done(budget);

@@ -7,13 +7,16 @@
 // is the certification: zero violations across the campaign. (Every row is
 // reproducible: the campaign is a pure function of the base seed.)
 #include "bench_common.hpp"
+#include "common/parse.hpp"
 #include "core/trial.hpp"
 #include "exec/parallel_map.hpp"
 
 int main(int argc, char** argv) {
   using namespace mm;
-  const std::uint64_t base_seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20180723;
-  const std::uint64_t trials_per_cell = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 120;
+  const std::uint64_t base_seed =
+      positional_decimal(argc, argv, 1, "seed", std::uint64_t{20180723});
+  const std::uint64_t trials_per_cell =
+      positional_decimal(argc, argv, 2, "trials", std::uint64_t{120}, std::uint64_t{1});
 
   bench::banner("E17: randomized safety campaign",
                 "Uniform Agreement + Validity checked on every run; liveness is whatever\n"

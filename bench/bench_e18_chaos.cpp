@@ -17,13 +17,16 @@
 //
 // Campaigns are pure functions of the base seed and fan out over MM_JOBS.
 #include "bench_common.hpp"
+#include "common/parse.hpp"
 #include "fault/campaign.hpp"
 
 int main(int argc, char** argv) {
   using namespace mm;
   using namespace mm::fault;
-  const std::uint64_t base_seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20180723;
-  const std::uint64_t trials = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400;
+  const std::uint64_t base_seed =
+      positional_decimal(argc, argv, 1, "seed", std::uint64_t{20180723});
+  const std::uint64_t trials =
+      positional_decimal(argc, argv, 2, "trials", std::uint64_t{400}, std::uint64_t{1});
 
   bench::banner("E18: chaos campaign with shrink-and-replay",
                 "Randomized reactive fault schedules; safety armed (expect 0), then a\n"

@@ -9,10 +9,10 @@
 //
 //   $ ./lease_manager [n] [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/omega.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -35,8 +35,9 @@ mm::Pid agreed_leader(const std::vector<std::unique_ptr<mm::core::OmegaMM>>& nod
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 6;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3;
+  // p1 is the timely process, so the group needs two servers at least.
+  const auto n = mm::positional_decimal(argc, argv, 1, "n", std::size_t{6}, std::size_t{2});
+  const std::uint64_t seed = mm::positional_decimal(argc, argv, 2, "seed", std::uint64_t{3});
 
   mm::runtime::SimConfig sim;
   sim.gsm = mm::graph::complete(n);  // §5 assumes full shared-memory connectivity

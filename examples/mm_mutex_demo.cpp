@@ -8,9 +8,9 @@
 //
 //   $ ./mm_mutex_demo [contenders] [rounds] [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/mutex.hpp"
 #include "graph/generators.hpp"
@@ -60,9 +60,10 @@ Totals run_workload(std::size_t contenders, int rounds, std::uint64_t seed, Lock
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t contenders = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 8;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 40;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 5;
+  const auto contenders =
+      mm::positional_decimal(argc, argv, 1, "contenders", std::size_t{8}, std::size_t{1});
+  const int rounds = mm::positional_decimal(argc, argv, 2, "rounds", 40, 1);
+  const std::uint64_t seed = mm::positional_decimal(argc, argv, 3, "seed", std::uint64_t{5});
 
   mm::core::SpinMutex spin;
   mm::core::MnmMutex mnm;

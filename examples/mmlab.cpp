@@ -81,8 +81,10 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+/// The generators throw std::invalid_argument on a size their family cannot
+/// form; the rethrow names the flags that chose it.
 graph::Graph make_topology(const std::string& name, std::size_t n, std::size_t d,
-                           std::uint64_t seed) {
+                           std::uint64_t seed) try {
   if (name == "edgeless") return graph::edgeless(n);
   if (name == "ring") return graph::ring(n);
   if (name == "chordal") return graph::chordal_ring(n);
@@ -105,10 +107,13 @@ graph::Graph make_topology(const std::string& name, std::size_t n, std::size_t d
   }
   std::fprintf(stderr, "mmlab: unknown topology '%s'\n", name.c_str());
   std::exit(2);
+} catch (const std::invalid_argument& e) {
+  throw std::invalid_argument{"--topology " + name + " --n " + std::to_string(n) + ": " +
+                              e.what()};
 }
 
 int cmd_consensus(const Args& args) {
-  const std::size_t n = args.num("n", 16);
+  const std::size_t n = args.num("n", 16, 1);
   const std::size_t d = args.num("d", 4);
   const std::uint64_t seed = args.num("seed", 1);
   const std::string algo_name = args.str("algo", "hbo");
@@ -132,10 +137,13 @@ int cmd_consensus(const Args& args) {
   cfg.max_rounds = args.num("max-rounds", 100'000);
   cfg.seed = seed;
 
-  std::printf("GSM %s  (h=%.3f  f_thm=%zu  f*=%zu  f_imp=%zu)\n", cfg.gsm.summary().c_str(),
-              graph::vertex_expansion_exact(cfg.gsm).h,
-              graph::hbo_f_bound(n, graph::vertex_expansion_exact(cfg.gsm).h),
-              graph::hbo_f_exact(cfg.gsm), graph::impossibility_f_threshold(cfg.gsm));
+  std::printf("GSM %s", cfg.gsm.summary().c_str());
+  if (n <= graph::kExactExpansionMaxN) {  // the exact analyses enumerate subsets
+    const double h = graph::vertex_expansion_exact(cfg.gsm).h;
+    std::printf("  (h=%.3f  f_thm=%zu  f*=%zu  f_imp=%zu)", h, graph::hbo_f_bound(n, h),
+                graph::hbo_f_exact(cfg.gsm), graph::impossibility_f_threshold(cfg.gsm));
+  }
+  std::printf("\n");
 
   const auto sweep = core::sweep_termination(cfg, seeds);
   Table t{{"algo", "f", "crash", "termination", "mean rounds", "mean steps",
@@ -184,7 +192,7 @@ int cmd_omega(const Args& args) {
 }
 
 int cmd_graph(const Args& args) {
-  const std::size_t n = args.num("n", 16);
+  const std::size_t n = args.num("n", 16, 1);
   const std::size_t d = args.num("d", 4);
   const graph::Graph g =
       make_topology(args.str("topology", "rreg"), n, d, args.num("seed", 1));
@@ -205,7 +213,7 @@ int cmd_graph(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const std::size_t n = args.num("n", 4);
+  const std::size_t n = args.num("n", 4, 1);
   const graph::Graph gsm = graph::complete(n);
   runtime::SimConfig sim;
   sim.gsm = gsm;

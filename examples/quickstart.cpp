@@ -7,17 +7,17 @@
 // Walks through the public API: build a GSM, configure the deterministic
 // runtime, attach one HboConsensus per process, run, inspect decisions.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/hbo.hpp"
 #include "graph/expansion.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  const std::uint64_t seed = mm::positional_decimal(argc, argv, 1, "seed", std::uint64_t{1});
 
   // 1. The shared-memory graph: every process shares registers with its
   //    GSM neighbors only (degree 3 here — this is what scales, §3).

@@ -19,10 +19,10 @@
 //   $ ./replicated_commit [transactions] [seed]
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "core/hbo.hpp"
 #include "core/tags.hpp"
@@ -118,8 +118,8 @@ TxnResult run_transaction(const mm::graph::Graph& gsm, const std::vector<std::ui
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int txns = argc > 1 ? std::atoi(argv[1]) : 6;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const int txns = mm::positional_decimal(argc, argv, 1, "txns", 6, 1);
+  const std::uint64_t seed = mm::positional_decimal(argc, argv, 2, "seed", std::uint64_t{7});
 
   const std::size_t n = 10;
   mm::Rng rng{seed};

@@ -10,11 +10,11 @@
 //
 //   $ ./replicated_kv [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/rsm.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -35,7 +35,7 @@ Put parse_put(std::uint64_t cmd) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 21;
+  const std::uint64_t seed = mm::positional_decimal(argc, argv, 1, "seed", std::uint64_t{21});
   const std::size_t n = 6;
   constexpr std::size_t kSlots = 6;
 

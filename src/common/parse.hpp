@@ -6,6 +6,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -28,6 +30,21 @@ template <typename T = std::uint64_t>
                                 std::to_string(min) + ", " + std::to_string(kMax) +
                                 "], got '" + std::string{text} + "'"};
   return static_cast<T>(v);
+}
+
+/// Positional argument `i` of a program's `argv` through parse_decimal, named
+/// `what` in the error, or `dflt` when absent. A malformed or out-of-range
+/// value prints the error and exits 2.
+template <typename T = std::uint64_t>
+[[nodiscard]] T positional_decimal(int argc, char** argv, int i, std::string_view what, T dflt,
+                                   T min = 0) {
+  if (i >= argc) return dflt;
+  try {
+    return parse_decimal<T>(what, argv[i], min);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
+  }
 }
 
 }  // namespace mm

@@ -27,6 +27,9 @@ enum Subkind : std::uint64_t {
 
 constexpr std::uint32_t kMaxTs = (1u << 24) - 1;
 
+/// Namespace of the run's one register (messages, GSM keys, Bracha tags).
+constexpr std::uint64_t kInstanceTag = 1;
+
 std::uint64_t pack_pair(ByzRegister::Pair p) {
   return (static_cast<std::uint64_t>(p.ts) << 32) | (p.v & 0xFFFF'FFFFULL);
 }
@@ -35,15 +38,13 @@ ByzRegister::Pair unpack_pair(std::uint64_t bits) {
   return {static_cast<std::uint32_t>(bits >> 32), bits & 0xFFFF'FFFFULL};
 }
 
-RegKey pair_key(std::uint64_t tag, Pid owner) {
-  return RegKey::make(kTagByzReg, owner, tag, 0);
+RegKey pair_key(Pid owner) {
+  return RegKey::make(kTagByzReg, owner, kInstanceTag, 0);
 }
 
 }  // namespace
 
 ByzRegister::ByzRegister(Config config) : config_(config) {
-  MM_ASSERT_MSG(config_.tag != 0 && config_.tag <= 0xFFFF'FFFFULL >> 8,
-                "instance tag must be nonzero and fit 24 bits");
   MM_ASSERT_MSG(!config_.use_gsm || config_.gsm != nullptr,
                 "hybrid mode needs the GSM to know whose registers are readable");
 }
@@ -57,7 +58,7 @@ bool ByzRegister::use_bracha() const noexcept {
 }
 
 std::uint64_t ByzRegister::bracha_tag(std::uint32_t ts) const noexcept {
-  return (config_.tag << 24) | ts;
+  return (kInstanceTag << 24) | ts;
 }
 
 BrachaBroadcast& ByzRegister::bracha_for(std::uint32_t ts) {
@@ -74,13 +75,13 @@ BrachaBroadcast& ByzRegister::bracha_for(std::uint32_t ts) {
 
 void ByzRegister::publish(Env& env) {
   if (!config_.use_gsm) return;
-  runtime::write_key(env, pair_key(config_.tag, env.self()), pack_pair(cur_));
+  runtime::write_key(env, pair_key(env.self()), pack_pair(cur_));
 }
 
 void ByzRegister::send_state(Env& env, Pid reader, std::uint64_t rsn) {
   Message m;
   m.kind = kMsgByzReg;
-  m.round = (config_.tag << 8) | kState;
+  m.round = (kInstanceTag << 8) | kState;
   m.aux = (rsn << 32) | cur_.ts;
   m.value = cur_.v;
   env.send(reader, m);
@@ -92,7 +93,7 @@ void ByzRegister::adopt(Env& env, Pair p) {
   // ignores timestamps it is not currently waiting on.
   Message ack;
   ack.kind = kMsgByzReg;
-  ack.round = (config_.tag << 8) | kAckW;
+  ack.round = (kInstanceTag << 8) | kAckW;
   ack.aux = p.ts;
   env.send(config_.writer, ack);
 
@@ -108,7 +109,7 @@ void ByzRegister::adopt(Env& env, Pair p) {
     if (it->pair.ts <= cur_.ts) {
       Message m;
       m.kind = kMsgByzReg;
-      m.round = (config_.tag << 8) | kAckR;
+      m.round = (kInstanceTag << 8) | kAckR;
       m.aux = (it->rsn << 32) | it->pair.ts;
       env.send(it->reader, m);
       it = pending_confirms_.erase(it);
@@ -126,8 +127,7 @@ void ByzRegister::poll_gsm(Env& env) {
   // the collapse edge of the resilience frontier.
   const Pid self = env.self();
   if (self != config_.writer && config_.gsm->has_edge(self, config_.writer)) {
-    const std::uint64_t bits =
-        runtime::read_key(env, pair_key(config_.tag, config_.writer));
+    const std::uint64_t bits = runtime::read_key(env, pair_key(config_.writer));
     if (bits != 0) {
       const Pair p = unpack_pair(bits);
       if (p.ts > cur_.ts) adopt(env, p);
@@ -138,14 +138,14 @@ void ByzRegister::poll_gsm(Env& env) {
 void ByzRegister::handle(Env& env, const Message& m) {
   if (m.kind == kMsgBracha) {
     const std::uint64_t btag = m.round >> 8;
-    if ((btag >> 24) != config_.tag) return;
+    if ((btag >> 24) != kInstanceTag) return;
     if (!use_bracha()) return;
     const auto ts = static_cast<std::uint32_t>(btag & kMaxTs);
     const auto delivered = bracha_for(ts).on_message(env, m);
     if (delivered.has_value()) adopt(env, Pair{ts, *delivered});
     return;
   }
-  if (m.kind != kMsgByzReg || (m.round >> 8) != config_.tag) return;
+  if (m.kind != kMsgByzReg || (m.round >> 8) != kInstanceTag) return;
 
   switch (m.round & 0xff) {
     case kAckW:
@@ -169,7 +169,7 @@ void ByzRegister::handle(Env& env, const Message& m) {
       if (p.ts <= cur_.ts) {
         Message ack;
         ack.kind = kMsgByzReg;
-        ack.round = (config_.tag << 8) | kAckR;
+        ack.round = (kInstanceTag << 8) | kAckR;
         ack.aux = m.aux;
         env.send(m.from, ack);
       } else {
@@ -218,7 +218,7 @@ bool ByzRegister::write(Env& env, std::uint64_t v) {
       // Register-channel acknowledgements: a neighbor whose published
       // timestamp reached ts has adopted it — and registers cannot go silent.
       for (const Pid q : config_.gsm->neighbors(env.self())) {
-        const std::uint64_t bits = runtime::read_key(env, pair_key(config_.tag, q));
+        const std::uint64_t bits = runtime::read_key(env, pair_key(q));
         if (unpack_pair(bits).ts >= ts) wacks_.insert(q);
       }
     }
@@ -265,7 +265,7 @@ std::optional<std::uint64_t> ByzRegister::read(Env& env) {
 
   Message rd;
   rd.kind = kMsgByzReg;
-  rd.round = (config_.tag << 8) | kRead;
+  rd.round = (kInstanceTag << 8) | kRead;
   rd.aux = rsn_;
   net::send_to_all(env, rd);
 
@@ -276,7 +276,7 @@ std::optional<std::uint64_t> ByzRegister::read(Env& env) {
       // Register rows override message rows: neighbors' published pairs are
       // evidence a message-silencing or -corrupting adversary cannot touch.
       for (const Pid q : config_.gsm->neighbors(env.self())) {
-        const std::uint64_t bits = runtime::read_key(env, pair_key(config_.tag, q));
+        const std::uint64_t bits = runtime::read_key(env, pair_key(q));
         if (bits != 0) rows_[q] = unpack_pair(bits);
       }
     }
@@ -294,7 +294,7 @@ std::optional<std::uint64_t> ByzRegister::read(Env& env) {
   adopt(env, confirm_);
   Message cf;
   cf.kind = kMsgByzReg;
-  cf.round = (config_.tag << 8) | kConfirm;
+  cf.round = (kInstanceTag << 8) | kConfirm;
   cf.aux = (rsn_ << 32) | confirm_.ts;
   cf.value = confirm_.v;
   net::send_to_all(env, cf);
@@ -305,7 +305,7 @@ std::optional<std::uint64_t> ByzRegister::read(Env& env) {
     pump(env);
     if (config_.use_gsm) {
       for (const Pid q : config_.gsm->neighbors(env.self())) {
-        const std::uint64_t bits = runtime::read_key(env, pair_key(config_.tag, q));
+        const std::uint64_t bits = runtime::read_key(env, pair_key(q));
         if (unpack_pair(bits).ts >= confirm_.ts) racks_.insert(q);
       }
     }

@@ -63,7 +63,6 @@ class ByzRegister {
   struct Config {
     std::size_t f = 0;      ///< Byzantine bound; n > 3f (message) / n > 2f (hybrid)
     Pid writer{0};          ///< the single writer
-    std::uint64_t tag = 1;  ///< instance namespace; must fit 24 bits
     bool use_gsm = false;   ///< hybrid m&m mode (publish/read GSM registers)
     /// Required when use_gsm: the GSM, to know whose registers are readable.
     const graph::Graph* gsm = nullptr;

@@ -57,6 +57,7 @@ void MultiConsensus::run(Env& env) {
   absorb(scratch);
 
   // Step 2: agree bit by bit, most significant first.
+  constexpr std::uint64_t kMaxRoundsPerBit = 512;  // a bit past it leaves the value undecided
   std::uint64_t prefix = 0;  // agreed high bits, right-aligned
   for (std::uint32_t i = 0; i < config_.bits; ++i) {
     const std::uint32_t shift = config_.bits - 1 - i;
@@ -86,9 +87,8 @@ void MultiConsensus::run(Env& env) {
 
     HboConsensus::Config hc;
     hc.gsm = config_.gsm;
-    hc.impl = config_.impl;
     hc.instance = config_.instance_base + i;
-    hc.max_rounds = config_.max_rounds_per_bit;
+    hc.max_rounds = kMaxRoundsPerBit;
     HboConsensus bit{hc, static_cast<std::uint32_t>((*candidate >> shift) & 1ULL)};
     bit.seed_buffer(take_buffer());
     bit.run(env);

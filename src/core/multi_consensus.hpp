@@ -31,7 +31,6 @@
 
 #include "graph/graph.hpp"
 #include "runtime/env.hpp"
-#include "shm/consensus_object.hpp"
 
 namespace mm::core {
 
@@ -39,11 +38,9 @@ class MultiConsensus {
  public:
   struct Config {
     const graph::Graph* gsm = nullptr;
-    shm::ConsensusImpl impl = shm::ConsensusImpl::kCas;
     std::uint32_t bits = 16;           ///< value width; values must fit
     std::uint64_t instance_base = 1;   ///< first HBO instance id to use; this
                                        ///< object consumes [base, base+bits)
-    std::uint64_t max_rounds_per_bit = 512;
   };
 
   MultiConsensus(Config config, std::uint64_t initial_value);

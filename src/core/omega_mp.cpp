@@ -9,11 +9,13 @@ using runtime::Env;
 using runtime::Message;
 
 void OmegaMP::run(Env& env) {
+  constexpr std::uint64_t kHeartbeatPeriod = 4;  // broadcast ALIVE every this many iterations
+  constexpr std::uint64_t kInitialTimeout = 32;  // silence tolerated before suspecting
   const Pid p = env.self();
   const std::size_t n = env.n();
 
   std::vector<std::uint64_t> last_seen(n, 0);   // own-iteration of last ALIVE from q
-  std::vector<std::uint64_t> timeout(n, config_.initial_timeout);
+  std::vector<std::uint64_t> timeout(n, kInitialTimeout);
   std::vector<bool> suspected(n, false);
   std::vector<Message> drained;  // reused across iterations
   std::uint64_t iter = 0;
@@ -22,7 +24,7 @@ void OmegaMP::run(Env& env) {
     ++iter;
     last_seen[p.index()] = iter;  // a process never suspects itself
 
-    if (iter % config_.hb_period == 0) {
+    if (iter % kHeartbeatPeriod == 0) {
       Message alive;
       alive.kind = kMsgAlive;
       net::send_to_others(env, alive);

@@ -18,13 +18,6 @@ namespace mm::core {
 
 class OmegaMP {
  public:
-  struct Config {
-    std::uint64_t hb_period = 4;        ///< broadcast ALIVE every this many iterations
-    std::uint64_t initial_timeout = 32; ///< silence tolerated before suspecting, iterations
-  };
-
-  explicit OmegaMP(Config config) : config_(config) {}
-
   void run(runtime::Env& env);
 
   [[nodiscard]] Pid leader() const noexcept {
@@ -35,7 +28,6 @@ class OmegaMP {
   }
 
  private:
-  Config config_;
   std::atomic<std::uint32_t> leader_{Pid::none().value()};
   std::atomic<std::uint64_t> iterations_{0};
 };

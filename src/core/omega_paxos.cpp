@@ -23,6 +23,9 @@ enum Subkind : std::uint64_t {
 
 constexpr std::uint64_t kBallotMask = (1ULL << 24) - 1;
 
+/// Own iterations after which a stalled ballot is retried with a higher one.
+constexpr std::uint64_t kAttemptTimeout = 256;
+
 std::uint64_t pack(std::uint64_t ballot, std::uint64_t accepted_ballot, std::uint32_t av,
                    std::uint32_t v) {
   MM_ASSERT(ballot <= kBallotMask && accepted_ballot <= kBallotMask);
@@ -48,8 +51,9 @@ Message paxos_msg(Subkind subkind, std::uint64_t value) {
 
 }  // namespace
 
-OmegaPaxos::OmegaPaxos(Config config, std::uint32_t initial_value)
-    : config_(config), initial_value_(initial_value), omega_(config.omega) {
+OmegaPaxos::OmegaPaxos(std::uint32_t initial_value)
+    : initial_value_(initial_value),
+      omega_(OmegaMM::Config{.mech = OmegaMM::NotifyMech::kRegister}) {
   MM_ASSERT_MSG(initial_value <= 1, "binary consensus");
 }
 
@@ -137,7 +141,7 @@ void OmegaPaxos::run(Env& env) {
 
     const bool am_leader = omega_.leader() == env.self();
     if (am_leader) {
-      if (!proposer_.active || iter_ - proposer_.started_iter > config_.attempt_timeout) {
+      if (!proposer_.active || iter_ - proposer_.started_iter > kAttemptTimeout) {
         start_ballot(env);  // fresh or stalled: (re)try with a higher ballot
       }
     } else {

@@ -25,14 +25,7 @@ namespace mm::core {
 
 class OmegaPaxos {
  public:
-  struct Config {
-    OmegaMM::Config omega{.mech = OmegaMM::NotifyMech::kRegister};
-    /// Proposer retry timeout in own iterations: a stalled ballot attempt is
-    /// abandoned (and retried with a higher ballot) after this many.
-    std::uint64_t attempt_timeout = 256;
-  };
-
-  OmegaPaxos(Config config, std::uint32_t initial_value);
+  explicit OmegaPaxos(std::uint32_t initial_value);
 
   /// Process body: participates until decided AND the decision has been
   /// broadcast, then returns. (Ω keeps running until then.)
@@ -68,7 +61,6 @@ class OmegaPaxos {
   void start_ballot(runtime::Env& env);
   void decide(runtime::Env& env, std::uint32_t value);
 
-  Config config_;
   std::uint32_t initial_value_;
   OmegaMM omega_;
   AcceptorState acceptor_;

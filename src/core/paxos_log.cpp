@@ -27,6 +27,8 @@ enum Subkind : std::uint64_t {
 };
 
 constexpr std::uint64_t kBallotMask = (1ULL << 24) - 1;
+constexpr std::uint64_t kAttemptTimeout = 512;  ///< own iterations before a re-prepare
+constexpr std::uint64_t kForwardEvery = 64;     ///< command re-forward period (iterations)
 
 Message make(Subkind subkind, std::uint64_t slot, std::uint64_t value, std::uint64_t aux) {
   Message m;
@@ -39,8 +41,8 @@ Message make(Subkind subkind, std::uint64_t slot, std::uint64_t value, std::uint
 
 }  // namespace
 
-PaxosLog::PaxosLog(Config config, std::vector<std::uint64_t> my_commands)
-    : config_(std::move(config)), omega_(config_.omega) {
+PaxosLog::PaxosLog(std::vector<std::uint64_t> my_commands)
+    : omega_(OmegaMM::Config{.mech = OmegaMM::NotifyMech::kRegister}) {
   for (const std::uint64_t cmd : my_commands) {
     MM_ASSERT_MSG(cmd != kNoopCommand, "command 0 is reserved for no-op gap filling");
     pending_.push_back(cmd);
@@ -99,7 +101,6 @@ void PaxosLog::apply_ready(Env& env) {
     if (it == chosen_.end()) break;
     applied_.push_back(it->second);
     applied_count_.store(applied_.size(), std::memory_order_release);
-    if (config_.apply) config_.apply(applied_.size() - 1, it->second);
   }
   // Did everything we ever submitted make it in?
   if (!mine_committed_.load(std::memory_order_acquire)) {
@@ -205,7 +206,7 @@ void PaxosLog::pump_client(Env& env) {
       for (const auto& [s, chosen_cmd] : chosen_) known = known || chosen_cmd == cmd;
       if (!known) propose_slot(env, next_slot_++, cmd);
     }
-  } else if (iter_ % config_.forward_every == 0) {
+  } else if (iter_ % kForwardEvery == 0) {
     const Pid leader = omega_.leader();
     if (!leader.is_none() && leader != env.self() && leader.index() < env.n()) {
       for (const std::uint64_t cmd : pending_)
@@ -232,7 +233,7 @@ void PaxosLog::run(Env& env) {
       leading_ = false;
       accept_phase_ = false;
       in_flight_.clear();
-    } else if (leading_ && iter_ - phase_started_ > config_.attempt_timeout &&
+    } else if (leading_ && iter_ - phase_started_ > kAttemptTimeout &&
                (!accept_phase_ || !in_flight_.empty() || !pending_.empty())) {
       start_prepare(env);  // stalled ballot (lost quorum or dropped replies)
     }

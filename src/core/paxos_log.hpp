@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -36,15 +35,7 @@ namespace mm::core {
 
 class PaxosLog {
  public:
-  struct Config {
-    OmegaMM::Config omega{.mech = OmegaMM::NotifyMech::kRegister};
-    std::uint64_t attempt_timeout = 512;  ///< own iterations before a re-prepare
-    std::uint64_t forward_every = 64;     ///< command re-forward period (iterations)
-    /// Called once per slot, in log order, when the slot's command commits.
-    std::function<void(std::uint64_t slot, std::uint64_t command)> apply;
-  };
-
-  PaxosLog(Config config, std::vector<std::uint64_t> my_commands);
+  explicit PaxosLog(std::vector<std::uint64_t> my_commands);
 
   /// Process body: serves proposer/acceptor/learner roles forever (until
   /// Env::stop_requested()). Commands from `my_commands` are injected into
@@ -83,7 +74,6 @@ class PaxosLog {
   void apply_ready(runtime::Env& env);
   void pump_client(runtime::Env& env);
 
-  Config config_;
   OmegaMM omega_;
 
   // Client side.

@@ -20,10 +20,8 @@ std::optional<std::uint64_t> LogReplica::run_slot(runtime::Env& env, std::uint64
 
   MultiConsensus::Config mc;
   mc.gsm = config_.gsm;
-  mc.impl = config_.impl;
   mc.bits = config_.command_bits;
   mc.instance_base = 1 + static_cast<std::uint64_t>(slot) * config_.command_bits;
-  mc.max_rounds_per_bit = config_.max_rounds_per_bit;
 
   MultiConsensus consensus{mc, command};
   consensus.seed_buffer(std::move(carry_));

@@ -21,7 +21,6 @@
 #include "core/multi_consensus.hpp"
 #include "graph/graph.hpp"
 #include "runtime/env.hpp"
-#include "shm/consensus_object.hpp"
 
 namespace mm::core {
 
@@ -31,10 +30,8 @@ class LogReplica {
  public:
   struct Config {
     const graph::Graph* gsm = nullptr;
-    shm::ConsensusImpl impl = shm::ConsensusImpl::kCas;
     std::uint32_t command_bits = 20;  ///< width of a command word
     std::uint32_t max_slots = 64;     ///< instance-space budget: slots*bits ≤ 4095
-    std::uint64_t max_rounds_per_bit = 512;
     /// Called once per decided slot, in log order.
     std::function<void(std::uint64_t slot, std::uint64_t command)> apply;
   };

@@ -54,7 +54,7 @@ std::vector<bool> pick_crash_set(const ConsensusTrialConfig& cfg, Rng& rng) {
     return crashed;
   }
   if (cfg.f == 0 || cfg.crash_pick == CrashPick::kNone) return crashed;
-  MM_ASSERT_MSG(cfg.f < n, "cannot crash every process");
+  require_crashable(cfg.f, n);
 
   if (cfg.crash_pick == CrashPick::kWorstCase && n <= graph::kExactExpansionMaxN) {
     // Crash the complement of the correct set that minimises representation:
@@ -73,6 +73,18 @@ std::vector<bool> pick_crash_set(const ConsensusTrialConfig& cfg, Rng& rng) {
 }
 
 }  // namespace
+
+void require_crashable(std::size_t f, std::size_t n) {
+  if (f >= n)
+    throw runtime::ConfigError{"cannot crash every process: f = " + std::to_string(f) +
+                               " >= n = " + std::to_string(n)};
+}
+
+void require_two_processes(std::size_t n) {
+  if (n < 2)
+    throw runtime::ConfigError{"omega and byz_register trials need n >= 2, got " +
+                               std::to_string(n)};
+}
 
 ConsensusTrialResult run_consensus_trial(const ConsensusTrialConfig& cfg) {
   const std::size_t n = cfg.gsm.size();
@@ -244,7 +256,7 @@ runtime::RegKey byz_done_key(Pid p) {
 
 ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg) {
   const std::size_t n = cfg.gsm.size();
-  MM_ASSERT(n >= 2);
+  require_two_processes(n);
   const Pid writer{0};
 
   // Resilience-bound validation, mirroring SimConfig::validate's style: a
@@ -276,7 +288,6 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
   SimConfig sim;
   sim.gsm = cfg.gsm;
   sim.seed = cfg.seed;
-  sim.min_delay = cfg.min_delay;
   sim.max_delay = cfg.max_delay;
   sim.crash_at = cfg.crash_at;
   sim.byzantine = cfg.byzantine;  // validate() rejects crash-plan overlap
@@ -296,7 +307,6 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
     ByzRegister::Config bc;
     bc.f = cfg.f;
     bc.writer = writer;
-    bc.tag = 1;
     bc.use_gsm = cfg.use_gsm;
     bc.gsm = &cfg.gsm;
     regs.push_back(std::make_unique<ByzRegister>(bc));
@@ -360,8 +370,9 @@ ByzRegisterTrialResult run_byz_register_trial(const ByzRegisterTrialConfig& cfg)
 // ---------------------------------------------------------------------------
 
 OmegaTrialResult run_omega_trial(const OmegaTrialConfig& cfg) {
+  constexpr Step kTimelyBound = 8;  // the timely process runs in every window this long
   const std::size_t n = cfg.n;
-  MM_ASSERT(n >= 2);
+  require_two_processes(n);
 
   SimConfig sim;
   sim.gsm = graph::complete(n);  // §5 assumes a complete GSM
@@ -372,7 +383,7 @@ OmegaTrialResult run_omega_trial(const OmegaTrialConfig& cfg) {
   sim.min_delay = cfg.min_delay;
   sim.max_delay = cfg.max_delay;
   sim.timely = cfg.timely;
-  sim.timely_bound = cfg.timely_bound;
+  sim.timely_bound = kTimelyBound;
   if (cfg.slow_weight != 1.0) {
     sim.sched_weight.assign(n, cfg.slow_weight);
     sim.sched_weight[cfg.timely.index()] = 1.0;
@@ -386,7 +397,7 @@ OmegaTrialResult run_omega_trial(const OmegaTrialConfig& cfg) {
   std::vector<std::unique_ptr<OmegaMP>> mps;
   for (std::size_t p = 0; p < n; ++p) {
     if (cfg.algo == OmegaAlgo::kMessagePassing) {
-      mps.push_back(std::make_unique<OmegaMP>(OmegaMP::Config{}));
+      mps.push_back(std::make_unique<OmegaMP>());
       rt.add_process([alg = mps.back().get()](runtime::Env& env) { alg->run(env); });
     } else {
       OmegaMM::Config oc;

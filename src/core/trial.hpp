@@ -81,6 +81,13 @@ struct ConsensusTrialResult {
 
 [[nodiscard]] ConsensusTrialResult run_consensus_trial(const ConsensusTrialConfig& cfg);
 
+/// Size rules the trials enforce, also for callers that validate input first
+/// (the chaos repro parser); each throws runtime::ConfigError naming the value.
+/// f < n: a consensus trial cannot crash every process.
+void require_crashable(std::size_t f, std::size_t n);
+/// n >= 2: Ω and Byzantine-register trials need two processes at least.
+void require_two_processes(std::size_t n);
+
 /// Convenience: fraction of `trials` seeds (seed, seed+1, ...) in which all
 /// correct processes decided, with safety asserted on every run. Trials fan
 /// out across the MM_JOBS worker pool (see exec/parallel_map.hpp); the
@@ -110,8 +117,7 @@ struct ByzRegisterTrialConfig {
   bool use_gsm = false;     ///< hybrid m&m mode (see core/byz_register.hpp)
   std::size_t writes = 3;   ///< writer writes 1..writes
   Step budget = 400'000;
-  Step min_delay = 1;
-  Step max_delay = 8;
+  Step max_delay = 8;  ///< message delays are uniform in [1, max_delay]
   /// Declarative Byzantine set (empty = none); must not overlap crash_at and
   /// is validated against the register's resilience bound (n > 3f message
   /// mode, n > 2f hybrid — hybrid past n > 3f also needs the writer to
@@ -155,10 +161,9 @@ struct OmegaTrialConfig {
   Step min_delay = 1;
   Step max_delay = 8;
 
-  /// The process guaranteed timely by the scheduler (§3). Others run at
-  /// `slow_weight` relative scheduling weight.
+  /// The process guaranteed timely by the scheduler (§3), run at least once
+  /// in every 8 global steps. Others run at `slow_weight` relative weight.
   Pid timely{0};
-  Step timely_bound = 8;
   double slow_weight = 1.0;
 
   /// Crash the initial stable leader at this step (0 = never) to measure

@@ -32,8 +32,6 @@ std::size_t default_jobs() {
   return hw != 0 ? hw : 1;
 }
 
-void set_jobs_override(std::size_t jobs) { override_slot() = jobs; }
-
 ScopedJobs::ScopedJobs(std::size_t jobs) : previous_(override_slot()) {
   override_slot() = jobs;
 }

@@ -1,6 +1,6 @@
 // Worker-count resolution for the parallel trial engine.
 //
-// Precedence: programmatic override (tests) > MM_JOBS environment variable >
+// Precedence: ScopedJobs override (tests) > MM_JOBS environment variable >
 // std::thread::hardware_concurrency(). A resolved value of 1 means "run
 // inline on the calling thread" — no pool, no worker threads — which
 // reproduces the historical sequential behavior exactly.
@@ -16,11 +16,8 @@ namespace mm::exec {
 /// naming MM_JOBS and the text.
 [[nodiscard]] std::size_t default_jobs();
 
-/// Force the job count, ignoring MM_JOBS (0 clears the override). Intended
-/// for tests; prefer ScopedJobs.
-void set_jobs_override(std::size_t jobs);
-
-/// RAII override of the job count (restores the previous override on exit).
+/// RAII override of the job count, ignoring MM_JOBS (0 clears the override;
+/// the previous override is restored on exit). Intended for tests.
 class ScopedJobs {
  public:
   explicit ScopedJobs(std::size_t jobs);

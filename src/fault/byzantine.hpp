@@ -1,6 +1,6 @@
 // The Byzantine adversary: per-process corruption policies realised through
-// the FaultInjector interposition hooks (runtime/fault_hook.hpp), which
-// FaultEngine forwards here.
+// the FaultInjector send and register-write hooks (runtime/fault_hook.hpp),
+// which FaultEngine forwards here after firing its rules.
 //
 // A process "goes Byzantine" when a kGoByzantine FaultRule fires (or a test
 // calls go_byzantine directly). From then on every message it sends and every
@@ -80,9 +80,10 @@ class ByzantineAdversary {
   /// Byzantine set is empty — the determinism contract tests pin.
   [[nodiscard]] std::uint64_t rng_draws() const noexcept { return draws_; }
 
-  /// FaultInjector::on_byz_send for a Byzantine `from`; pass-through otherwise.
+  /// FaultInjector::on_send's data path: a Byzantine `from`'s send, rewritten
+  /// or suppressed (false); pass-through otherwise.
   bool on_byz_send(Pid from, Pid to, runtime::Message& m);
-  /// FaultInjector::on_byz_reg_write for a Byzantine `writer`.
+  /// FaultInjector::on_reg_write's data path for a Byzantine `writer`.
   void on_byz_reg_write(Pid writer, runtime::RegKey key, std::uint64_t& v);
 
  private:

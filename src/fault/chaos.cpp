@@ -352,6 +352,29 @@ Json pid_to_json(Pid p) {
   return Json::uint(p.value());
 }
 
+/// Whether run_chaos_case's check_* call for cases of kind `k` evaluates `o`.
+bool evaluates(CaseKind k, Oracle o) {
+  using enum Oracle;
+  switch (k) {
+    case CaseKind::kConsensus: return o == kAgreement || o == kValidity || o == kTermination;
+    case CaseKind::kOmega: return o == kOmegaStabilizes;
+    case CaseKind::kByzRegister:
+      return o == kByzAgreement || o == kByzValidity || o == kByzLinearizable || o == kTermination;
+  }
+  return false;
+}
+
+/// `name` as an oracle cases of kind `k` evaluate, else a JsonError naming `field`.
+Oracle oracle_for(CaseKind k, const std::string& name, const char* field) {
+  const auto o = oracle_from_string(name);
+  if (!o) throw JsonError{std::string{field} + ": unknown oracle \"" + name + "\""};
+  if (!evaluates(k, *o)) {
+    throw JsonError{std::string{field} + ": " + to_string(k) + " cases never evaluate \"" +
+                    name + "\""};
+  }
+  return *o;
+}
+
 Pid pid_from_json(const Json& j) {
   if (j.is_null()) return Pid::none();
   const std::uint64_t v = j.as_u64();
@@ -476,14 +499,22 @@ ChaosCase case_from_json(const Json& j) {
     c.omega_algo = *algo;
     c.drop_prob = j.at("drop_prob").as_double();
   }
+  // A case runs as written or not at all: the trials' and the generators'
+  // own size rules reject what they cannot build.
+  const char* field = "n";
+  try {
+    if (c.kind != CaseKind::kConsensus) core::require_two_processes(c.n);
+    if (c.kind != CaseKind::kOmega) (void)make_topology(c.topology, c.n);
+    field = "f";
+    if (c.kind == CaseKind::kConsensus) core::require_crashable(c.f, c.n);
+  } catch (const std::invalid_argument& e) {
+    throw JsonError{std::string{field} + ": " + e.what()};
+  }
   c.max_delay = j.at("max_delay").as_u64();
   c.budget = j.at("budget").as_u64();
   for (const Json& rj : j.at("rules").as_array()) c.rules.push_back(rule_from_json(rj));
-  for (const Json& oj : j.at("oracles").as_array()) {
-    const auto o = oracle_from_string(oj.as_string());
-    if (!o) throw JsonError{"unknown oracle \"" + oj.as_string() + "\""};
-    c.oracles.push_back(*o);
-  }
+  for (const Json& oj : j.at("oracles").as_array())
+    c.oracles.push_back(oracle_for(c.kind, oj.as_string(), "oracles"));
   return c;
 }
 
@@ -510,15 +541,15 @@ ChaosCase repro_from_string(std::string_view text, std::optional<Violation>* rec
     throw JsonError{"not an mm-chaos-repro document"};
   const std::uint64_t version = doc.at("version").as_u64();
   if (version < 1 || version > 2) throw JsonError{"unsupported repro version"};
+  ChaosCase c = case_from_json(doc.at("case"));
   if (recorded != nullptr) {
     recorded->reset();
     if (const Json* vj = doc.find("violation")) {
-      const auto o = oracle_from_string(vj->at("oracle").as_string());
-      if (!o) throw JsonError{"unknown oracle in violation"};
-      *recorded = Violation{*o, vj->at("detail").as_string()};
+      *recorded = Violation{oracle_for(c.kind, vj->at("oracle").as_string(), "violation.oracle"),
+                            vj->at("detail").as_string()};
     }
   }
-  return case_from_json(doc.at("case"));
+  return c;
 }
 
 }  // namespace mm::fault

@@ -103,14 +103,16 @@ struct ChaosOutcome {
                                     bool assert_termination,
                                     bool include_byzantine = false);
 
-// JSON (de)serialization. case_from_json throws JsonError on malformed input.
+// JSON (de)serialization. case_from_json throws JsonError naming the field on
+// malformed input, an oracle the kind never evaluates, an n the kind or
+// topology cannot build, or a consensus f >= n.
 [[nodiscard]] Json case_to_json(const ChaosCase& c);
 [[nodiscard]] ChaosCase case_from_json(const Json& j);
 
 /// Versioned repro envelope: { format, version, case, violation? }.
 [[nodiscard]] std::string repro_to_string(const ChaosCase& c, const Violation* v);
 /// Parses a repro document; when `recorded` is non-null it receives the
-/// violation the document claims (if any) for replay comparison.
+/// violation the document claims (if any; its oracle is checked like `oracles`).
 [[nodiscard]] ChaosCase repro_from_string(std::string_view text,
                                           std::optional<Violation>* recorded = nullptr);
 

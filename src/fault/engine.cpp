@@ -21,7 +21,6 @@ const char* to_string(Action a) noexcept {
     case Action::kHealPartition: return "heal_partition";
     case Action::kMemoryWindow: return "memory_window";
     case Action::kLinkBurst: return "link_burst";
-    case Action::kRevokeTimely: return "revoke_timely";
     case Action::kGoByzantine: return "go_byzantine";
   }
   return "?";
@@ -36,17 +35,16 @@ std::optional<Trigger> trigger_from_string(std::string_view s) noexcept {
 
 std::optional<Action> action_from_string(std::string_view s) noexcept {
   for (auto a : {Action::kCrash, Action::kPartition, Action::kHealPartition,
-                 Action::kMemoryWindow, Action::kLinkBurst, Action::kRevokeTimely,
-                 Action::kGoByzantine})
+                 Action::kMemoryWindow, Action::kLinkBurst, Action::kGoByzantine})
     if (s == to_string(a)) return a;
   return std::nullopt;
 }
 
-FaultEngine::FaultEngine(std::vector<FaultRule> rules, std::uint64_t byz_seed)
+FaultEngine::FaultEngine(std::vector<FaultRule> rules)
     : rules_(std::move(rules)),
       fired_(rules_.size(), false),
       send_seen_(rules_.size(), 0),
-      adversary_(byz_seed) {
+      adversary_(kByzSeed) {
   for (const FaultRule& r : rules_)
     any_step_rules_ |= r.trigger == Trigger::kAtStep;
 }
@@ -67,7 +65,7 @@ void FaultEngine::on_step(runtime::SimRuntime& rt) {
   }
 }
 
-void FaultEngine::on_send(runtime::SimRuntime& rt, Pid from, Pid /*to*/) {
+bool FaultEngine::on_send(runtime::SimRuntime& rt, Pid from, Pid to, runtime::Message& m) {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (fired_[i]) continue;
     const FaultRule& r = rules_[i];
@@ -75,9 +73,11 @@ void FaultEngine::on_send(runtime::SimRuntime& rt, Pid from, Pid /*to*/) {
     if (!r.who.is_none() && r.who != from) continue;
     if (++send_seen_[i] >= r.count) fire(rt, i, from);
   }
+  return adversary_.on_byz_send(from, to, m);
 }
 
-void FaultEngine::on_reg_write(runtime::SimRuntime& rt, Pid writer, runtime::RegKey key) {
+void FaultEngine::on_reg_write(runtime::SimRuntime& rt, Pid writer, runtime::RegKey key,
+                               std::uint64_t& v) {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (fired_[i]) continue;
     const FaultRule& r = rules_[i];
@@ -88,6 +88,7 @@ void FaultEngine::on_reg_write(runtime::SimRuntime& rt, Pid writer, runtime::Reg
       if (key.round() >= r.count) fire(rt, i, writer);
     }
   }
+  adversary_.on_byz_reg_write(writer, key, v);
 }
 
 void FaultEngine::fire(runtime::SimRuntime& rt, std::size_t i, Pid context) {
@@ -137,9 +138,6 @@ void FaultEngine::fire(runtime::SimRuntime& rt, std::size_t i, Pid context) {
       rt.begin_link_burst(burst);
       break;
     }
-    case Action::kRevokeTimely:
-      rt.revoke_timely();
-      break;
     case Action::kGoByzantine:
       if (target_ok) {
         adversary_.go_byzantine(

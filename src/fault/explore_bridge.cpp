@@ -78,9 +78,6 @@ ExploreFaults lift_rules(const ChaosCase& c) {
         reject("memory-failure windows have no dependency class in "
                "footprints_dependent yet (sample them with chaos campaigns "
                "instead)");
-      case Action::kRevokeTimely:
-        reject("timeliness revocation only matters to real-time algorithms "
-               "the explorer cannot express");
       case Action::kGoByzantine:
         reject("explorer does not support Byzantine processes: adversary "
                "interposition has no dependency class in footprints_dependent "

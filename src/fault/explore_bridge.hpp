@@ -20,9 +20,9 @@
 //     (one cut; the explorer places both toggles, subsuming kHealPartition);
 //   * pure-drop kLinkBurst rules -> one unit of the explorer's drop budget
 //     each (duplication and extra delay break the unit-delay precondition);
-//   * kMemoryWindow / kRevokeTimely / kGoByzantine and baseline random
-//     crashes (f > 0) have no dependency class -> BridgeError, keep
-//     sampling those with chaos campaigns.
+//   * kMemoryWindow / kGoByzantine and baseline random crashes (f > 0)
+//     have no dependency class -> BridgeError, keep sampling those with
+//     chaos campaigns.
 //
 // Violation messages from the bridged oracle are "<oracle>: <detail>", so a
 // replay can check it rediscovered the SAME oracle the repro recorded.

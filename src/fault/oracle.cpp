@@ -1,5 +1,7 @@
 #include "fault/oracle.hpp"
 
+#include "check/linearizability.hpp"
+
 namespace mm::fault {
 
 const char* to_string(Oracle o) noexcept {
@@ -8,7 +10,6 @@ const char* to_string(Oracle o) noexcept {
     case Oracle::kValidity: return "validity";
     case Oracle::kTermination: return "termination";
     case Oracle::kOmegaStabilizes: return "omega_stabilizes";
-    case Oracle::kLinearizable: return "linearizable";
     case Oracle::kByzAgreement: return "byz_agreement";
     case Oracle::kByzValidity: return "byz_validity";
     case Oracle::kByzLinearizable: return "byz_linearizable";
@@ -18,9 +19,8 @@ const char* to_string(Oracle o) noexcept {
 
 std::optional<Oracle> oracle_from_string(std::string_view s) noexcept {
   for (auto o : {Oracle::kAgreement, Oracle::kValidity, Oracle::kTermination,
-                 Oracle::kOmegaStabilizes, Oracle::kLinearizable,
-                 Oracle::kByzAgreement, Oracle::kByzValidity,
-                 Oracle::kByzLinearizable})
+                 Oracle::kOmegaStabilizes, Oracle::kByzAgreement,
+                 Oracle::kByzValidity, Oracle::kByzLinearizable})
     if (s == to_string(o)) return o;
   return std::nullopt;
 }
@@ -53,13 +53,6 @@ std::optional<Violation> check_omega(const core::OmegaTrialResult& res,
     return Violation{Oracle::kOmegaStabilizes,
                      "no stable correct leader emerged within the budget"};
   return std::nullopt;
-}
-
-std::optional<Violation> check_linearizable(const std::vector<check::RegOp>& history,
-                                            std::uint64_t initial) {
-  const check::LinCheck lc = check::check_swmr_atomic(history, initial);
-  if (lc.ok) return std::nullopt;
-  return Violation{Oracle::kLinearizable, lc.violation};
 }
 
 std::optional<Violation> check_byz_register(const core::ByzRegisterTrialResult& res,
@@ -128,10 +121,8 @@ std::optional<Violation> check_byz_register(const core::ByzRegisterTrialResult& 
     check::HistoryRecorder merged;
     for (std::size_t p = 0; p < n; ++p)
       if (correct(p)) merged.merge(res.histories[p]);
-    if (auto v = check_linearizable(merged.ops(), 0)) {
-      v->oracle = Oracle::kByzLinearizable;
-      return v;
-    }
+    const check::LinCheck lc = check::check_swmr_atomic(merged.ops(), 0);
+    if (!lc.ok) return Violation{Oracle::kByzLinearizable, lc.violation};
   }
 
   if (armed(armed_oracles, Oracle::kTermination) && !res.completed) {

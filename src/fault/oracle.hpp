@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/linearizability.hpp"
 #include "core/trial.hpp"
 
 namespace mm::fault {
@@ -23,7 +22,6 @@ enum class Oracle : std::uint8_t {
   kValidity,        ///< every decision is some process' input (§4)
   kTermination,     ///< all correct processes decide within the step budget
   kOmegaStabilizes, ///< Ω converges to one correct leader everywhere (§5)
-  kLinearizable,    ///< SWMR register history is atomic (runtime promise)
   // Byzantine-aware oracles: judged only at *correct* processes (neither
   // crashed nor Byzantine) — a Byzantine process's outputs have no spec.
   kByzAgreement,    ///< no two correct servers adopt different values for one ts
@@ -47,10 +45,6 @@ struct Violation {
 /// Evaluate the armed Ω oracles (only kOmegaStabilizes applies).
 [[nodiscard]] std::optional<Violation> check_omega(
     const core::OmegaTrialResult& res, const std::vector<Oracle>& armed);
-
-/// Linearizability of a recorded SWMR history via the existing checker.
-[[nodiscard]] std::optional<Violation> check_linearizable(
-    const std::vector<check::RegOp>& history, std::uint64_t initial = 0);
 
 /// Evaluate the armed Byzantine-register oracles against one trial result.
 /// `byz_mask` marks the Byzantine pids (bit p, from the run's adversary) —

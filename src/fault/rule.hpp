@@ -39,7 +39,6 @@ enum class Action : std::uint8_t {
   kHealPartition,  ///< remove any active partition
   kMemoryWindow,   ///< fail `target`'s host memory for `duration` steps (0 = forever)
   kLinkBurst,      ///< drop/duplicate/delay-spike messages for `duration` steps
-  kRevokeTimely,   ///< withdraw the §3 timeliness guarantee
   kGoByzantine,    ///< corrupt `target` with behaviours `byz_behaviors`
 };
 

@@ -8,17 +8,19 @@ namespace mm::fault {
 
 namespace {
 
+/// Probe runs one shrink may spend.
+constexpr std::size_t kMaxEvals = 400;
+
 /// Shared probe state: counts evaluations and remembers the last violation
 /// a successful (= still failing) probe produced.
 struct Prober {
   Oracle want;
   std::size_t evals = 0;
-  std::size_t max_evals;
   Violation last;
 
   /// True when `c` still violates the oracle we are minimizing for.
   bool still_fails(const ChaosCase& c) {
-    if (evals >= max_evals) return false;  // out of budget: treat as passed
+    if (evals >= kMaxEvals) return false;  // out of budget: treat as passed
     ++evals;
     const ChaosOutcome out = run_chaos_case(c);
     if (out.violation && out.violation->oracle == want) {
@@ -33,9 +35,9 @@ struct Prober {
 /// restart at coarse granularity after every successful removal.
 void ddmin_rules(ChaosCase& c, Prober& pr) {
   std::size_t chunk = std::max<std::size_t>(1, c.rules.size() / 2);
-  while (!c.rules.empty() && pr.evals < pr.max_evals) {
+  while (!c.rules.empty() && pr.evals < kMaxEvals) {
     bool removed_any = false;
-    for (std::size_t start = 0; start < c.rules.size() && pr.evals < pr.max_evals;) {
+    for (std::size_t start = 0; start < c.rules.size() && pr.evals < kMaxEvals;) {
       ChaosCase candidate = c;
       const std::size_t end = std::min(start + chunk, candidate.rules.size());
       candidate.rules.erase(candidate.rules.begin() + static_cast<std::ptrdiff_t>(start),
@@ -70,9 +72,9 @@ bool try_keep(ChaosCase& c, ChaosCase candidate, Prober& pr) {
 /// Per-rule parameter shrinking: smaller trigger counts replay earlier,
 /// zeroed burst knobs and simpler subjects read better in the repro.
 void shrink_params(ChaosCase& c, Prober& pr) {
-  for (std::size_t i = 0; i < c.rules.size() && pr.evals < pr.max_evals; ++i) {
+  for (std::size_t i = 0; i < c.rules.size() && pr.evals < kMaxEvals; ++i) {
     // Halve the trigger count toward 0 (step thresholds, send ordinals).
-    while (c.rules[i].count > 1 && pr.evals < pr.max_evals) {
+    while (c.rules[i].count > 1 && pr.evals < kMaxEvals) {
       ChaosCase candidate = c;
       candidate.rules[i].count /= 2;
       if (!try_keep(c, std::move(candidate), pr)) break;
@@ -91,7 +93,7 @@ void shrink_params(ChaosCase& c, Prober& pr) {
     if (c.rules[i].action == Action::kGoByzantine) {
       // Drop behavior flags one at a time — the surviving set names the
       // misbehavior the violation actually needs.
-      for (int bit = 0; bit < 8 && pr.evals < pr.max_evals; ++bit) {
+      for (int bit = 0; bit < 8 && pr.evals < kMaxEvals; ++bit) {
         const std::uint32_t flag = std::uint32_t{1} << bit;
         if ((c.rules[i].byz_behaviors & flag) == 0) continue;
         ChaosCase candidate = c;
@@ -103,14 +105,13 @@ void shrink_params(ChaosCase& c, Prober& pr) {
   // Fewer baseline crashes make the schedule carry the whole repro. (For
   // Byzantine-register cases f is the configured tolerance: lowering it only
   // tightens the legal envelope, so a smaller still-failing f is fair game.)
-  while (c.f > 0 && pr.evals < pr.max_evals) {
+  while (c.f > 0 && pr.evals < kMaxEvals) {
     ChaosCase candidate = c;
     candidate.f /= 2;
     if (!try_keep(c, std::move(candidate), pr)) break;
   }
   // Fewer writes shorten a Byzantine-register repro's history.
-  while (c.kind == CaseKind::kByzRegister && c.byz_writes > 1 &&
-         pr.evals < pr.max_evals) {
+  while (c.kind == CaseKind::kByzRegister && c.byz_writes > 1 && pr.evals < kMaxEvals) {
     ChaosCase candidate = c;
     candidate.byz_writes /= 2;
     if (!try_keep(c, std::move(candidate), pr)) break;
@@ -122,7 +123,7 @@ void shrink_params(ChaosCase& c, Prober& pr) {
 void shrink_budget(ChaosCase& c, Prober& pr) {
   Step lo = 1;
   Step hi = c.budget;
-  while (lo < hi && pr.evals < pr.max_evals) {
+  while (lo < hi && pr.evals < kMaxEvals) {
     const Step mid = lo + (hi - lo) / 2;
     ChaosCase candidate = c;
     candidate.budget = mid;
@@ -142,11 +143,11 @@ void shrink_budget(ChaosCase& c, Prober& pr) {
 
 }  // namespace
 
-ShrinkResult shrink_case(const ChaosCase& failing, std::size_t max_evals) {
+ShrinkResult shrink_case(const ChaosCase& failing) {
   const ChaosOutcome first = run_chaos_case(failing);
   MM_ASSERT_MSG(first.violation.has_value(), "shrink_case needs a failing case");
 
-  Prober pr{first.violation->oracle, 1, max_evals, *first.violation};
+  Prober pr{first.violation->oracle, 1, *first.violation};
 
   ShrinkResult res;
   res.rules_before = failing.rules.size();

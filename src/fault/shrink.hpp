@@ -32,8 +32,7 @@ struct ShrinkResult {
 };
 
 /// Shrink `failing`, whose run must currently produce a violation (asserted
-/// by re-running it). `max_evals` bounds the number of probe runs.
-[[nodiscard]] ShrinkResult shrink_case(const ChaosCase& failing,
-                                       std::size_t max_evals = 400);
+/// by re-running it). At most 400 probe runs are spent.
+[[nodiscard]] ShrinkResult shrink_case(const ChaosCase& failing);
 
 }  // namespace mm::fault

@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mm::graph {
 
 namespace {
+
+/// A family's size rule: std::invalid_argument "<family> needs <rule>, got <n>".
+void require(bool ok, const char* family, const char* rule, std::size_t got) {
+  if (!ok)
+    throw std::invalid_argument{std::string{family} + " needs " + rule + ", got " +
+                                std::to_string(got)};
+}
 
 /// The edges {u, u+1 mod n}, in ring()'s order.
 void add_ring_edges(Graph& g, std::size_t n) {
@@ -29,7 +38,7 @@ Graph complete(std::size_t n) {
 }
 
 Graph ring(std::size_t n) {
-  MM_ASSERT(n >= 3);
+  require(n >= 3, "ring", "n >= 3", n);
   Graph g{n};
   g.reserve_degree(2);
   add_ring_edges(g, n);
@@ -37,7 +46,7 @@ Graph ring(std::size_t n) {
 }
 
 Graph path(std::size_t n) {
-  MM_ASSERT(n >= 1);
+  require(n >= 1, "path", "n >= 1", n);
   Graph g{n};
   g.reserve_degree(2);
   for (std::size_t u = 0; u + 1 < n; ++u)
@@ -46,7 +55,7 @@ Graph path(std::size_t n) {
 }
 
 Graph star(std::size_t n) {
-  MM_ASSERT(n >= 2);
+  require(n >= 2, "star", "n >= 2", n);
   Graph g{n};
   for (std::size_t v = 1; v < n; ++v)
     g.add_edge(Pid{0}, Pid{static_cast<std::uint32_t>(v)});
@@ -54,7 +63,7 @@ Graph star(std::size_t n) {
 }
 
 Graph torus(std::size_t rows, std::size_t cols) {
-  MM_ASSERT(rows >= 2 && cols >= 2);
+  require(rows >= 2 && cols >= 2, "torus", "rows, cols >= 2", std::min(rows, cols));
   Graph g{rows * cols};
   g.reserve_degree(4);
   auto id = [&](std::size_t r, std::size_t c) {
@@ -70,7 +79,7 @@ Graph torus(std::size_t rows, std::size_t cols) {
 }
 
 Graph hypercube(std::size_t dim) {
-  MM_ASSERT(dim >= 1 && dim <= 12);
+  require(dim >= 1 && dim <= 12, "hypercube", "1 <= dim <= 12", dim);
   const std::size_t n = 1ULL << dim;
   Graph g{n};
   g.reserve_degree(dim);
@@ -85,7 +94,7 @@ Graph hypercube(std::size_t dim) {
 Graph barbell(std::size_t k) { return barbell_path(k, 0); }
 
 Graph barbell_path(std::size_t k, std::size_t bridge_len) {
-  MM_ASSERT(k >= 2);
+  require(k >= 2, "barbell", "k >= 2", k);
   const std::size_t n = 2 * k + bridge_len;
   Graph g{n};
   g.reserve_degree(k);  // clique vertices k - 1, plus one at each bridge end
@@ -106,7 +115,7 @@ Graph barbell_path(std::size_t k, std::size_t bridge_len) {
 }
 
 Graph chordal_ring(std::size_t n) {
-  MM_ASSERT(n >= 4 && n % 2 == 0);
+  require(n >= 4 && n % 2 == 0, "chordal_ring", "an even n >= 4", n);
   Graph g{n};
   g.reserve_degree(3);
   add_ring_edges(g, n);
@@ -117,8 +126,8 @@ Graph chordal_ring(std::size_t n) {
 }
 
 std::optional<Graph> random_regular(std::size_t n, std::size_t d, Rng& rng) {
-  MM_ASSERT_MSG((n * d) % 2 == 0, "n*d must be even for a d-regular graph");
-  MM_ASSERT_MSG(d < n, "degree must be < n");
+  require(d < n, "random_regular", "d < n", n);
+  require((n * d) % 2 == 0, "random_regular", "an even n*d", n * d);
   if (d == 0) return Graph{n};
 
   // Start from a d-regular circulant lattice, then randomise with
@@ -189,7 +198,7 @@ Graph random_regular_must(std::size_t n, std::size_t d, Rng& rng) {
 }
 
 Graph gabber_galil(std::size_t m) {
-  MM_ASSERT(m >= 2);
+  require(m >= 2, "gabber_galil", "m >= 2", m);
   const std::size_t n = m * m;
   Graph g{n};
   g.reserve_degree(8);  // at most eight distinct neighbours each

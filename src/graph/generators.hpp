@@ -4,6 +4,10 @@
 // edgeless graph degenerates HBO to pure Ben-Or, the complete graph recovers
 // pure shared memory, and random d-regular graphs are the expander family
 // recommended by the paper's construction.
+//
+// A generator asked for a size its family cannot form (a ring of two, a
+// chordal ring of odd order, d >= n) throws std::invalid_argument naming it,
+// so callers taking sizes from users need not restate the rules.
 #pragma once
 
 #include <optional>
@@ -57,8 +61,8 @@ namespace mm::graph {
 /// expanders w.h.p. — the paper's recommended construction.
 [[nodiscard]] std::optional<Graph> random_regular(std::size_t n, std::size_t d, Rng& rng);
 
-/// Like random_regular but retries internally until success; aborts if the
-/// parameters are infeasible.
+/// Like random_regular but never returns nullopt: it aborts if the sampler
+/// fails (infeasible parameters throw, as in random_regular).
 [[nodiscard]] Graph random_regular_must(std::size_t n, std::size_t d, Rng& rng);
 
 /// Explicit expander: the Gabber–Galil construction on Z_m × Z_m (n = m²).

@@ -2,19 +2,17 @@
 //
 // A FaultInjector observes the run from inside the scheduler — every step,
 // send, and register write — and may drive the runtime's dynamic fault
-// actuators (crash_now, fail_memory_now, set_partition_now, begin_link_burst,
-// revoke_timely) in response. This is how the chaos engine (src/fault/) turns
+// actuators (crash_now, fail_memory_now, set_partition_now, begin_link_burst)
+// in response. This is how the chaos engine (src/fault/) turns
 // "crash p on its 5th broadcast" or "partition when round 3 starts" into
 // runtime behaviour while keeping the runtime itself free of any policy.
 //
-// Its second hook family is *interposition* rather than observation. Where
-// the observe hooks may only trigger actuators, the interposition hooks
-// (on_byz_send, on_byz_reg_write) sit on the data path itself — they may
+// The send and register-write hooks also sit on the data path: they may
 // rewrite an outgoing message per destination (equivocation, corruption,
 // replay), suppress it entirely (selective silence), or rewrite the value a
 // process is about to write to a register it legitimately owns or shares.
-// FaultEngine routes them to its Byzantine adversary
-// (src/fault/byzantine.hpp).
+// FaultEngine hands both to its Byzantine adversary (src/fault/byzantine.hpp)
+// after firing its rules.
 //
 // Model-legality: interposition never gains new powers. A rewritten send
 // still carries the true sender (the runtime stamps m.from after the hook),
@@ -52,30 +50,22 @@ class FaultInjector {
   /// effect for this very step.
   virtual void on_step(SimRuntime& rt) = 0;
 
-  /// Called when `from` sends a message, before drop/delay/partition
-  /// resolution — a link burst or partition opened here applies to this
-  /// message. Crashing `from` here takes effect at its next step boundary.
-  virtual void on_send(SimRuntime& rt, Pid from, Pid to) = 0;
-
-  /// Called when `writer` writes a register, before access checks — a
-  /// memory-failure window opened here makes this very write throw.
-  virtual void on_reg_write(SimRuntime& rt, Pid writer, RegKey key) = 0;
-
-  // -- interposition (defaults pass everything through untouched) ----------
-
-  /// Called once per (sender, destination) on the data path, after on_send
-  /// and before link drop/delay resolution. May mutate `m` (equivocation
-  /// sees each destination separately); returning false suppresses delivery
-  /// to `to` (selective silence — counted as a drop). The runtime stamps
-  /// m.from afterwards, so the sender cannot be forged.
-  virtual bool on_byz_send(Pid /*from*/, Pid /*to*/, Message& /*m*/) { return true; }
+  /// Called once per (sender, destination) when `from` sends `m`, before
+  /// drop/delay/partition resolution — a link burst or partition opened here
+  /// applies to this message, and crashing `from` takes effect at its next
+  /// step boundary. May mutate `m` (equivocation sees each destination
+  /// separately); returning false suppresses delivery to `to` (selective
+  /// silence — counted as a drop). The runtime stamps m.from afterwards, so
+  /// the sender cannot be forged.
+  virtual bool on_send(SimRuntime& rt, Pid from, Pid to, Message& m) = 0;
 
   /// Called when `writer` is about to store `v` (plain write, or the desired
-  /// value of a CAS) to the register named `key`, after on_reg_write. May
+  /// value of a CAS) to the register named `key`, before access checks — a
+  /// memory-failure window opened here makes this very write throw. May
   /// rewrite `v`; the write then proceeds through the normal GSM access and
   /// memory-liveness checks, so corruption stays within the writer's
   /// legitimate permissions.
-  virtual void on_byz_reg_write(Pid /*writer*/, RegKey /*key*/, std::uint64_t& /*v*/) {}
+  virtual void on_reg_write(SimRuntime& rt, Pid writer, RegKey key, std::uint64_t& v) = 0;
 };
 
 }  // namespace mm::runtime

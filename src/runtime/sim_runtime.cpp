@@ -971,10 +971,8 @@ void SimRuntime::enqueue_message(Pid to, Step deliver_at, Message m) {
 void SimRuntime::env_send(Pid from, Pid to, Message m) {
   MM_ASSERT(to.index() < config_.n());
   bool deliver = true;
-  if (injector_ != nullptr) [[unlikely]] {
-    injector_->on_send(*this, from, to);
-    deliver = injector_->on_byz_send(from, to, m);
-  }
+  if (injector_ != nullptr) [[unlikely]]
+    deliver = injector_->on_send(*this, from, to, m);
   if (record_footprints_) [[unlikely]]
     scratch_.footprint.add_send(to);
   ++metrics_.msgs_sent;
@@ -1144,10 +1142,8 @@ std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
 }
 
 void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
-  if (injector_ != nullptr) [[unlikely]] {
-    injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-    injector_->on_byz_reg_write(self, reg_keys_[r.index()], v);
-  }
+  if (injector_ != nullptr) [[unlikely]]
+    injector_->on_reg_write(*this, self, reg_keys_[r.index()], v);
   check_register_access(self, r);
   check_memory_alive(r);
   ++metrics_.reg_writes;
@@ -1169,10 +1165,8 @@ std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
                                   std::uint64_t desired) {
   // A CAS is a write-class mutation: fault rules keyed on register writes
   // (kOnFirstWrite / kOnRoundEntry) must see CAS-based object protocols too.
-  if (injector_ != nullptr) [[unlikely]] {
-    injector_->on_reg_write(*this, self, reg_keys_[r.index()]);
-    injector_->on_byz_reg_write(self, reg_keys_[r.index()], desired);
-  }
+  if (injector_ != nullptr) [[unlikely]]
+    injector_->on_reg_write(*this, self, reg_keys_[r.index()], desired);
   check_register_access(self, r);
   check_memory_alive(r);
   ++metrics_.reg_cas_ops;

@@ -305,10 +305,6 @@ class SimRuntime : private detail::SimStorage {
   };
   void begin_link_burst(const LinkBurst& burst) { burst_ = burst; }
 
-  /// Revoke the §3 timeliness guarantee from now on: the timely process
-  /// becomes an ordinary weighted pick (the adversary Theorem 5.2 forbids).
-  void revoke_timely() { config_.timely.reset(); }
-
   /// Install a reactive fault injector (non-owning; must outlive the run).
   /// Null detaches. Fault-free runs (no injector, no actuator calls) are
   /// bit-identical to runs before this hook existed.
@@ -382,7 +378,6 @@ class SimRuntime : private detail::SimStorage {
 
   /// Arm/disarm per-step footprint + observation recording.
   void set_footprint_recording(bool on);
-  [[nodiscard]] bool footprint_recording() const noexcept { return record_footprints_; }
   /// Footprint of the most recently executed scheduler step. Valid while
   /// recording is armed and at least one step has run.
   [[nodiscard]] const StepFootprint& last_footprint() const noexcept {
@@ -460,7 +455,6 @@ class SimRuntime : private detail::SimStorage {
   /// (recording only observes). The recorder is allocated on first arming,
   /// so a runtime that never arms carries none.
   void set_observability(bool on);
-  [[nodiscard]] bool observability() const noexcept { return record_obs_; }
   /// The report so far, bit-identical at any MM_JOBS (empty if
   /// observability was never armed). Call between run chunks.
   [[nodiscard]] ObsReport obs_report() const;

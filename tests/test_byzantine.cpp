@@ -18,6 +18,7 @@
 #include "fault/shrink.hpp"
 #include "graph/generators.hpp"
 #include "runtime/sim_config.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace mm {
 namespace {
@@ -129,6 +130,71 @@ TEST(ByzAdversary, GoByzantineRuleFiresThroughTheEngine) {
   EXPECT_EQ(eng.adversary().byz_mask(), 0b0100u);
   EXPECT_TRUE(eng.adversary().is_byzantine(Pid{2}));
   EXPECT_GT(eng.adversary().rng_draws(), 0u);
+}
+
+// The engine fires its rules before it hands a send or a register write to
+// the adversary, so a kGoByzantine rule that an event fires already corrupts
+// that same event.
+
+TEST(ByzAdversary, RuleFiredBySendSilencesThatSend) {
+  FaultRule r;
+  r.trigger = Trigger::kOnNthSend;
+  r.who = Pid{0};
+  r.count = 1;
+  r.action = Action::kGoByzantine;
+  r.byz_behaviors = kByzSilence;
+  r.byz_silence_mask = ~std::uint64_t{0};  // silent toward everyone
+  FaultEngine eng{{r}};
+
+  runtime::SimConfig cfg;
+  cfg.gsm = graph::complete(2);
+  runtime::SimRuntime rt{cfg};
+  rt.set_fault_injector(&eng);
+  std::size_t drained = 0;
+  rt.add_process([](runtime::Env& env) { env.send(Pid{1}, runtime::Message{}); });
+  rt.add_process([&drained](runtime::Env& env) {
+    std::vector<runtime::Message> inbox;
+    for (int i = 0; i < 100; ++i) {  // far past the largest link delay
+      env.drain_inbox(inbox);
+      drained += inbox.size();
+      env.step();
+    }
+  });
+  rt.run_until_all_done(10'000);
+  rt.shutdown();
+  rt.rethrow_process_error();
+
+  EXPECT_TRUE(eng.adversary().is_byzantine(Pid{0}));
+  EXPECT_EQ(rt.metrics().msgs_sent, 1u);
+  EXPECT_EQ(rt.metrics().msgs_dropped, 1u);
+  EXPECT_EQ(drained, 0u);
+}
+
+TEST(ByzAdversary, RuleFiredByWriteCorruptsThatWrite) {
+  FaultRule r;
+  r.trigger = Trigger::kOnFirstWrite;
+  r.count = core::kTagState;
+  r.action = Action::kGoByzantine;
+  r.byz_behaviors = kByzCorruptWrites;  // drop_prob 0: corrupt every write
+  FaultEngine eng{{r}};
+
+  runtime::SimConfig cfg;
+  cfg.gsm = graph::complete(1);
+  runtime::SimRuntime rt{cfg};
+  rt.set_fault_injector(&eng);
+  std::uint64_t stored = 0;
+  rt.add_process([&stored](runtime::Env& env) {
+    const runtime::RegKey key = runtime::RegKey::make(core::kTagState, env.self());
+    runtime::write_key(env, key, 7);
+    stored = runtime::read_key(env, key);
+  });
+  rt.run_until_all_done(1'000);
+  rt.shutdown();
+  rt.rethrow_process_error();
+
+  EXPECT_TRUE(eng.adversary().is_byzantine(Pid{0}));
+  EXPECT_EQ(eng.adversary().rng_draws(), 1u) << "one draw: the corrupted value";
+  EXPECT_NE(stored, 7u);
 }
 
 // ---------------------------------------------------------------------------

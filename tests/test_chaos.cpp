@@ -3,6 +3,10 @@
 // planted-bug story (violation -> ddmin -> JSON repro -> replay).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "check/instances.hpp"
 #include "core/tags.hpp"
 #include "core/trial.hpp"
@@ -66,6 +70,114 @@ TEST(FaultJson, ReproEnvelopeRoundTrips) {
   EXPECT_EQ(recorded->oracle, Oracle::kAgreement);
   EXPECT_EQ(recorded->detail, "two processes disagreed");
   EXPECT_THROW((void)repro_from_string("{\"format\": \"other\"}"), JsonError);
+}
+
+// A parsed case runs as written or not at all: each rejection is a JsonError
+// whose message starts with the offending field.
+
+ChaosCase consensus_case(std::size_t n, Topology topo) {
+  ChaosCase c;
+  c.n = n;
+  c.topology = topo;
+  c.oracles = {Oracle::kAgreement};
+  return c;
+}
+
+/// The error case_from_json reports for `c` ("" when it parses).
+std::string parse_error(const ChaosCase& c) {
+  try {
+    (void)case_from_json(Json::parse(case_to_json(c).dump(2)));
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+TEST(FaultJson, RejectsOraclesTheKindNeverEvaluates) {
+  ChaosCase consensus = consensus_case(5, Topology::kComplete);
+  for (const Oracle o : {Oracle::kOmegaStabilizes, Oracle::kByzAgreement}) {
+    consensus.oracles = {Oracle::kAgreement, o};
+    const std::string err = parse_error(consensus);
+    EXPECT_TRUE(starts_with(err, "oracles: consensus cases never evaluate")) << err;
+  }
+  ChaosCase omega;
+  omega.kind = CaseKind::kOmega;
+  omega.oracles = {Oracle::kTermination};
+  EXPECT_TRUE(starts_with(parse_error(omega), "oracles: omega cases")) << parse_error(omega);
+  ChaosCase byz;
+  byz.kind = CaseKind::kByzRegister;
+  byz.oracles = {Oracle::kAgreement};
+  EXPECT_TRUE(starts_with(parse_error(byz), "oracles: byz_register cases"))
+      << parse_error(byz);
+}
+
+TEST(FaultJson, RejectsARecordedViolationTheKindNeverEvaluates) {
+  ChaosCase omega;
+  omega.kind = CaseKind::kOmega;
+  omega.oracles = {Oracle::kOmegaStabilizes};
+  const Violation v{Oracle::kTermination, "never decided"};
+  std::optional<Violation> recorded;
+  try {
+    (void)repro_from_string(repro_to_string(omega, &v), &recorded);
+    ADD_FAILURE() << "an omega repro recording a termination violation parsed";
+  } catch (const JsonError& e) {
+    EXPECT_TRUE(starts_with(e.what(), "violation.oracle: omega cases")) << e.what();
+  }
+}
+
+TEST(FaultJson, RejectsAnNTheTopologyCannotBuild) {
+  for (const auto& [n, topo] : {std::pair{std::size_t{2}, Topology::kRing},
+                                std::pair{std::size_t{2}, Topology::kChordalRing},
+                                std::pair{std::size_t{1}, Topology::kStar}}) {
+    const std::string err = parse_error(consensus_case(n, topo));
+    EXPECT_TRUE(starts_with(err, "n: ")) << to_string(topo) << " n=" << n << ": " << err;
+  }
+  EXPECT_EQ(parse_error(consensus_case(3, Topology::kRing)), "");
+  EXPECT_EQ(parse_error(consensus_case(3, Topology::kChordalRing)), "");
+  EXPECT_EQ(parse_error(consensus_case(2, Topology::kStar)), "");
+}
+
+TEST(FaultJson, RejectsOmegaAndByzRegisterCasesBelowTwoProcesses) {
+  ChaosCase omega;
+  omega.kind = CaseKind::kOmega;
+  omega.n = 1;
+  omega.oracles = {Oracle::kOmegaStabilizes};
+  EXPECT_TRUE(starts_with(parse_error(omega), "n: ")) << parse_error(omega);
+  ChaosCase byz;
+  byz.kind = CaseKind::kByzRegister;
+  byz.n = 1;
+  byz.oracles = {Oracle::kByzAgreement};
+  EXPECT_TRUE(starts_with(parse_error(byz), "n: ")) << parse_error(byz);
+}
+
+TEST(FaultJson, RejectsAConsensusFThatCrashesEveryProcess) {
+  ChaosCase c = consensus_case(4, Topology::kComplete);
+  c.f = 4;
+  EXPECT_TRUE(starts_with(parse_error(c), "f: ")) << parse_error(c);
+  c.f = 3;
+  EXPECT_EQ(parse_error(c), "");
+}
+
+TEST(FaultJson, RevokeTimelyActionAndLinearizableOracleNoLongerParse) {
+  ChaosCase c = consensus_case(5, Topology::kComplete);
+  FaultRule crash;
+  crash.action = Action::kCrash;
+  c.rules = {crash};
+  const std::string text = case_to_json(c).dump(2);
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = text;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  EXPECT_THROW((void)case_from_json(Json::parse(replaced("\"crash\"", "\"revoke_timely\""))),
+               JsonError);
+  EXPECT_THROW(
+      (void)case_from_json(Json::parse(replaced("\"agreement\"", "\"linearizable\""))),
+      JsonError);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ PaxosRun run_paxos(std::size_t n, const std::vector<std::uint32_t>& inputs,
 
   std::vector<std::unique_ptr<OmegaPaxos>> algs;
   for (std::size_t p = 0; p < n; ++p) {
-    algs.push_back(std::make_unique<OmegaPaxos>(OmegaPaxos::Config{}, inputs[p]));
+    algs.push_back(std::make_unique<OmegaPaxos>(inputs[p]));
     rt.add_process([alg = algs.back().get()](Env& env) { alg->run(env); });
   }
   rt.run_until_all_done(budget);
@@ -129,7 +129,7 @@ TEST(OmegaPaxos, LeaderCrashTriggersReelectionAndDecision) {
   const std::vector<std::uint32_t> inputs{0, 1, 1, 0};
   std::vector<std::unique_ptr<OmegaPaxos>> algs;
   for (std::size_t p = 0; p < 4; ++p) {
-    algs.push_back(std::make_unique<OmegaPaxos>(OmegaPaxos::Config{}, inputs[p]));
+    algs.push_back(std::make_unique<OmegaPaxos>(inputs[p]));
     rt.add_process([alg = algs.back().get()](Env& env) { alg->run(env); });
   }
   rt.run_until_all_done(6'000'000);

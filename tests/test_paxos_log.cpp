@@ -44,8 +44,7 @@ LogRun run_log(std::size_t n, std::size_t cmds_each, std::uint64_t seed,
 
   std::vector<std::unique_ptr<PaxosLog>> replicas;
   for (std::size_t p = 0; p < n; ++p) {
-    replicas.push_back(std::make_unique<PaxosLog>(PaxosLog::Config{},
-                                                  commands_of(p, cmds_each)));
+    replicas.push_back(std::make_unique<PaxosLog>(commands_of(p, cmds_each)));
     rt.add_process([r = replicas.back().get()](Env& env) { r->run(env); });
   }
 
