@@ -6,7 +6,8 @@
 #   build      configure (RelWithDebInfo) + compile everything
 #   unit       the gtest suite and the examples (everything without a stage
 #              label) — tier 1
-#   smoke      bench smoke: trimmed microbench + engine bench + perf record
+#   smoke      bench smoke: quick bench_micro + one engine bench, then the
+#              checks on the perf record bench_micro wrote
 #   chaos      fault-injection campaigns: safety, Byzantine, planted+replay
 #   explore    model checker: DFS/DPOR differential + chaos bridge replay
 #   obs        observability: trace record/export/summarize round trip

@@ -11,7 +11,8 @@
 // charged to the thread that frees. Overhead is two thread-local adds per
 // allocation and no shared cache line, so the counters stay on in every
 // binary that references this header — which is what lets bench_micro publish
-// allocs_per_step/bytes_per_step in BENCH_runtime.json.
+// allocs_per_step and bytes_per_step in BENCH_runtime.json: exact counts over
+// one window, so single values beside the timed rungs' median and range.
 //
 // Under AddressSanitizer the replacement is compiled out (ASan owns operator
 // new for poisoning/quarantine); alloc_counting_active() reports false and

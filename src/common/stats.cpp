@@ -20,8 +20,6 @@ double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 std::size_t LogHistogram::bucket_index(std::uint64_t value) noexcept {
   if (value < kSub) return static_cast<std::size_t>(value);
   // bit_width(value) in [kSubBits+1, 64]; the top kSubBits bits below the

@@ -100,7 +100,6 @@ void PaxosLog::apply_ready(Env& env) {
     const auto it = chosen_.find(applied_.size());
     if (it == chosen_.end()) break;
     applied_.push_back(it->second);
-    applied_count_.store(applied_.size(), std::memory_order_release);
   }
   // Did everything we ever submitted make it in?
   if (!mine_committed_.load(std::memory_order_acquire)) {

@@ -50,9 +50,6 @@ class PaxosLog {
   [[nodiscard]] bool all_mine_committed() const noexcept {
     return mine_committed_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::uint64_t applied_count() const noexcept {
-    return applied_count_.load(std::memory_order_acquire);
-  }
 
  private:
   struct Accepted {
@@ -88,7 +85,6 @@ class PaxosLog {
   // Learner.
   std::map<std::uint64_t, std::uint64_t> chosen_;
   std::vector<std::uint64_t> applied_;
-  std::atomic<std::uint64_t> applied_count_{0};
 
   // Proposer (valid while leading_).
   bool leading_ = false;

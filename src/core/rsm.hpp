@@ -44,7 +44,6 @@ class LogReplica {
   std::optional<std::uint64_t> run_slot(runtime::Env& env, std::uint64_t command);
 
   [[nodiscard]] const std::vector<std::uint64_t>& log() const noexcept { return log_; }
-  [[nodiscard]] std::size_t next_slot() const noexcept { return log_.size(); }
 
  private:
   Config config_;

@@ -42,8 +42,6 @@ class Json {
   [[nodiscard]] static Json object();
 
   [[nodiscard]] bool is_null() const noexcept { return std::holds_alternative<std::nullptr_t>(v_); }
-  [[nodiscard]] bool is_object() const noexcept { return std::holds_alternative<Object>(v_); }
-  [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(v_); }
 
   /// Checked accessors — throw JsonError on type mismatch.
   [[nodiscard]] bool as_bool() const;

@@ -3,24 +3,24 @@
 // An ObsRecorder accumulates a run's sim-time measurements: delivery
 // latencies, drain batch sizes, the destination's pending-heap size at each
 // delivering drain, and per-register touch counts. Everything a recorder
-// stores is a pure trajectory fact — virtual steps, counts, key bits — so
-// the ObsReport built from it is bit-identical at any MM_JOBS, exactly like
-// Metrics.
+// stores is a pure trajectory fact — virtual steps, counts, register ids —
+// so the ObsReport built from it is bit-identical at any MM_JOBS, exactly
+// like Metrics.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.hpp"
 
 namespace mm::runtime {
 
-/// Accumulator the runtime allocates when observability is first armed.
+/// Accumulator the runtime allocates when tracing is first armed.
 struct ObsRecorder {
   LogHistogram delivery_latency;  ///< drain step − send step, per delivered message
   LogHistogram inbox_depth;       ///< messages handed over per non-empty drain
   LogHistogram pending_depth;     ///< destination heap size before each delivering drain
-  std::unordered_map<std::uint64_t, std::uint64_t> reg_touches;  ///< key bits → accesses
+  std::vector<std::uint64_t> reg_touches;  ///< accesses by RegId (0 = untouched)
 };
 
 /// The per-run observability result. All four histograms are pure functions

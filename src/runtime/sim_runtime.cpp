@@ -466,6 +466,7 @@ void SimRuntime::set_partition_now(std::uint64_t side_a, Step until) {
 void SimRuntime::clear_partition_now() { config_.partition.reset(); }
 
 void SimRuntime::enable_trace(std::size_t capacity) {
+  if (capacity != 0 && obs_ == nullptr) obs_ = std::make_unique<ObsRecorder>();
   trace_capacity_ = capacity;
   trace_buf_.clear();
   trace_buf_.shrink_to_fit();
@@ -474,6 +475,13 @@ void SimRuntime::enable_trace(std::size_t capacity) {
 
 void SimRuntime::trace_event_slow(Pid pid, TraceEvent::Kind kind, std::uint64_t a,
                                   std::uint64_t b, std::uint64_t seq) {
+  if (kind == TraceEvent::Kind::kRegRead || kind == TraceEvent::Kind::kRegWrite ||
+      kind == TraceEvent::Kind::kRegCas) {
+    // a is the RegId: the register-contention feed counts the access.
+    std::vector<std::uint64_t>& touches = obs_->reg_touches;
+    if (a >= touches.size()) touches.resize(a + 1);
+    ++touches[a];
+  }
   const TraceEvent e{global_step_, pid, kind, a, b, seq};
   if (trace_buf_.size() < trace_capacity_) {
     trace_buf_.push_back(e);
@@ -558,11 +566,6 @@ std::string SimRuntime::dump_trace(std::size_t last_n) const {
     out += line;
   }
   return out;
-}
-
-void SimRuntime::set_observability(bool on) {
-  if (on && obs_ == nullptr) obs_ = std::make_unique<ObsRecorder>();
-  record_obs_ = on;
 }
 
 ObsReport SimRuntime::obs_report() const {
@@ -1031,21 +1034,21 @@ void SimRuntime::drain_pending(Pid to, Step now_step, std::vector<Message>& out)
   auto& pend = pending_[to.index()];
   // The cached pending_head_ guarantees this drain delivers at least one
   // message; the heap it found is the pending-depth sample.
-  if (record_obs_) [[unlikely]]
+  if (trace_capacity_ != 0) [[unlikely]]
     obs_->pending_depth.add(pend.size());
   std::uint64_t delivered = 0;
   while (!pend.empty() && pend.front().deliver_at <= now_step) {
     std::pop_heap(pend.begin(), pend.end(), &SimRuntime::delivers_later);
     InFlight f = std::move(pend.back());
     pend.pop_back();
-    if (record_obs_) [[unlikely]]
+    if (trace_capacity_ != 0) [[unlikely]]
       obs_->delivery_latency.add(now_step >= f.sent_at ? now_step - f.sent_at : 0);
     trace_event(f.msg.from, TraceEvent::Kind::kDeliver, to.value(), f.msg.kind, f.seq);
     out.push_back(std::move(f.msg));
     ++delivered;
   }
   pending_head_[to.index()] = pend.empty() ? kNever : pend.front().deliver_at;
-  if (record_obs_) [[unlikely]]
+  if (trace_capacity_ != 0) [[unlikely]]
     obs_->inbox_depth.add(delivered);
   metrics_.msgs_delivered += delivered;
 }
@@ -1132,8 +1135,6 @@ std::uint64_t SimRuntime::env_read(Pid self, RegId r) {
     ++metrics_.remote_reads_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegRead, r.value(), reg_values_[r.index()]);
-  if (record_obs_) [[unlikely]]
-    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   if (record_footprints_) [[unlikely]] {
     scratch_.footprint.add_read(reg_keys_[r.index()]);
     obs_note(self, kObsRead, reg_values_[r.index()], scratch_.sig);
@@ -1154,8 +1155,6 @@ void SimRuntime::env_write(Pid self, RegId r, std::uint64_t v) {
     ++metrics_.remote_writes_by_proc[self.index()];
   }
   trace_event(self, TraceEvent::Kind::kRegWrite, r.value(), v);
-  if (record_obs_) [[unlikely]]
-    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   if (record_footprints_) [[unlikely]]
     scratch_.footprint.add_write(reg_keys_[r.index()]);
   reg_values_[r.index()] = v;
@@ -1172,8 +1171,6 @@ std::uint64_t SimRuntime::env_cas(Pid self, RegId r, std::uint64_t expected,
   ++metrics_.reg_cas_ops;
   if (reg_owner_[r.index()] == self.value()) ++metrics_.reg_cas_local;
   trace_event(self, TraceEvent::Kind::kRegCas, r.value(), reg_values_[r.index()]);
-  if (record_obs_) [[unlikely]]
-    ++obs_->reg_touches[reg_keys_[r.index()].bits()];
   const std::uint64_t old = reg_values_[r.index()];
   if (record_footprints_) [[unlikely]] {
     // A CAS both observes and (potentially) mutates: read+write footprint,

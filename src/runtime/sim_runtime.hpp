@@ -432,8 +432,9 @@ class SimRuntime : private detail::SimStorage {
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
   };
 
-  /// Keep the last `capacity` events (0, the default, disables tracing).
-  /// Storage is a fixed ring: memory use is bounded by the capacity, never
+  /// Keep the last `capacity` events and feed the sim-time histograms
+  /// (obs_report); 0 disarms both, and a runtime starts disarmed. The event
+  /// storage is a fixed ring: memory use is bounded by the capacity, never
   /// by run length.
   void enable_trace(std::size_t capacity = 65'536);
   /// The retained events, oldest first (a copy — the live buffer is a ring).
@@ -448,15 +449,13 @@ class SimRuntime : private detail::SimStorage {
   void trace_fault(Pid context, std::uint64_t action, std::uint64_t rule);
 
   // -- sim-time observability (docs/RUNTIME.md "Observability") --------------
-  /// Arm/disarm sim-time observability recording: delivery-latency,
-  /// inbox-depth, pending-depth, and register-contention histograms. Like
-  /// footprint recording, the flag is tested at the access (see SimEnv):
-  /// disabled runs feed nothing, and trajectories are unchanged by arming
-  /// (recording only observes). The recorder is allocated on first arming,
-  /// so a runtime that never arms carries none.
-  void set_observability(bool on);
-  /// The report so far, bit-identical at any MM_JOBS (empty if
-  /// observability was never armed). Call between run chunks.
+  /// The delivery-latency, inbox-depth, pending-depth and
+  /// register-contention histograms fed while enable_trace armed tracing,
+  /// bit-identical at any MM_JOBS (empty if tracing was never armed). The
+  /// feeds test the trace switch at the access (see SimEnv), and arming
+  /// only observes, so trajectories are unchanged. The recorder is
+  /// allocated on the first arming and kept after a disarm. Call between
+  /// run chunks.
   [[nodiscard]] ObsReport obs_report() const;
 
  private:
@@ -492,8 +491,7 @@ class SimRuntime : private detail::SimStorage {
   Step run_fast(Step k);
   [[nodiscard]] bool fast_path_eligible() const noexcept {
     return !schedule_policy_ && injector_ == nullptr && !config_.timely.has_value() &&
-           config_.sched_weight.empty() && trace_capacity_ == 0 && !record_footprints_ &&
-           !record_obs_;
+           config_.sched_weight.empty() && trace_capacity_ == 0 && !record_footprints_;
   }
   /// A process's whole lifecycle, the entry of its fiber: kill check, body,
   /// error capture, finished flag. A kill unwind never reaches its handler:
@@ -543,9 +541,9 @@ class SimRuntime : private detail::SimStorage {
 
   // Env backends (called from the running process fiber; serialized by the
   // handoff, so no locking is needed). Each is one function: it tests
-  // record_footprints_ / record_obs_ ([[unlikely]]) where it would record,
-  // so the flags are read at the access. The register calls never yield;
-  // SimEnv takes the auto-step before calling them.
+  // record_footprints_ and the trace switch ([[unlikely]]) where it would
+  // record, so the flags are read at the access. The register calls never
+  // yield; SimEnv takes the auto-step before calling them.
   void env_send(Pid from, Pid to, Message m);
   void env_drain(Pid self, std::vector<Message>& out);
   RegId env_reg(Pid self, RegKey key);
@@ -563,7 +561,8 @@ class SimRuntime : private detail::SimStorage {
   void begin_slice(std::size_t pick);
   void end_slice(std::size_t pick);
   /// Hot-path tracing hook: a branch-predictable no-op unless enable_trace
-  /// armed it (the capacity check inlines; the ring push stays out of line).
+  /// armed it (the capacity check inlines; the ring push and the
+  /// register-contention count stay out of line).
   void trace_event(Pid pid, TraceEvent::Kind kind, std::uint64_t a = 0, std::uint64_t b = 0,
                    std::uint64_t seq = 0) {
     if (trace_capacity_ == 0) [[likely]] {
@@ -623,8 +622,7 @@ class SimRuntime : private detail::SimStorage {
   std::vector<TraceEvent> trace_buf_;
   std::size_t trace_head_ = 0;
 
-  // Sim-time observability (set_observability).
-  bool record_obs_ = false;
+  // Sim-time histograms, fed while tracing is armed.
   std::unique_ptr<ObsRecorder> obs_;  ///< made on the first arming, kept after a disarm
 
   // Footprint / observation recording (see the model-checker hooks above;

@@ -231,9 +231,10 @@ TEST(AllocInvariant, SteadyStateStepsAreHeapFree) {
 }
 
 // Observability compiled in but DISARMED must stay off the heap too: each
-// Env backend tests the flag at the access, so after arming (which
-// allocates histograms and event vectors) and disarming again, steady-state
-// steps skip every histogram feed and must allocate nothing.
+// Env backend tests the trace switch at the access, so after enable_trace
+// (which allocates the event ring and the histograms) and enable_trace(0),
+// steady-state steps skip every ring push and histogram feed and must
+// allocate nothing.
 TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
   if (!common::alloc_counting_active())
     GTEST_SKIP() << "allocation counting compiled out (sanitizer build)";
@@ -257,10 +258,10 @@ TEST(AllocInvariant, ObservabilityDisarmedStepsAreHeapFree) {
       }
     });
   }
-  rt.set_observability(true);  // recording path: the histograms fill
+  rt.enable_trace();  // recording path: the ring and the histograms fill
   rt.run_steps(20'000);
   EXPECT_GT(rt.obs_report().delivery_latency.total(), 0u);
-  rt.set_observability(false);
+  rt.enable_trace(0);
 
   const auto before = common::alloc_counts();
   rt.run_steps(50'000);

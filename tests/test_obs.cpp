@@ -114,8 +114,8 @@ TEST(TraceRing, WraparoundKeepsExactlyTheLastCapacityEvents) {
 // ---------------------------------------------------------------------------
 
 /// n = 8 in four disjoint GSM pairs, ring messaging plus partner-register
-/// traffic and a link-burst fault schedule, with observability armed and,
-/// if `recording`, footprint recording beside it.
+/// traffic and a link-burst fault schedule, with tracing (and so the
+/// histograms) armed and, if `recording`, footprint recording beside it.
 struct ObsCell {
   ObsReport report;
   std::uint64_t cas_local = 0;
@@ -133,7 +133,7 @@ ObsCell run_obs_cell(std::uint64_t seed, bool recording = false) {
   cfg.min_delay = 2;
   cfg.max_delay = 9;
   SimRuntime rt{cfg};
-  rt.set_observability(true);
+  rt.enable_trace();
   rt.set_footprint_recording(recording);
   for (std::uint32_t p = 0; p < kN; ++p) {
     rt.add_process([p](Env& env) {

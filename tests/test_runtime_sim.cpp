@@ -795,17 +795,19 @@ TEST(SimEnv, ArmingRecordingMidAccessRecordsTheAccess) {
   EXPECT_EQ(rt.last_footprint().reads, std::vector<RegKey>{key_of(Pid{0})});
 }
 
-TEST(SimEnv, DisarmingObservabilityMidAccessSkipsTheAccess) {
+TEST(SimEnv, DisarmingTracingMidAccessSkipsTheAccess) {
   SimRuntime rt{base_config(2, 26)};
-  rt.set_observability(true);
+  rt.enable_trace();
   rt.add_process([](Env& env) { env.write(env.reg(key_of(Pid{0})), 1); });
   rt.add_process([](Env& env) { env.step(); });
   rt.set_schedule_policy([](const std::vector<Pid>&) -> std::size_t { return 0; });
   ASSERT_EQ(rt.run_steps(1), 1u);  // p0 parks inside the write's auto-step
-  rt.set_observability(false);
+  rt.enable_trace(0);
   ASSERT_EQ(rt.run_steps(1), 1u);  // the write itself
   EXPECT_EQ(rt.register_value(key_of(Pid{0})).value_or(0), 1u);
   EXPECT_EQ(rt.obs_report().reg_contention.total(), 0u);
+  for (const SimRuntime::TraceEvent& e : rt.trace())
+    EXPECT_NE(e.kind, SimRuntime::TraceEvent::Kind::kRegWrite);
 }
 
 // ---------------------------------------------------------------------------

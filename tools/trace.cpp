@@ -100,7 +100,6 @@ Json run_scenario(const Options& opt) {
   cfg.max_delay = 9;
   SimRuntime rt{cfg};
   rt.enable_trace(65'536);
-  rt.set_observability(true);
 
   const int iters = opt.iters;
   for (std::uint32_t p = 0; p < kN; ++p) {
